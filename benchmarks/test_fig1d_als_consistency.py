@@ -81,10 +81,10 @@ def run_experiment():
         ],
     )
     fig.add("serializable", serial_errors)
-    fig.add("not_serializable", racing_errors)
     fig.note(
-        f"racing run produced {trace_violations} detected "
-        "serializability violations (vertex-consistency neighbor reads)"
+        "the not_serializable column and its violation count come from "
+        "real ThreadedEngine interleaving and differ on every run, so "
+        "the test prints them instead of tracking them in this file"
     )
     fig.note(
         "Python object writes are atomic reference swaps, so races "
@@ -92,7 +92,7 @@ def run_experiment():
         "the paper's C++ in-place vector writes add torn reads and "
         "stronger oscillation (see EXPERIMENTS.md)"
     )
-    return fig, trace_violations
+    return fig, racing_errors, trace_violations
 
 
 def _instability(errors):
@@ -103,11 +103,15 @@ def _instability(errors):
 
 
 def test_fig1d_racing_is_not_serializable(run_once):
-    fig, violations = run_once(run_experiment)
+    fig, racing, violations = run_once(run_experiment)
     print("\n" + fig.render())
-    fig.save()
+    print("not_serializable (this run):", [round(e, 3) for e in racing])
+    print(
+        f"racing run produced {violations} detected serializability "
+        "violations (vertex-consistency neighbor reads)"
+    )
+    fig.save()  # deterministic content only: tier-1 must not dirty the tree
     serial = fig.values_of("serializable")
-    racing = fig.values_of("not_serializable")
     # The serializable run converges and is near-monotone.
     assert serial[-1] <= serial[0]
     assert _instability(serial) <= 0.02

@@ -5,7 +5,13 @@ on a discrete-event simulator; this package *performs* it on OS
 processes. The same update functions, the same ghost/version coherence
 protocol (on slot-addressed :class:`CSRShardStore` shards sharing the
 compiled CSR structure), the same atom-based placement — executed by
-:class:`RuntimeChromaticEngine` over a :class:`Transport`:
+two engines that are two *scheduling policies* over one lifecycle:
+:class:`RuntimeChromaticEngine` (color-step sweeps, Sec. 4.2.1) and
+:class:`RuntimeLockingEngine` (pipelined distributed locks, Sec. 4.2.2)
+both subclass :class:`~repro.runtime.core.RuntimeCore`, which owns
+launch, the round funnel, snapshot/recover/resume, the serving
+lifecycle and result assembly exactly once. Engines run over a
+:class:`Transport`:
 
 * :class:`MpTransport` — one process per worker over ``multiprocessing``
   pipes; real parallelism, real barriers;

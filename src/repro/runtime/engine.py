@@ -62,10 +62,7 @@ count), the simulated chromatic engine, and a
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 import time
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -78,23 +75,20 @@ from repro.core.coloring import (
     merge_compatible_matrix,
     model_distance,
 )
-from repro.core.consistency import Consistency, edge_key, vertex_key
+from repro.core.consistency import Consistency
 from repro.core.graph import DataGraph, VertexId
-from repro.core.sync import GlobalValues, SyncOperation
+from repro.core.sync import SyncOperation
 from repro.core.update import normalize_schedule
-from repro.distributed.deploy import OwnershipPlan, plan_ownership
 from repro.errors import EngineError
 from repro.obs.events import Stopwatch
-from repro.obs.timeline import RunTelemetry, TimelineCollector, drain_telemetry
-from repro.runtime.checkpoint import (
-    CheckpointManager,
-    SnapshotCadence,
-    merge_journals,
+from repro.runtime.core import (  # noqa: F401 — re-exported names
+    RuntimeCore,
+    RuntimeRunResult,
+    baseline_journals,
+    route_ghost_entries,
 )
-from repro.runtime.plane import plane_spec_for
-from repro.runtime.program import check_picklable
-from repro.runtime.transport import Transport, WorkerFailure, make_transport
-from repro.runtime.worker import WorkerInit, empty_inbox, encode_worker
+from repro.runtime.transport import Transport
+from repro.runtime.worker import WorkerInit, empty_inbox
 
 #: Ceiling on how many colors one merged round may span. Groups larger
 #: than this see diminishing returns (one barrier already amortized) and
@@ -102,201 +96,7 @@ from repro.runtime.worker import WorkerInit, empty_inbox, encode_worker
 _MAX_MERGE_GROUP = 8
 
 
-@dataclass
-class RuntimeRunResult:
-    """Summary of one real-process run.
-
-    Mirrors :class:`~repro.core.engine.EngineResult` (same first four
-    fields, so assertions port over) plus wall-clock and per-worker
-    accounting — real seconds here, not simulated ones — and the
-    communication counters the data plane and color-merged rounds exist
-    to shrink: ``rounds`` (transport barriers), ``rounds_saved``
-    (barriers elided by committed merges), ``bytes_on_pipe`` (pickled
-    bytes crossing coordinator pipes, both directions).
-    """
-
-    num_updates: int
-    updates_per_vertex: Dict[VertexId, int]
-    converged: bool
-    globals: Dict[str, Any] = field(default_factory=dict)
-    sweeps: int = 0
-    wall_seconds: float = 0.0
-    launch_seconds: float = 0.0
-    num_workers: int = 1
-    backend: str = "inproc"
-    updates_per_worker: Dict[int, int] = field(default_factory=dict)
-    rounds: int = 0
-    rounds_saved: int = 0
-    bytes_on_pipe: int = 0
-    data_plane: Optional[str] = None
-    #: Assembled run timeline (:class:`repro.obs.timeline.RunTelemetry`)
-    #: when the engine ran with ``telemetry=True``; ``None`` otherwise.
-    telemetry: Optional[RunTelemetry] = None
-    #: Engine-specific diagnostics (the locking engine parks its
-    #: serializability trace and termination-token hops here, mirroring
-    #: the simulated engines' ``DistributedRunResult.extra``).
-    extra: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def exec_seconds(self) -> float:
-        """Wall time of execution proper, excluding worker launch.
-
-        Launch (process start + the one-time pickled-structure ship) is
-        the ingress phase of this backend; excluding it from throughput
-        mirrors the simulated engines' ``include_load_time=False``
-        default. Both components are reported, so nothing hides.
-        """
-        return max(self.wall_seconds - self.launch_seconds, 0.0)
-
-    @property
-    def updates_per_sec(self) -> float:
-        """Real update throughput (0 for an instantaneous empty run)."""
-        exec_seconds = self.exec_seconds
-        if exec_seconds <= 0.0:
-            return 0.0
-        return self.num_updates / exec_seconds
-
-    @property
-    def rounds_per_sweep(self) -> float:
-        """Average transport barriers per executed sweep."""
-        if not self.sweeps:
-            return 0.0
-        return self.rounds / self.sweeps
-
-
-# ----------------------------------------------------------------------
-# Coordinator plumbing shared by the runtime engines (chromatic and
-# locking): plane provisioning, one-blob launch encoding, and the final
-# collect write-back. One implementation, two engines.
-# ----------------------------------------------------------------------
-def provision_plane(
-    transport: Transport,
-    graph: DataGraph,
-    num_workers: int,
-    use_plane: bool,
-    ring_cap: Optional[int],
-):
-    """Allocate the data plane through the transport, when eligible.
-
-    The plane's lifecycle is the transport's: torn down with shutdown on
-    every exit path. Returns ``None`` for pipe-only backends, untyped
-    graphs, or ``use_plane=False``.
-    """
-    if not use_plane:
-        return None
-    kind = transport.plane_kind()
-    if kind is None:
-        return None
-    csr = graph.compiled
-    spec = plane_spec_for(
-        graph,
-        num_workers,
-        max_routable_v=len(csr.vertex_ids) * max(num_workers - 1, 1),
-        max_routable_e=2 * len(csr.edge_keys),
-        kind=kind,
-        ring_cap=ring_cap,
-    )
-    if spec is None:
-        return None
-    return transport.provision_plane(spec)
-
-
-def encode_shared_init(init: Any) -> bytes:
-    """Serialize the worker-independent launch state exactly once.
-
-    The blob — dominated by the pickled graph — is reused for every
-    worker's launch payload *and* for respawning a dead worker during
-    recovery, so engines cache it for the lifetime of a run.
-    """
-    try:
-        return init.encode_shared()
-    except Exception as exc:
-        raise EngineError(
-            "worker init payload cannot be pickled — the update "
-            "program, sync map/combine/finalize functions, and "
-            "all graph data must be module-level / picklable to "
-            f"cross process boundaries ({exc})"
-        ) from exc
-
-
-def encode_init_payloads(init: Any, num_workers: int):
-    """Per-worker launch payloads around one shared encoded state blob.
-
-    The worker-independent state is serialized exactly once; only the
-    worker id differs per payload, so launch serialization is
-    O(structure), not O(workers × structure).
-    """
-    shared = encode_shared_init(init)
-    for worker_id in range(num_workers):
-        yield encode_worker(worker_id, shared)
-
-
-def baseline_journals(
-    graph: DataGraph, owner: Dict[VertexId, int], num_workers: int
-) -> List[Dict[str, Any]]:
-    """Synthesize the launch-time snapshot from the coordinator's graph.
-
-    Taken before any round runs, so it needs no transport traffic — and
-    therefore cannot itself be lost to an injected or real worker death:
-    a failure in the very first round always has a complete snapshot
-    (the initial state) to recover to. Versions are journaled as 0 so a
-    restore force-resets survivors' version clocks along with their
-    values — without that, post-recovery deliveries would be filtered
-    as stale.
-    """
-    journals: List[Dict[str, Any]] = [
-        {"vdata": {}, "edata": {}, "versions": {}, "counts": {}}
-        for _ in range(num_workers)
-    ]
-    for v in graph.vertices():
-        journal = journals[owner[v]]
-        journal["vdata"][v] = graph.vertex_data(v)
-        journal["versions"][vertex_key(v)] = 0
-    for (a, b) in graph.edges():
-        journal = journals[owner[a]]
-        journal["edata"][(a, b)] = graph.edge_data(a, b)
-        journal["versions"][edge_key(a, b)] = 0
-    return journals
-
-
-def write_back_plane_columns(
-    graph: DataGraph, plane: Any, owner_idx: np.ndarray
-) -> None:
-    """Read owned slots out of each worker's shared segment.
-
-    After the final collect barrier, owned slots are authoritative at
-    their owner's segment — no wire round-trip needed for typed columns
-    living on the data plane.
-    """
-    csr = graph.compiled
-    spec = plane.spec
-    edge_owner = owner_idx[csr.edge_src_index]
-    for w, segment in enumerate(plane.segments):
-        if spec.has_v:
-            owned = np.nonzero(owner_idx == w)[0]
-            if owned.size:
-                csr.vdata[owned] = segment.vdata[owned]
-        if spec.has_e:
-            slots = np.nonzero(edge_owner == w)[0]
-            if slots.size:
-                csr.edata[slots] = segment.edata[slots]
-
-
-def apply_collect_replies(
-    graph: DataGraph, replies: List[Dict]
-) -> Dict[VertexId, int]:
-    """Write collected (pickled) shards into the parent graph; counts."""
-    counts: Dict[VertexId, int] = {}
-    for reply in replies:
-        for v, value in reply.get("vdata", {}).items():
-            graph.set_vertex_data(v, value)
-        for (a, b), value in reply.get("edata", {}).items():
-            graph.set_edge_data(a, b, value)
-        counts.update(reply["counts"])
-    return counts
-
-
-class RuntimeChromaticEngine:
+class RuntimeChromaticEngine(RuntimeCore):
     """Chromatic color-step execution on real worker processes.
 
     Parameters
@@ -394,47 +194,36 @@ class RuntimeChromaticEngine:
         recovery_backoff: float = 0.05,
         telemetry: bool = False,
     ) -> None:
-        graph.require_finalized()
-        if num_workers < 1:
-            raise EngineError("num_workers must be >= 1")
-        check_picklable(program)
-        self.graph = graph
-        self.program = program
-        self.num_workers = num_workers
-        self.transport = make_transport(
-            transport, num_workers, reply_timeout=reply_timeout
+        super().__init__(
+            graph,
+            program,
+            num_workers=num_workers,
+            transport=transport,
+            consistency=consistency,
+            partitioner=partitioner,
+            assignment=assignment,
+            atoms_per_worker=atoms_per_worker,
+            initial_globals=initial_globals,
+            max_updates=max_updates,
+            reply_timeout=reply_timeout,
+            use_plane=use_plane,
+            plane_ring_cap=plane_ring_cap,
+            snapshot_every=snapshot_every,
+            snapshot_dir=snapshot_dir,
+            max_recoveries=max_recoveries,
+            recovery_backoff=recovery_backoff,
+            telemetry=telemetry,
         )
-        self.consistency = consistency
         self.coloring = coloring_for(graph, consistency, coloring)
         self.classes = color_classes(self.coloring)
         self.num_colors = len(self.classes)
-        self.plan: OwnershipPlan = plan_ownership(
-            graph,
-            num_workers,
-            partitioner=partitioner,
-            assignment=assignment,
-            atoms_per_machine=atoms_per_worker,
-        )
-        self.owner = self.plan.owner
         self.syncs = tuple(syncs)
-        self.globals = GlobalValues(initial_globals)
-        self._initial_globals = dict(initial_globals or {})
         self.max_sweeps = max_sweeps
-        self.max_updates = max_updates
         self.use_kernel = use_kernel
         self.merge_rounds = merge_rounds
-        self.use_plane = use_plane
-        self._plane_ring_cap = plane_ring_cap
-        self.updates_per_worker: Dict[int, int] = {
-            w: 0 for w in range(num_workers)
-        }
-        # Coordinator-side index geometry: the compiled numbering is
-        # canonical across processes, so scheduling state, ownership,
-        # and color membership all resolve to flat arrays once.
-        csr = graph.compiled
-        self._csr = csr
+        # Color membership in the compiled (dense) numbering.
+        csr = self._csr
         self._num_vertices = len(csr.vertex_ids)
-        self._owner_idx = csr.dense_map(self.owner)
         index_of = csr.index_of
         self._class_idx = [
             np.fromiter(
@@ -464,214 +253,61 @@ class RuntimeChromaticEngine:
             self._owner_idx[csr.edge_src_index]
             != self._owner_idx[csr.edge_dst_index]
         )
-        self._plane = None
         #: Pending speculation verdict (count of committed parts of the
         #: last merged round), attached to every worker's next inbox.
         self._pending_spec: Optional[int] = None
         self.rounds_saved = 0
-        self._ran = False
-        # Fault tolerance (Sec. 4.3): snapshot cadence + bounded
-        # respawn/rollback recovery. Disabled unless snapshot_every is
-        # set — without a snapshot there is nothing to recover to.
-        self.snapshot_every = snapshot_every
-        self.snapshot_dir = snapshot_dir
-        self.max_recoveries = max_recoveries
-        self.recovery_backoff = recovery_backoff
-        self._ckpt: Optional[CheckpointManager] = None
-        self._cadence: Optional[SnapshotCadence] = None
-        self._shared_blob: Optional[bytes] = None
-        self._recoveries = 0
-        self._recovery_seconds = 0.0
-        self._resume_seconds: Optional[float] = None
-        # Observability (observe, never steer): workers piggyback span
-        # batches on round replies; the collector assembles the timeline
-        # surfaced as RuntimeRunResult.telemetry.
-        self.telemetry = telemetry
-        self._collector: Optional[TimelineCollector] = (
-            TimelineCollector(num_workers) if telemetry else None
-        )
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        initial: Iterable = (),
-        resume_from: Optional[Any] = None,
-    ) -> RuntimeRunResult:
-        """Execute to quiescence (or a stop condition); single-use.
+    # Scheduling policy: the exact global task mask, swept by color.
+    # ------------------------------------------------------------------
+    engine_name = "chromatic"
+    _empty_inbox = staticmethod(empty_inbox)
 
-        With snapshots on, a :class:`WorkerFailure` mid-run does not
-        abort: the dead worker is respawned through the transport, every
-        worker (survivors included — their ghosts must roll back) is
-        restored from the latest complete snapshot, the coordinator's
-        own progress state resets from the snapshot's meta record, and
-        execution resumes — at most ``max_recoveries`` times.
+    def _clock(self) -> int:
+        return self._sweeps
 
-        ``resume_from`` is a snapshot root from an earlier (crashed)
-        run: instead of a baseline snapshot, the freshly-launched
-        cluster is restored from the newest snapshot there that passes
-        integrity verification, and new snapshots continue in the same
-        directory. Requires ``snapshot_every``.
-        """
-        if self._ran:
-            raise EngineError(
-                "runtime engine instances are single-use (worker "
-                "processes are torn down at run end); build a new one"
-            )
-        if resume_from is not None and self.snapshot_every is None:
-            raise EngineError(
-                "resume_from requires snapshot_every (a resumed run "
-                "must keep snapshotting into the same directory)"
-            )
-        self._ran = True
-        collector = self._collector
-        rec = collector.coordinator if collector is not None else None
-        self.transport.obs = rec
-        sw = Stopwatch(rec, "run")
-        num_workers = self.num_workers
-        self._inboxes = [empty_inbox() for _ in range(num_workers)]
+    def _reset_progress(self, initial: Iterable) -> None:
         #: The exact global task set T in dense index space — the
         #: coordinator routes every scheduling request and absorbs every
         #: worker's fresh-schedule report, so this mask always equals
         #: the union of worker task sets plus in-flight requests.
-        mask = np.zeros(self._num_vertices, dtype=bool)
-        self._mask = mask
+        self._mask = np.zeros(self._num_vertices, dtype=bool)
+        self._schedule_fresh(initial)
+        self._sweeps = 0
+        self._published: List[Tuple[str, Any]] = []
+
+    def _schedule_fresh(self, schedule: Iterable) -> int:
+        """Add not-yet-scheduled vertices to the task mask and route them
+        to their owners as dense int32 index arrays; returns how many."""
         index_of = self._csr.index_of
         owner_idx = self._owner_idx
-        init_by_worker: List[List[int]] = [[] for _ in range(num_workers)]
-        for vertex, _prio in normalize_schedule(initial, graph=self.graph):
+        mask = self._mask
+        by_worker: List[List[int]] = [[] for _ in range(self.num_workers)]
+        count = 0
+        for vertex, _prio in normalize_schedule(schedule, graph=self.graph):
             idx = index_of[vertex]
             if not mask[idx]:
                 mask[idx] = True
-                init_by_worker[owner_idx[idx]].append(idx)
-        for w, indices in enumerate(init_by_worker):
+                by_worker[owner_idx[idx]].append(idx)
+                count += 1
+        for w, indices in enumerate(by_worker):
             if indices:
                 self._inboxes[w]["sched"].append(
                     np.asarray(indices, dtype=np.int32)
                 )
-        self._converged = False
-        self._sweeps = 0
-        self._total_updates = 0
-        self._published: List[Tuple[str, Any]] = []
-        tmp_root: Optional[str] = None
-        launch_seconds = 0.0
-        try:
-            if self.snapshot_every is not None:
-                root = (
-                    resume_from if resume_from is not None
-                    else self.snapshot_dir
-                )
-                if root is None:
-                    root = tmp_root = tempfile.mkdtemp(prefix="repro-ckpt-")
-                self._ckpt = CheckpointManager(root, num_workers)
-                self._cadence = SnapshotCadence(
-                    self.snapshot_every, num_workers
-                )
-            self._provision_plane()
-            # The graph-bearing shared state is pickled exactly once;
-            # each worker's payload wraps its id around that one blob
-            # (see _encoded_inits), so launch serialization is
-            # O(structure), not O(workers x structure) — and the cached
-            # blob respawns dead workers during recovery.
-            self.transport.launch(self._encoded_inits())
-            launch_seconds = sw.elapsed()
-            if self._ckpt is not None:
-                if resume_from is not None:
-                    with Stopwatch(self._rec, "recover") as rsw:
-                        _sid, meta, journals = self._ckpt.latest_state()
-                        self._restore_cluster(meta, journals)
-                    self._cadence.mark(self._sweeps, rsw.end)
-                    self._resume_seconds = rsw.seconds
-                else:
-                    self._baseline_snapshot()
-            failure: Optional[WorkerFailure] = None
-            while True:
-                try:
-                    if failure is not None:
-                        exc, failure = failure, None
-                        self._recover_from(exc)
-                    self._run_loop()
-                    counts = self._collect_and_write_back(self._inboxes)
-                    break
-                except WorkerFailure as exc:
-                    if self._ckpt is None:
-                        raise
-                    self._recoveries += 1
-                    if self._recoveries > self.max_recoveries:
-                        raise
-                    failure = exc
-        finally:
-            self.transport.shutdown()
-            if tmp_root is not None:
-                shutil.rmtree(tmp_root, ignore_errors=True)
-        wall = sw.stop()
-        return self._build_result(counts, wall, launch_seconds)
-
-    def _build_result(
-        self,
-        counts: Dict[VertexId, int],
-        wall: float,
-        launch_seconds: float,
-    ) -> RuntimeRunResult:
-        """Assemble the run summary — shared by :meth:`run` and the
-        serving-mode teardown (:meth:`close_service`)."""
-        transport = self.transport
-        extra: Dict[str, Any] = {}
-        # Socket backends report their connection-supervision counters
-        # (reconnects / replayed commands); pipe backends report none.
-        extra.update(transport.net_counters())
-        if self._ckpt is not None:
-            extra["snapshots"] = self._ckpt.snapshots_taken
-            extra["snapshot_bytes"] = self._ckpt.bytes_written
-            extra["snapshots_rejected"] = self._ckpt.snapshots_rejected
-            extra["recoveries"] = self._recoveries
-            extra["recovery_seconds"] = self._recovery_seconds
-            if self._resume_seconds is not None:
-                extra["resume_seconds"] = self._resume_seconds
-        telemetry = None
-        collector = self._collector
-        if collector is not None:
-            spec = self._plane.spec if self._plane is not None else None
-            telemetry = collector.finalize(
-                transport.clock_offsets,
-                {
-                    "engine": "chromatic",
-                    "backend": transport.name,
-                    "num_workers": self.num_workers,
-                    "data_plane": spec.kind if spec is not None else None,
-                    "ring_v": spec.ring_v if spec is not None else 0,
-                    "ring_e": spec.ring_e if spec is not None else 0,
-                },
-            )
-        return RuntimeRunResult(
-            num_updates=self._total_updates,
-            updates_per_vertex=counts,
-            converged=self._converged,
-            globals=self.globals.snapshot(),
-            sweeps=self._sweeps,
-            wall_seconds=wall,
-            launch_seconds=launch_seconds,
-            num_workers=self.num_workers,
-            backend=transport.name,
-            updates_per_worker=dict(self.updates_per_worker),
-            rounds=transport.rounds_completed,
-            rounds_saved=self.rounds_saved,
-            bytes_on_pipe=transport.bytes_sent + transport.bytes_received,
-            data_plane=self._plane.spec.kind if self._plane else None,
-            telemetry=telemetry,
-            extra=extra,
-        )
+        return count
 
     def _run_loop(self) -> None:
         """Sweep until convergence or a stop condition (resumable)."""
-        num_workers = self.num_workers
         mask = self._mask
         while True:
             if self.syncs:
                 # Sweep preamble: distributed sync evaluation. The
                 # round doubles as the master's delivery flush.
-                replies = self._send_round("sync_count", {}, self._inboxes)
-                self._inboxes = [empty_inbox() for _ in range(num_workers)]
-                self._published = self._combine_syncs(replies)
+                self._published = self._combine_syncs(
+                    self._send_round("sync_count", {})
+                )
             if not mask.any():
                 self._converged = True
                 break
@@ -706,10 +342,7 @@ class RuntimeChromaticEngine:
                         inbox["globals"] = self._published
                     self._published = []  # globals ship once per sweep
                 colors = [color for color, _frontier in group]
-                replies = self._send_round(
-                    "step", {"colors": colors}, self._inboxes
-                )
-                self._inboxes = [empty_inbox() for _ in range(num_workers)]
+                replies = self._send_round("step", {"colors": colors})
                 committed, aborted = self._process_replies(
                     replies, group, mask, self._inboxes
                 )
@@ -728,152 +361,24 @@ class RuntimeChromaticEngine:
             self._sweeps += 1
 
     # ------------------------------------------------------------------
-    # Serving mode (repro.serve): the resident graph as a service.
+    # Serving mode (repro.serve): the chromatic fallback behind
+    # GraphService when the locking engine can't be used.
     # ------------------------------------------------------------------
-    def open_service(self, initial: Iterable = ()) -> None:
-        """Launch the cluster and park it at the barrier (serving mode).
-
-        The chromatic fallback behind :class:`repro.serve.GraphService`
-        when the locking engine can't be used. Setup matches
-        :meth:`run` through launch and baseline snapshot, then returns
-        with the workers parked; :meth:`service_pump_round` here runs
-        whole sweeps to convergence (color-step granularity — coarser
-        than the locking engine's single rounds, the reason locking is
-        the preferred serving substrate). Single-use, mutually exclusive
-        with :meth:`run`; stop conditions are a run-mode feature.
-        """
-        if self._ran:
-            raise EngineError(
-                "runtime engine instances are single-use (worker "
-                "processes are torn down at run end); build a new one"
-            )
+    def _check_servable(self) -> None:
         if self.max_sweeps is not None or self.max_updates is not None:
             raise EngineError(
                 "serving mode pumps to quiescence between bursts; "
                 "max_sweeps/max_updates stop conditions would park the "
                 "service short of convergence forever"
             )
-        self._ran = True
-        self._serving = True
-        collector = self._collector
-        rec = collector.coordinator if collector is not None else None
-        self.transport.obs = rec
-        self._service_sw = Stopwatch(rec, "run")
-        num_workers = self.num_workers
-        self._inboxes = [empty_inbox() for _ in range(num_workers)]
-        mask = np.zeros(self._num_vertices, dtype=bool)
-        self._mask = mask
-        index_of = self._csr.index_of
-        owner_idx = self._owner_idx
-        init_by_worker: List[List[int]] = [[] for _ in range(num_workers)]
-        for vertex, _prio in normalize_schedule(initial, graph=self.graph):
-            idx = index_of[vertex]
-            if not mask[idx]:
-                mask[idx] = True
-                init_by_worker[owner_idx[idx]].append(idx)
-        for w, indices in enumerate(init_by_worker):
-            if indices:
-                self._inboxes[w]["sched"].append(
-                    np.asarray(indices, dtype=np.int32)
-                )
-        self._converged = False
-        self._sweeps = 0
-        self._total_updates = 0
-        self._published = []
-        self._service_tmp_root: Optional[str] = None
-        self._service_launch_seconds = 0.0
-        try:
-            if self.snapshot_every is not None:
-                root = self.snapshot_dir
-                if root is None:
-                    root = self._service_tmp_root = tempfile.mkdtemp(
-                        prefix="repro-ckpt-"
-                    )
-                self._ckpt = CheckpointManager(root, num_workers)
-                self._cadence = SnapshotCadence(
-                    self.snapshot_every, num_workers
-                )
-            self._provision_plane()
-            self.transport.launch(self._encoded_inits())
-            self._service_launch_seconds = self._service_sw.elapsed()
-            if self._ckpt is not None:
-                self._baseline_snapshot()
-        except Exception:
-            self.transport.shutdown()
-            if self._service_tmp_root is not None:
-                shutil.rmtree(self._service_tmp_root, ignore_errors=True)
-            raise
 
-    def service_barrier(
-        self,
-        writes: Optional[Iterable[Tuple[VertexId, Any]]] = None,
-        reads: Optional[Iterable[Tuple[Any, VertexId, bool]]] = None,
-    ) -> Dict[Any, Dict[str, Any]]:
-        """One serve barrier: writes at their owners, version-tagged reads.
-
-        Same contract as the locking engine's ``service_barrier``; the
-        serve command delivers pending data-plane inbox entries (the
-        double-buffered ring's R/R+1 consumption window) and its reply
-        routes the writes' dirty entries to ghost holders through the
-        normal wire. The pending speculation verdict, if any, stays
-        queued for the next step round — at sweep quiescence any
-        outstanding verdict is a full commit, so reads here always
-        observe committed state.
-        """
-        num_workers = self.num_workers
-        owner = self.owner
-        writes_by: List[List[Tuple[VertexId, Any]]] = [
-            [] for _ in range(num_workers)
-        ]
-        reads_by: List[List[Tuple[Any, VertexId, bool]]] = [
-            [] for _ in range(num_workers)
-        ]
-        for vid, value in writes or ():
-            writes_by[owner[vid]].append((vid, value))
-        for req_id, vid, want_scope in reads or ():
-            reads_by[owner[vid]].append((req_id, vid, want_scope))
-        inboxes = self._inboxes
-        messages = []
-        for w in range(num_workers):
-            payload: Dict[str, Any] = {}
-            inbox = inboxes[w]
-            attach: Dict[str, Any] = {}
-            if inbox["plane"]:
-                attach["plane"] = inbox["plane"]
-                inbox["plane"] = []
-            if inbox["data"] is not None:
-                attach["data"] = inbox["data"]
-                inbox["data"] = None
-            if attach:
-                payload["inbox"] = attach
-            if writes_by[w]:
-                payload["writes"] = writes_by[w]
-            if reads_by[w]:
-                payload["reads"] = reads_by[w]
-            messages.append(("serve", payload))
-        replies = drain_telemetry(
-            self.transport.round(messages), self._collector
-        )
-        results: Dict[Any, Dict[str, Any]] = {}
+    def _absorb_serve_replies(
+        self, replies: List[Any], writes_by: List[List]
+    ) -> None:
         for w, (half, body) in enumerate(replies):
-            served = body.get("serve")
-            if served:
-                results.update(served)
-            plane = body.get("plane")
-            if plane:
-                for dst, run in plane.items():
-                    inboxes[dst]["plane"].append(
-                        (w, half, run[0], run[1], run[2], run[3])
-                    )
-            data = body.get("data")
-            if data:
-                for dst, batch in data.items():
-                    inbox = inboxes[dst]
-                    if inbox["data"] is None:
-                        inbox["data"] = batch
-                    else:
-                        inbox["data"].extend(batch)
-        return results
+            route_ghost_entries(
+                self._inboxes, w, half, body.get("plane"), body.get("data")
+            )
 
     def service_schedule(self, schedule: Iterable) -> int:
         """Inject dynamic updates into the global task set.
@@ -883,24 +388,7 @@ class RuntimeChromaticEngine:
         exactly like a run's initial schedule (priorities are a locking
         engine concept). Returns the number of *fresh* tasks injected.
         """
-        num_workers = self.num_workers
-        index_of = self._csr.index_of
-        owner_idx = self._owner_idx
-        mask = self._mask
-        by_worker: List[List[int]] = [[] for _ in range(num_workers)]
-        count = 0
-        for vertex, _prio in normalize_schedule(schedule, graph=self.graph):
-            idx = index_of[vertex]
-            if not mask[idx]:
-                mask[idx] = True
-                by_worker[owner_idx[idx]].append(idx)
-                count += 1
-        for w, indices in enumerate(by_worker):
-            if indices:
-                self._inboxes[w]["sched"].append(
-                    np.asarray(indices, dtype=np.int32)
-                )
-        return count
+        return self._schedule_fresh(schedule)
 
     def service_pump_round(self) -> bool:
         """Run sweeps until the task set drains; always ends quiescent.
@@ -916,43 +404,14 @@ class RuntimeChromaticEngine:
         self._run_loop()
         return True
 
-    def close_service(self, snapshot: bool = True) -> RuntimeRunResult:
-        """Graceful drain: quiesce, snapshot, collect, tear down."""
-        if not getattr(self, "_serving", False):
-            raise EngineError(
-                "no open service (open_service was never called, or the "
-                "service is already closed)"
-            )
-        self._serving = False
-        counts: Dict[VertexId, int] = {}
-        try:
-            self.service_pump_round()
-            if snapshot and self._ckpt is not None:
-                self._take_snapshot()
-            counts = self._collect_and_write_back(self._inboxes)
-        finally:
-            self.transport.shutdown()
-            if self._service_tmp_root is not None:
-                shutil.rmtree(self._service_tmp_root, ignore_errors=True)
-        wall = self._service_sw.stop()
-        return self._build_result(
-            counts, wall, self._service_launch_seconds
-        )
-
     # ------------------------------------------------------------------
     # Snapshots and recovery (Sec. 4.3).
     # ------------------------------------------------------------------
-    @property
-    def _rec(self):
-        """Coordinator span recorder, or ``None`` when telemetry is off."""
-        collector = self._collector
-        return collector.coordinator if collector is not None else None
-
-    def _snapshot_meta(self) -> Dict[str, Any]:
+    def _snapshot_meta(self, mode: str = "sync") -> Dict[str, Any]:
         """Coordinator progress record stored beside the journals."""
         return {
             "engine": "chromatic",
-            "mode": "sync",
+            "mode": mode,
             "sweeps": self._sweeps,
             "total_updates": self._total_updates,
             "updates_per_worker": dict(self.updates_per_worker),
@@ -960,16 +419,6 @@ class RuntimeChromaticEngine:
             "rounds_saved": self.rounds_saved,
             "mask": np.nonzero(self._mask)[0],
         }
-
-    def _baseline_snapshot(self) -> None:
-        """Journal the initial state, coordinator-side (no rounds)."""
-        with Stopwatch(self._rec, "snap") as sw:
-            self._ckpt.write(
-                self._ckpt.next_id(),
-                baseline_journals(self.graph, self.owner, self.num_workers),
-                self._snapshot_meta(),
-            )
-        self._cadence.mark(self._sweeps, sw.end, cost=sw.seconds)
 
     def _take_snapshot(self) -> None:
         """Synchronous snapshot at a sweep barrier.
@@ -982,99 +431,42 @@ class RuntimeChromaticEngine:
         """
         with Stopwatch(self._rec, "snap") as sw:
             snapshot_id = self._ckpt.next_id()
-            journals = self._send_round("checkpoint", {}, self._inboxes)
-            self._inboxes = [empty_inbox() for _ in range(self.num_workers)]
+            journals = self._send_round("checkpoint", {})
             self._ckpt.write(snapshot_id, journals, self._snapshot_meta())
         self._cadence.mark(self._sweeps, sw.end, cost=sw.seconds)
 
-    def _recover_from(self, failure: WorkerFailure) -> None:
-        """Respawn the dead worker; roll the whole cluster back.
-
-        Every worker — the respawn *and* the survivors — applies the
-        merged journal (survivors' ghosts roll back to their owner's
-        snapshot values; that rollback is what makes the restored
-        cluster state consistent) and re-seeds its share of the
-        snapshot's task set. Coordinator progress counters, globals,
-        and the task mask reset from the meta record; the cadence clock
-        re-anchors so recovery doesn't trigger an immediate snapshot.
-        """
-        sw = Stopwatch(self._rec, "recover")
-        if self.recovery_backoff:
-            time.sleep(self.recovery_backoff * self._recoveries)
-        self.transport.recover(
-            failure.worker_id,
-            encode_worker(failure.worker_id, self._shared_blob),
-        )
-        _snapshot_id, meta, journals = self._ckpt.latest_state()
-        self._restore_cluster(meta, journals)
-        sw.stop()
-        self._cadence.mark(self._sweeps, sw.end)
-        self._recovery_seconds += sw.seconds
-
-    def _restore_cluster(
+    def _restore_progress(
         self, meta: Dict[str, Any], journals: List[Dict[str, Any]]
-    ) -> None:
-        """Send one verified snapshot's state to every worker and reset
-        the coordinator to match — shared by mid-run recovery and
-        ``run(resume_from=...)`` cold restarts."""
-        merged = merge_journals(journals)
+    ) -> List[np.ndarray]:
+        """Progress counters and the task mask reset from the meta
+        record; each worker re-seeds its share of the snapshot's mask."""
         mask = np.zeros(self._num_vertices, dtype=bool)
         mask_idx = np.asarray(meta["mask"], dtype=np.int64)
         if mask_idx.size:
             mask[mask_idx] = True
         self._mask = mask
-        owner_idx = self._owner_idx
-        globals_items = list(meta.get("globals", {}).items())
-        messages: List[Tuple[str, Dict[str, Any]]] = []
-        for w in range(self.num_workers):
-            messages.append((
-                "restore",
-                {
-                    "state": merged,
-                    "counts": journals[w].get("counts"),
-                    "sched": mask_idx[owner_idx[mask_idx] == w].astype(
-                        np.int32
-                    ),
-                    "globals": globals_items,
-                },
-            ))
-        drain_telemetry(self.transport.round(messages), self._collector)
         self._sweeps = meta["sweeps"]
         self._total_updates = meta["total_updates"]
         self.updates_per_worker = dict(meta["updates_per_worker"])
         self.rounds_saved = meta.get("rounds_saved", 0)
-        self.globals = GlobalValues(meta.get("globals"))
         self._pending_spec = None
         self._published = []
-        self._inboxes = [empty_inbox() for _ in range(self.num_workers)]
+        mask_owner = self._owner_idx[mask_idx]
+        return [
+            mask_idx[mask_owner == w].astype(np.int32)
+            for w in range(self.num_workers)
+        ]
 
     # ------------------------------------------------------------------
     # Rounds.
     # ------------------------------------------------------------------
-    def _send_round(
-        self, tag: str, extra: Dict[str, Any], inboxes: List[Dict]
-    ) -> List[Any]:
-        """One full barrier: attach the pending speculation verdict,
-        send every worker its inbox, collect every reply."""
+    def _attach_pending(self, inboxes: List[Dict[str, Any]]) -> None:
+        """The speculation verdict rides the next round of any kind
+        (it is >= 1, so the empty-field strip keeps it)."""
         if self._pending_spec is not None:
             for inbox in inboxes:
                 inbox["spec"] = self._pending_spec
             self._pending_spec = None
-        messages = []
-        for inbox in inboxes:
-            # Empty inbox fields are stripped from the wire (the
-            # common case is an all-control round; workers .get() every
-            # key). The speculation verdict is >= 1, so it survives.
-            payload = dict(extra)
-            payload["inbox"] = {
-                key: value for key, value in inbox.items() if value
-            }
-            messages.append((tag, payload))
-        # The single reply funnel: piggybacked telemetry batches are
-        # stripped here, so no downstream consumer (speculation
-        # validation, checkpoint journaling, sync combine, collect
-        # write-back) ever sees the extra field.
-        return drain_telemetry(self.transport.round(messages), self._collector)
 
     def _frontier(self, color: int, mask: np.ndarray) -> np.ndarray:
         members = self._class_idx[color]
@@ -1227,18 +619,7 @@ class RuntimeChromaticEngine:
                     for dst, arr in remote.items():
                         mask[arr] = True
                         inboxes[dst]["sched"].append(arr)
-                if plane is not None:
-                    for dst, run in plane.items():
-                        inboxes[dst]["plane"].append(
-                            (w, half, run[0], run[1], run[2], run[3])
-                        )
-                if dirty is not None:
-                    for dst, batch in dirty.items():
-                        inbox = inboxes[dst]
-                        if inbox["data"] is None:
-                            inbox["data"] = batch
-                        else:
-                            inbox["data"].extend(batch)
+                route_ghost_entries(inboxes, w, half, plane, dirty)
                 if n:
                     updates += n
                     self.updates_per_worker[w] += n
@@ -1291,22 +672,6 @@ class RuntimeChromaticEngine:
     # ------------------------------------------------------------------
     # Launch plumbing.
     # ------------------------------------------------------------------
-    def _provision_plane(self) -> None:
-        self._plane = provision_plane(
-            self.transport,
-            self.graph,
-            self.num_workers,
-            self.use_plane,
-            self._plane_ring_cap,
-        )
-
-    def _encoded_inits(self):
-        self._shared_blob = encode_shared_init(self._worker_init(0))
-        return [
-            encode_worker(w, self._shared_blob)
-            for w in range(self.num_workers)
-        ]
-
     def _worker_init(self, worker_id: int) -> WorkerInit:
         return WorkerInit(
             worker_id=worker_id,
@@ -1333,22 +698,3 @@ class RuntimeChromaticEngine:
             self.globals.publish(sync.key, value)
             published.append((sync.key, value))
         return published
-
-    def _collect_and_write_back(
-        self, inboxes: List[Dict]
-    ) -> Dict[VertexId, int]:
-        """Gather owned shards; write final data into the parent graph.
-
-        The collect command carries each worker's residual inbox so
-        ghost entries from the last executed color-step land before the
-        shard is read — an edge held by two workers reads back its
-        freshest version regardless of which endpoint owner reports it.
-        Columns on the data plane are read straight out of each worker's
-        shared segment (owned slots are authoritative at their owner
-        after the final inbox applies); only plane-less columns travel
-        pickled.
-        """
-        replies = self._send_round("collect", {}, inboxes)
-        if self._plane is not None:
-            write_back_plane_columns(self.graph, self._plane, self._owner_idx)
-        return apply_collect_replies(self.graph, replies)

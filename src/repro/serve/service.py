@@ -118,7 +118,7 @@ class GraphService:
     Lifecycle: :meth:`start` (or ``with service:``) launches and parks
     the cluster; :meth:`submit` / :meth:`request` serve traffic from any
     number of client threads; :meth:`close` drains and returns the
-    engine's :class:`~repro.runtime.result.RuntimeRunResult`, whose
+    engine's :class:`~repro.runtime.core.RuntimeRunResult`, whose
     telemetry carries the per-request serving spans.
     """
 
@@ -188,7 +188,7 @@ class GraphService:
         self.batch_max = batch_max
         self.touch = touch
         self._warm = warm
-        self._obs = self._engine._rec  # None when telemetry is off
+        self._obs = self._engine.recorder  # None when telemetry is off
         self._cond = threading.Condition()
         self._queue: Deque[Ticket] = deque()
         self._inflight: List[Ticket] = []

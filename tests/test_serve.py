@@ -17,6 +17,7 @@ Each runs over both front ends (in-process and socket), seeded.
 
 import random
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -78,11 +79,23 @@ class TestTransportSingleUse:
 # ----------------------------------------------------------------------
 # Read/write basics through the in-process front end.
 # ----------------------------------------------------------------------
+def wait_quiescent(service, timeout=30.0):
+    """Bounded poll until the warm-start heal has drained (the engine's
+    own termination detector said so) — not a sleep and a hope."""
+    deadline = time.monotonic() + timeout
+    while not service.stats()["quiescent"]:
+        assert time.monotonic() < deadline, "service never went quiescent"
+        time.sleep(0.002)
+
+
 class TestServingBasics:
     def test_read_write_read_with_versions(self):
         graph = build_serving_graph(16, seed=1)
         with GraphService(graph, num_workers=2, telemetry=False) as service:
             client = InprocClient(service)
+            # The warm-start heal may still be updating vertex 3; a
+            # schedule=False write only stays readable once it is done.
+            wait_quiescent(service)
             first = client.read(3)
             assert isinstance(first, ReadReply)
             assert first.vertex == 3
