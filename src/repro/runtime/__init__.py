@@ -13,14 +13,21 @@ launch, the round funnel, snapshot/recover/resume, the serving
 lifecycle and result assembly exactly once. Engines run over a
 :class:`Transport`:
 
+* :class:`InprocTransport` — the protocol (including the pickle
+  boundary) driven deterministically in one process, for tests;
 * :class:`MpTransport` — one process per worker over ``multiprocessing``
   pipes; real parallelism, real barriers;
-* :class:`InprocTransport` — same protocol (including the pickle
-  boundary) driven deterministically in one process, for tests;
 * :class:`TcpTransport` — the same processes over length-prefixed TCP
-  frames with connection supervision (retries, backoff, idempotent
-  replay, partition tolerance); :class:`LoopbackTcpTransport` is its
-  thread-backed chaos-test double.
+  frames (:mod:`repro.runtime.frames`) with connection supervision
+  (retries, backoff, idempotent replay, partition tolerance);
+  :class:`LoopbackTcpTransport` is its thread-backed chaos-test double.
+
+The process-backed backends are one
+:class:`~repro.runtime.transport.ProcessSupervisor` — launch, round,
+the reply-wait loop, recover and shutdown written once — completed by
+five link primitives each (spawn, send, poll, link-lost, close-link);
+their worker-side loops share one command core
+(:func:`~repro.runtime.worker.run_command`).
 
 The simulator remains the place for what real hardware can't give you —
 the calibrated cycle/byte cost model, EC2 pricing, fault injection at

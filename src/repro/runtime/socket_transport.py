@@ -9,8 +9,9 @@ messages are the exact pickled blobs the pipe backends ship, so the
 pickled frame wire *is* the TCP data plane for now (``plane_kind`` is
 ``None``; a peer data plane is future work).
 
-**Wire protocol.** Every frame is a 5-byte header — one kind byte plus
-a big-endian u32 body length — followed by the body:
+**Wire protocol.** Every message is one frame of the shared codec
+(:mod:`repro.runtime.frames`: a kind byte plus a body length, then the
+body):
 
 ====  =======================================================
 ``O``  hello: pickled ``{"worker", "gen", "last_seq"}``, sent by
@@ -24,18 +25,19 @@ a big-endian u32 body length — followed by the body:
 
 **Connection supervision.** Workers dial with bounded exponential
 backoff + deterministic jitter (:class:`~repro.runtime.liveness.
-RetryPolicy`). Heartbeats ride the socket exactly as PR 8's pipe
-heartbeats — same ``heartbeat_timeout`` hang detection, same
-:class:`~repro.runtime.liveness.AdaptiveDeadline` round deadlines,
-one shared implementation. A dropped or half-open connection is
-re-established inside a per-drop retry budget: the coordinator waits
-for the worker to re-dial (growing backoff windows) and replays the
-in-flight command; commands carry sequence numbers and workers cache
-their last reply, so a replayed round is answered from the cache,
-never executed twice. Budget exhaustion raises the same structured
-:class:`~repro.runtime.transport.WorkerFailure` the snapshot/recovery
-path in ``run()`` already consumes — a worker that loses its link for
-good is respawned and rolled back with no new engine code.
+RetryPolicy`). Launch, the round, the reply wait (heartbeats, hang
+detection, adaptive deadlines), recovery and shutdown are not here at
+all: they are :class:`~repro.runtime.transport.ProcessSupervisor`'s,
+and this module supplies its link primitives. A dropped or half-open
+connection is re-established inside a per-drop retry budget: the
+coordinator waits for the worker to re-dial (growing backoff windows)
+and replays the in-flight command; commands carry sequence numbers and
+workers cache their last reply, so a replayed round is answered from
+the cache, never executed twice. Budget exhaustion raises the same
+structured :class:`~repro.runtime.transport.WorkerFailure` the
+snapshot/recovery path in ``run()`` already consumes — a worker that
+loses its link for good is respawned and rolled back with no new
+engine code.
 
 **Byte accounting.** ``bytes_sent``/``bytes_received`` count the
 pickled command/reply bodies exactly once per sequence number — frame
@@ -59,28 +61,36 @@ as daemon threads — every wire-level mode, no process scheduling.
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
 import socket
 import struct
 import threading
 import time
 import traceback
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.runtime.liveness import AdaptiveDeadline, HeartbeatPump, RetryPolicy
+from repro.runtime.frames import (
+    FRAME_TIMEOUT,
+    HEADER,
+    close_socket,
+    poll_frame,
+    recv_frame,
+    send_frame,
+)
+from repro.runtime.liveness import HeartbeatPump, RetryPolicy
 from repro.runtime.transport import (
-    Message,
     NETWORK_MODES,
     PROCESS_FAULT_MODES,
     FaultSpec,
-    ProcessFaultMixin,
-    Transport,
-    WorkerFailure,
+    ProcessSupervisor,
     _proc_alive,
-    _proc_close,
 )
-from repro.runtime.worker import _CORRUPT_REPLY, _execute_fault, worker_from_bytes
+from repro.runtime.worker import (
+    HEARTBEAT_BLOB,
+    ready_ack,
+    run_command,
+    worker_from_bytes,
+)
 
 _HELLO = b"O"
 _INIT = b"I"
@@ -89,73 +99,11 @@ _CMD = b"C"
 _REPLY = b"R"
 _HB = b"H"
 
-_HEADER = struct.Struct("!cI")
 _SEQ = struct.Struct("!Q")
-
-#: Once a frame's first byte has arrived, the rest must follow within
-#: this bound; a frame that stalls mid-body is torn, not slow.
-_FRAME_TIMEOUT = 5.0
 
 #: Worker-side dial policy: patient (the coordinator owns the failure
 #: decision), fast cadence so healed links are retaken promptly.
 _WORKER_DIAL = RetryPolicy(attempts=48, base=0.02, factor=1.5, cap=0.25)
-
-
-def _close(sock: Optional[socket.socket]) -> None:
-    if sock is not None:
-        try:
-            sock.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
-
-
-def _send_frame(sock: socket.socket, kind: bytes, body: bytes = b"") -> None:
-    sock.sendall(_HEADER.pack(kind, len(body)) + body)
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise ConnectionError("connection closed mid-frame")
-        buf += chunk
-    return bytes(buf)
-
-
-def _recv_frame(sock: socket.socket) -> Tuple[bytes, bytes]:
-    """One whole frame, blocking; raises ``ConnectionError`` on EOF."""
-    kind, length = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
-    body = _recv_exact(sock, length) if length else b""
-    return kind, body
-
-
-def _poll_frame(
-    sock: socket.socket, idle_timeout: float
-) -> Optional[Tuple[bytes, bytes]]:
-    """One frame, or ``None`` if no byte arrived within ``idle_timeout``.
-
-    Raises ``ConnectionError`` on EOF, reset, or a torn frame (a frame
-    that started but stalled past :data:`_FRAME_TIMEOUT` — the
-    ``reset_mid_frame`` failure shape).
-    """
-    sock.settimeout(idle_timeout)
-    try:
-        first = sock.recv(1)
-    except TimeoutError:
-        return None
-    except OSError as exc:
-        raise ConnectionError(f"socket error ({exc})") from None
-    if not first:
-        raise ConnectionError("connection closed by peer")
-    sock.settimeout(_FRAME_TIMEOUT)
-    try:
-        header = first + _recv_exact(sock, _HEADER.size - 1)
-        kind, length = _HEADER.unpack(header)
-        body = _recv_exact(sock, length) if length else b""
-    except (TimeoutError, OSError) as exc:
-        raise ConnectionError(f"torn frame ({exc})") from None
-    return kind, body
 
 
 def serve_socket(
@@ -171,16 +119,18 @@ def serve_socket(
     ``multiprocessing`` can target it under every start method).
 
     Dials the coordinator with backoff, sends a hello, builds the
-    worker from the init frame, then answers framed commands. Commands
-    are deduplicated by sequence number and the last reply is cached:
-    a command replayed after a reconnect is answered from the cache,
+    worker from the init frame, then answers framed commands through
+    the command core it shares with the pipe loop
+    (:func:`~repro.runtime.worker.run_command`). Commands are
+    deduplicated by sequence number and the last reply is cached: a
+    command replayed after a reconnect is answered from the cache,
     never executed twice — the coordinator-side idempotent-replay
     contract. A lost link is simply re-dialed; the coordinator owns the
     retry budget and the failure decision. ``control`` (loopback
     threads only) carries a ``stopped`` flag standing in for SIGKILL.
     """
     policy = dial_policy or _WORKER_DIAL
-    last_seq = 0
+    seq = last_seq = 0
     cached_reply: Optional[bytes] = None
     worker: Optional[Any] = None
     conn: Optional[socket.socket] = None
@@ -195,19 +145,16 @@ def serve_socket(
         for attempt in range(policy.attempts):
             if _stopped():
                 return False
+            s = None
             try:
                 s = socket.create_connection((host, port), timeout=2.0)
-            except OSError:
-                time.sleep(policy.delay(attempt, seed=f"dial:{worker_id}"))
-                continue
-            try:
                 s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 s.settimeout(None)
-                _send_frame(s, _HELLO, pickle.dumps({
+                send_frame(s, _HELLO, pickle.dumps({
                     "worker": worker_id, "gen": gen, "last_seq": last_seq,
                 }))
             except OSError:
-                _close(s)
+                close_socket(s)
                 time.sleep(policy.delay(attempt, seed=f"dial:{worker_id}"))
                 continue
             conn = s
@@ -216,7 +163,7 @@ def serve_socket(
 
     def _send(kind: bytes, body: bytes) -> None:
         with send_lock:
-            _send_frame(conn, kind, body)
+            send_frame(conn, kind, body)
 
     def _hb() -> None:
         # Swallow link errors: a heartbeat lost with the connection is
@@ -227,13 +174,21 @@ def serve_socket(
             return
         try:
             with send_lock:
-                _send_frame(c, _HB, b"")
+                send_frame(c, _HB, b"")
         except OSError:
             pass
 
+    def _reply(env: bytes) -> None:
+        # Cache before sending: a reply lost with the link is replayed
+        # from here once the coordinator reconnects us.
+        nonlocal last_seq, cached_reply
+        last_seq = seq
+        cached_reply = _SEQ.pack(seq) + env
+        _send(_REPLY, cached_reply)
+
     def _redial() -> bool:
         nonlocal conn
-        _close(conn)
+        close_socket(conn)
         conn = None
         if _stopped():
             return False
@@ -249,10 +204,10 @@ def serve_socket(
             rec = None if worker is None else getattr(worker, "_obs", None)
             try:
                 if rec is None:
-                    kind, body = _recv_frame(conn)
+                    kind, body = recv_frame(conn)
                 else:
                     t0 = time.perf_counter()
-                    kind, body = _recv_frame(conn)
+                    kind, body = recv_frame(conn)
                     rec.span("idle", t0, time.perf_counter())
             except (ConnectionError, OSError):
                 if not _redial():
@@ -269,16 +224,8 @@ def serve_socket(
                     except OSError:
                         pass
                     break
-                # Same ack envelope as serve()'s pipe handshake (the
-                # clock-offset bracket included), so launch accounting
-                # and timeline mapping are backend-identical.
-                ack = pickle.dumps(("ok", {
-                    "worker": worker.worker_id,
-                    "owned": len(worker.store.owned_vertices),
-                    "clk": time.perf_counter(),
-                }), protocol=pickle.HIGHEST_PROTOCOL)
                 try:
-                    _send(_ACK, ack)
+                    _send(_ACK, ready_ack(worker))
                 except OSError:
                     if not _redial():
                         break
@@ -288,65 +235,30 @@ def serve_socket(
                 continue
             if kind != _CMD or worker is None:
                 continue
-            (seq,) = _SEQ.unpack(body[: _SEQ.size])
-            blob = body[_SEQ.size:]
-            if seq == last_seq and cached_reply is not None:
-                # Replayed in-flight command: the round already ran;
-                # idempotency = ship the cached reply verbatim.
-                try:
-                    _send(_REPLY, cached_reply)
-                except OSError:
-                    if not _redial():
-                        break
-                continue
-            if seq <= last_seq:
-                continue
-            if rec is None:
-                tag, payload = pickle.loads(blob)
-            else:
-                t0 = time.perf_counter()
-                tag, payload = pickle.loads(blob)
-                rec.span("ser", t0, time.perf_counter())
-            if tag == "stop":
-                last_seq = seq
-                try:
-                    _send(_REPLY, _SEQ.pack(seq) + pickle.dumps(
-                        ("ok", {}), protocol=pickle.HIGHEST_PROTOCOL
-                    ))
-                except OSError:
-                    pass
-                break
-            fault = (
-                payload.pop("_fault", None)
-                if isinstance(payload, dict)
-                else None
-            )
-            if pump is not None:
-                pump.begin()
+            (seq,) = _SEQ.unpack_from(body)
             try:
-                corrupt = fault is not None and _execute_fault(fault)
-                try:
-                    reply = worker.handle(tag, payload)
-                except BaseException:
-                    env = pickle.dumps(("error", traceback.format_exc()))
+                if seq <= last_seq:
+                    if seq == last_seq and cached_reply is not None:
+                        # Replayed in-flight command: the round already
+                        # ran; idempotency = ship the cached reply
+                        # verbatim.
+                        _send(_REPLY, cached_reply)
+                    continue
+                blob = body[_SEQ.size:]
+                if rec is None:
+                    tag, payload = pickle.loads(blob)
                 else:
-                    env = (
-                        _CORRUPT_REPLY
-                        if corrupt
-                        else pickle.dumps(
-                            ("ok", reply), protocol=pickle.HIGHEST_PROTOCOL
-                        )
-                    )
-            finally:
-                if pump is not None:
-                    pump.end()
-            last_seq = seq
-            cached_reply = _SEQ.pack(seq) + env
-            try:
-                _send(_REPLY, cached_reply)
+                    t0 = time.perf_counter()
+                    tag, payload = pickle.loads(blob)
+                    rec.span("ser", t0, time.perf_counter())
+                if tag == "stop":
+                    try:
+                        _reply(pickle.dumps(("ok", {})))
+                    except OSError:
+                        pass
+                    break
+                run_command(worker, rec, pump, tag, payload, _reply)
             except OSError:
-                # Reply lost with the link; replayed from the cache
-                # once the coordinator reconnects us.
                 if not _redial():
                     break
     finally:
@@ -354,19 +266,22 @@ def serve_socket(
             pump.stop()
         if worker is not None:
             worker.close_plane()
-        _close(conn)
+        close_socket(conn)
 
 
-class TcpTransport(ProcessFaultMixin, Transport):
+class TcpTransport(ProcessSupervisor):
     """One OS process per worker over localhost (or LAN) TCP.
 
-    Same contract, liveness machinery, and fault grammar as
-    :class:`~repro.runtime.transport.MpTransport`, plus connection
-    supervision (see the module docstring): per-drop reconnect budget
-    ``retry_budget`` with ``retry_policy`` backoff windows, idempotent
-    in-flight replay, and the ``REPRO_FAULT`` network modes. Reports
-    ``reconnects``/``retries`` via ``net_counters`` and a coordinator
-    ``net`` span per re-established link.
+    The :class:`~repro.runtime.transport.ProcessSupervisor` — same
+    contract, liveness machinery and fault grammar as
+    :class:`~repro.runtime.transport.MpTransport` — over a link that
+    can come back. What is the socket's own lives here (see the module
+    docstring): the listener, hello/generation adoption, the per-drop
+    reconnect budget ``retry_budget`` with ``retry_policy`` backoff
+    windows, sequence-numbered idempotent replay, and the
+    ``REPRO_FAULT`` network modes. Reports ``reconnects``/``retries``
+    via ``net_counters`` and a coordinator ``net`` span per
+    re-established link.
     """
 
     name = "tcp"
@@ -387,25 +302,13 @@ class TcpTransport(ProcessFaultMixin, Transport):
         retry_policy: Optional[RetryPolicy] = None,
         dial_policy: Optional[RetryPolicy] = None,
     ) -> None:
-        super().__init__(num_workers)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
-        self.start_method = start_method
+        super().__init__(
+            num_workers, start_method, reply_timeout, heartbeat_interval,
+            heartbeat_timeout, deadline_floor, deadline_slack,
+        )
         self.host = host
         #: Requested port; 0 means kernel-assigned, fixed at launch.
         self.port = port
-        self.reply_timeout = float(reply_timeout)
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = float(heartbeat_timeout)
-        self.deadline_floor = float(deadline_floor)
-        self.deadline_slack = float(deadline_slack)
-        self._deadline = AdaptiveDeadline(
-            floor=self.deadline_floor,
-            slack=self.deadline_slack,
-            cap=self.reply_timeout,
-        )
         #: Reconnect attempts allowed per dropped link before the
         #: worker is declared lost (one structured WorkerFailure).
         self.retry_budget = int(retry_budget)
@@ -414,44 +317,28 @@ class TcpTransport(ProcessFaultMixin, Transport):
             attempts=retry_budget, base=0.05, factor=2.0, cap=1.0
         )
         self.dial_policy = dial_policy
-        self.heartbeats_received = 0
         #: Links re-established after a drop (transparent recoveries).
         self.reconnects = 0
         #: In-flight commands replayed after a reconnect.
         self.retries = 0
         self._listener: Optional[socket.socket] = None
-        self._procs: List[Any] = [None] * num_workers
-        self._conns: List[Optional[socket.socket]] = [None] * num_workers
         #: Spawn generation per worker: hellos from a pre-respawn
         #: incarnation are recognized and never adopted.
         self._gen = [0] * num_workers
-        self._last_cmd: List[str] = ["launch"] * num_workers
-        self._spawn_at: List[float] = [0.0] * num_workers
-        self._pending: List[bool] = [False] * num_workers
+        #: Init payload of a spawned worker until its handshake ships it.
+        self._init: List[Optional[bytes]] = [None] * num_workers
         #: Sequence number of the last command sent to each worker.
         self._seq = [0] * num_workers
         #: The in-flight command frame body (seq-prefixed), kept until
         #: its reply lands so a reconnect can replay it verbatim.
         self._sent_body: List[Optional[bytes]] = [None] * num_workers
-        self._hung: set = set()
         #: worker -> reconnect attempts an injected partition still eats.
         self._partition: Dict[int, int] = {}
         #: worker -> (conn, hello) accepted but not yet adopted.
         self._stray: Dict[int, Tuple[socket.socket, Dict[str, Any]]] = {}
 
-    def reply_deadline(self) -> float:
-        """Adaptive per-round deadline; see ``MpTransport``."""
-        return self._deadline.current()
-
-    def _observe_round(self, seconds: float) -> None:
-        self._deadline.observe(seconds)
-
     def net_counters(self) -> Dict[str, int]:
         return {"reconnects": self.reconnects, "retries": self.retries}
-
-    def plane_kind(self) -> Optional[str]:
-        # The pickled frame wire is the TCP data plane for now.
-        return None
 
     # Connection plumbing -------------------------------------------------
     def _listen(self) -> None:
@@ -462,24 +349,8 @@ class TcpTransport(ProcessFaultMixin, Transport):
         self.port = s.getsockname()[1]
         self._listener = s
 
-    def _spawn(self, worker_id: int) -> None:
-        self._spawn_at[worker_id] = time.perf_counter()
-        self._gen[worker_id] += 1
-        proc = self._ctx.Process(
-            target=serve_socket,
-            args=(self.host, self.port, worker_id, self._gen[worker_id]),
-            kwargs={
-                "heartbeat_interval": self.heartbeat_interval,
-                "dial_policy": self.dial_policy,
-            },
-            name=f"graphlab-runtime-tcp-w{worker_id}",
-            daemon=True,
-        )
-        proc.start()
-        self._procs[worker_id] = proc
-
     def _drop_conn(self, worker_id: int) -> None:
-        _close(self._conns[worker_id])
+        close_socket(self._conns[worker_id])
         self._conns[worker_id] = None
 
     def _accept_hello(self, timeout: float) -> bool:
@@ -494,24 +365,24 @@ class TcpTransport(ProcessFaultMixin, Transport):
         except (TimeoutError, OSError):
             return False
         try:
-            conn.settimeout(_FRAME_TIMEOUT)
-            kind, body = _recv_frame(conn)
+            conn.settimeout(FRAME_TIMEOUT)
+            kind, body = recv_frame(conn)
             if kind != _HELLO:
                 raise ConnectionError("expected a hello frame")
             hello = pickle.loads(body)
             w = int(hello["worker"])
             gen = int(hello.get("gen", 0))
         except Exception:
-            _close(conn)
+            close_socket(conn)
             return True
         if not (0 <= w < self.num_workers) or gen != self._gen[w]:
-            _close(conn)
+            close_socket(conn)
             return True
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.settimeout(None)
         old = self._stray.pop(w, None)
         if old is not None:
-            _close(old[0])
+            close_socket(old[0])
         self._stray[w] = (conn, hello)
         return True
 
@@ -550,12 +421,10 @@ class TcpTransport(ProcessFaultMixin, Transport):
         policy = self.retry_policy
         for attempt in range(self.retry_budget):
             if not _proc_alive(proc):
-                raise WorkerFailure(
+                raise self._failure(
                     worker_id,
                     f"process exited with code {proc.exitcode} "
                     f"(connection lost: {why})",
-                    last_command=self._last_cmd[worker_id],
-                    phase="reply",
                 )
             window = policy.delay(attempt, seed=f"re:{worker_id}")
             if self._partition.get(worker_id, 0) > 0:
@@ -582,7 +451,7 @@ class TcpTransport(ProcessFaultMixin, Transport):
                 if rec is not None:
                     rec.count("retries")
                 try:
-                    _send_frame(conn, _CMD, body)
+                    send_frame(conn, _CMD, body)
                 except OSError:
                     self._drop_conn(worker_id)
                     continue
@@ -592,359 +461,158 @@ class TcpTransport(ProcessFaultMixin, Transport):
         # Budget exhausted: the machine is declared lost. The partition
         # (if any) is considered healed for the respawn, and the still-
         # running process is untrusted — recovery goes straight to kill.
-        self._partition.pop(worker_id, None)
-        stray = self._stray.pop(worker_id, None)
-        if stray is not None:
-            _close(stray[0])
+        self._close_link(worker_id)
         self._hung.add(worker_id)
         if rec is not None:
             rec.count("conn_lost")
             rec.span("net", t0, time.perf_counter(), worker_id)
-        raise WorkerFailure(
+        raise self._failure(
             worker_id,
             "connection lost and not re-established within the retry "
             f"budget ({self.retry_budget} attempts): {why}",
-            last_command=self._last_cmd[worker_id],
-            phase="reply",
         )
 
-    # Contract hooks ------------------------------------------------------
-    def _launch(self, init_payloads: Iterable[bytes]) -> List[Any]:
-        self._listen()
-        blobs = list(init_payloads)
-        self._check_payload_count(len(blobs))
-        for worker_id in range(self.num_workers):
-            self._spawn(worker_id)
-        self._pending = [True] * self.num_workers
-        killed = self._fire_kills("launch")
-        acks = []
-        for worker_id in range(self.num_workers):
-            if worker_id in killed:
-                raise WorkerFailure(
-                    worker_id,
-                    "injected fault: killed at launch",
-                    last_command="launch",
-                    phase="launch",
-                )
-            acks.append(self._handshake(worker_id, blobs[worker_id]))
-        return acks
+    # Link primitives -----------------------------------------------------
+    def _spawn(self, worker_id: int, blob: bytes) -> None:
+        if self._listener is None:
+            self._listen()
+        # A new incarnation: stale hellos are told apart by generation,
+        # sequence numbers restart and nothing is in flight.
+        self._gen[worker_id] += 1
+        self._seq[worker_id] = 0
+        self._sent_body[worker_id] = None
+        self._init[worker_id] = blob
+        self._procs[worker_id] = self._start_server(
+            worker_id, self.host, self.port, worker_id, self._gen[worker_id],
+            self.heartbeat_interval, self.dial_policy,
+        )
 
-    def _handshake(self, worker_id: int, blob: bytes) -> Any:
+    def _start_server(self, worker_id: int, *args: Any) -> Any:
+        """Start ``serve_socket(*args)``; returns its process handle."""
+        return self._process(
+            f"graphlab-runtime-tcp-w{worker_id}", serve_socket, *args
+        )
+
+    def _handshake(self, worker_id: int) -> Any:
         proc = self._procs[worker_id]
         got = self._adopt(worker_id, self.reply_timeout, proc=proc)
         if got is None:
-            if not _proc_alive(proc):
-                raise WorkerFailure(
-                    worker_id,
-                    f"process exited with code {proc.exitcode} before "
-                    "connecting",
-                    last_command="launch",
-                    phase="launch",
-                )
-            raise WorkerFailure(
+            raise self._failure(
                 worker_id,
-                "no connection from worker within "
-                f"{self.reply_timeout:.1f}s",
-                last_command="launch",
-                phase="launch",
+                f"no connection from worker within {self.reply_timeout:.1f}s"
+                if _proc_alive(proc)
+                else f"process exited with code {proc.exitcode} before "
+                "connecting",
+                "launch",
             )
         conn, _hello = got
         self._conns[worker_id] = conn
+        blob, self._init[worker_id] = self._init[worker_id], None
         try:
             # Init blobs are not wire-accounted: MpTransport ships them
             # via process args, so counting them would break the
             # cross-backend byte parity the tests pin.
-            _send_frame(conn, _INIT, blob)
+            send_frame(conn, _INIT, blob)
         except OSError as exc:
-            raise WorkerFailure(
-                worker_id,
-                f"init send failed ({exc})",
-                last_command="launch",
-                phase="launch",
+            raise self._failure(
+                worker_id, f"init send failed ({exc})", "launch"
             ) from None
-        return self._recv(worker_id, phase="launch")
+        return super()._handshake(worker_id)
 
-    def _net_fault(self, worker_id: int) -> Optional[FaultSpec]:
-        spec = self._fault_plan.get(worker_id)
-        if spec is None or spec.mode not in NETWORK_MODES:
-            return None
-        if spec.when != self.rounds_completed:
-            return None
-        del self._fault_plan[worker_id]
-        self.last_fault_fired_at = time.monotonic()
-        return spec
-
-    def _send_cmd(self, worker_id: int, body: bytes) -> None:
-        try:
-            conn = self._conns[worker_id]
-            if conn is None:
-                raise ConnectionError("no connection")
-            _send_frame(conn, _CMD, body)
-        except (ConnectionError, OSError) as exc:
-            # A link that died while idle: re-establish inside the same
-            # budget; _reestablish replays the pending command itself.
-            self._reestablish(worker_id, f"send failed ({exc})")
+    def _send(self, worker_id: int, blob: bytes) -> None:
+        self._seq[worker_id] += 1
+        body = _SEQ.pack(self._seq[worker_id]) + blob
+        self._sent_body[worker_id] = body
+        spec = self._arm_fault(worker_id, NETWORK_MODES)
+        if spec is not None:
+            if spec.mode != "delay":
+                self._inject_net(worker_id, spec, body)
+                return
+            time.sleep(float(spec.arg or 0.0) / 1000.0)
+        conn = self._conns[worker_id]
+        if conn is None:
+            raise ConnectionError("no connection")
+        send_frame(conn, _CMD, body)
 
     def _inject_net(
         self, worker_id: int, spec: FaultSpec, body: bytes
     ) -> None:
-        """Fire one network fault at the framing layer, coordinator
-        side, deterministically (see the module docstring)."""
+        """Fire one link-breaking network fault at the framing layer,
+        coordinator side, deterministically (see the module docstring);
+        the reply wait then finds the link gone and re-establishes."""
         conn = self._conns[worker_id]
-        if spec.mode == "delay":
-            time.sleep(float(spec.arg or 0.0) / 1000.0)
-            self._send_cmd(worker_id, body)
-        elif spec.mode == "drop_conn":
-            # The command makes it out; the link dies before the reply.
-            try:
-                if conn is not None:
-                    _send_frame(conn, _CMD, body)
-            except OSError:
-                pass
-            self._drop_conn(worker_id)
-        elif spec.mode == "reset_mid_frame":
-            frame = _HEADER.pack(_CMD, len(body)) + body
-            try:
-                if conn is not None:
-                    conn.sendall(frame[: max(1, len(frame) // 2)])
-            except OSError:
-                pass
-            self._drop_conn(worker_id)
-        else:  # partition
+        if spec.mode == "partition":
             self._partition[worker_id] = int(spec.arg or 1)
-            self._drop_conn(worker_id)
-
-    def _round(self, messages: Sequence[Message]) -> List[Any]:
-        self._fire_kills(self.rounds_completed)
-        t0 = time.monotonic()
-        for worker_id, message in enumerate(messages):
-            directive = self._fault_directive(worker_id, message)
-            if directive is not None:
-                tag, payload = message
-                payload = dict(payload)
-                payload["_fault"] = directive
-                message = (tag, payload)
-            net = self._net_fault(worker_id)
-            blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-            # Framed byte accounting: the pickled body, once per
-            # sequence number — headers, seq prefixes, heartbeats, and
-            # retransmissions excluded, for cross-backend parity.
-            self.bytes_sent += len(blob)
-            self._last_cmd[worker_id] = message[0]
-            self._seq[worker_id] += 1
-            body = _SEQ.pack(self._seq[worker_id]) + blob
-            self._sent_body[worker_id] = body
-            self._pending[worker_id] = True
-            if net is not None:
-                self._inject_net(worker_id, net, body)
-            else:
-                self._send_cmd(worker_id, body)
-        replies = [self._recv(w) for w in range(self.num_workers)]
-        self._observe_round(time.monotonic() - t0)
-        return replies
-
-    def _recv(self, worker_id: int, phase: str = "reply") -> Any:
-        proc = self._procs[worker_id]
-        last = self._last_cmd[worker_id]
-        start = last_beat = time.monotonic()
-        timeout = (
-            self.reply_timeout if phase == "launch" else self.reply_deadline()
-        )
-        check_beats = phase != "launch" and self.heartbeat_interval
-        expected = self._seq[worker_id]
-        while True:
-            conn = self._conns[worker_id]
+        elif conn is not None:
+            frame = HEADER.pack(_CMD, len(body)) + body
+            if spec.mode == "reset_mid_frame":
+                frame = frame[: max(1, len(frame) // 2)]
+            # drop_conn: the whole command makes it out and the link
+            # dies before the reply; reset_mid_frame: a torn half.
             try:
-                if conn is None:
-                    raise ConnectionError("no connection")
-                frame = _poll_frame(conn, 0.05)
-            except ConnectionError as exc:
-                if phase == "launch":
-                    raise WorkerFailure(
-                        worker_id,
-                        f"connection lost during launch ({exc})",
-                        last_command=last,
-                        phase=phase,
-                    ) from None
-                self._reestablish(worker_id, str(exc))
-                # Fresh link: the retry budget bounded the disconnected
-                # window, so the liveness clocks restart here.
-                start = last_beat = time.monotonic()
-                timeout = self.reply_deadline()
-                continue
-            if frame is not None:
-                kind, body = frame
-                if kind == _HB:
-                    last_beat = time.monotonic()
-                    self.heartbeats_received += 1
-                    if self.obs is not None:
-                        self.obs.count("heartbeats")
-                    continue
-                if phase == "launch":
-                    if kind != _ACK:
-                        continue
-                    blob = body
-                else:
-                    if kind != _REPLY:
-                        continue
-                    (seq,) = _SEQ.unpack(body[: _SEQ.size])
-                    if seq != expected:
-                        continue  # a replayed older reply; drop uncounted
-                    blob = body[_SEQ.size:]
-                try:
-                    tag, payload = pickle.loads(blob)
-                except Exception as exc:
-                    self._hung.add(worker_id)
-                    raise WorkerFailure(
-                        worker_id,
-                        "corrupt reply (reply blob failed to unpickle: "
-                        f"{type(exc).__name__})",
-                        last_command=last,
-                        phase=phase,
-                    ) from None
-                self.bytes_received += len(blob)
-                self._pending[worker_id] = False
-                self._sent_body[worker_id] = None
-                if tag == "error":
-                    raise WorkerFailure(
-                        worker_id, payload, last_command=last, phase=phase
-                    )
-                if phase == "launch":
-                    self._set_offset(
-                        worker_id,
-                        self._spawn_at[worker_id],
-                        time.perf_counter(),
-                        payload,
-                    )
-                return payload
-            now = time.monotonic()
-            if not _proc_alive(proc):
-                raise WorkerFailure(
-                    worker_id,
-                    f"process exited with code {proc.exitcode} before "
-                    "replying",
-                    last_command=last,
-                    phase=phase,
-                )
-            if check_beats and now - last_beat > self.heartbeat_timeout:
-                self._hung.add(worker_id)
-                if self.obs is not None:
-                    self.obs.count("hang_detections")
-                raise WorkerFailure(
-                    worker_id,
-                    "hung (no progress heartbeat within "
-                    f"{self.heartbeat_timeout:.1f}s; declared dead)",
-                    last_command=last,
-                    phase=phase,
-                )
-            if now - start > timeout:
-                raise WorkerFailure(
-                    worker_id,
-                    f"no reply within the {timeout:.1f}s "
-                    + (
-                        "launch deadline"
-                        if phase == "launch"
-                        else "adaptive round deadline"
-                    ),
-                    last_command=last,
-                    phase=phase,
-                )
+                conn.sendall(frame)
+            except OSError:
+                pass
+        self._drop_conn(worker_id)
 
-    def _recover(self, worker_id: int, init_payload: bytes) -> Any:
-        # Drain survivors of the aborted round first (same contract as
-        # MpTransport): their replies are discarded by the rollback,
-        # but the barrier must be re-aligned before the respawn.
-        for w in range(self.num_workers):
-            if w != worker_id and self._pending[w]:
-                self._recv(w)
-        # Close the dead worker's sockets *before* joining it: a
-        # loopback thread blocked in recv only unblocks on EOF.
+    def _poll(self, worker_id: int, phase: str) -> Optional[bytes]:
+        conn = self._conns[worker_id]
+        if conn is None:
+            raise ConnectionError("no connection")
+        frame = poll_frame(conn, 0.05)
+        if frame is None:
+            return None
+        kind, body = frame
+        if kind == _HB:
+            return HEARTBEAT_BLOB
+        if phase == "launch":
+            return body if kind == _ACK else None
+        if kind != _REPLY or _SEQ.unpack_from(body)[0] != self._seq[worker_id]:
+            return None  # a replayed older reply; dropped uncounted
+        self._sent_body[worker_id] = None
+        return body[_SEQ.size:]
+
+    def _link_lost(self, worker_id: int, phase: str, exc: Exception) -> None:
+        if phase == "launch":
+            raise self._failure(
+                worker_id, f"connection lost during launch ({exc})", phase
+            ) from None
+        # Re-establish inside the retry budget; _reestablish replays
+        # the pending command itself.
+        self._reestablish(
+            worker_id, f"send failed ({exc})" if phase == "send" else str(exc)
+        )
+
+    def _close_link(self, worker_id: int) -> None:
         self._drop_conn(worker_id)
         stray = self._stray.pop(worker_id, None)
         if stray is not None:
-            _close(stray[0])
+            close_socket(stray[0])
         self._partition.pop(worker_id, None)
-        proc = self._procs[worker_id]
-        if worker_id in self._hung:
-            self._hung.discard(worker_id)
-            if _proc_alive(proc):
-                proc.kill()
-                proc.join(timeout=2.0)
-        elif _proc_alive(proc):
-            proc.terminate()
-            proc.join(timeout=2.0)
-            if proc.is_alive():  # pragma: no cover - stuck in kernel
-                proc.kill()
-                proc.join(timeout=1.0)
-        _proc_close(proc)
-        self._last_cmd[worker_id] = "launch"
-        self._seq[worker_id] = 0
-        self._sent_body[worker_id] = None
-        self._spawn(worker_id)
-        self._pending[worker_id] = True
-        return self._handshake(worker_id, init_payload)
 
-    def _shutdown(self) -> None:
-        for worker_id, conn in enumerate(self._conns):
-            if worker_id in self._hung or conn is None:
-                continue
-            try:
-                self._seq[worker_id] += 1
-                _send_frame(conn, _CMD, _SEQ.pack(self._seq[worker_id])
-                            + pickle.dumps(("stop", {})))
-            except OSError:
-                pass
-        # Unblock anything parked on an unadopted connection before the
-        # joins (loopback threads cannot be signalled awake).
-        for conn, _hello in self._stray.values():
-            _close(conn)
-        self._stray = {}
-        for worker_id, proc in enumerate(self._procs):
-            if proc is None:
-                continue
-            if worker_id in self._hung:
-                if _proc_alive(proc):
-                    proc.kill()
-                proc.join(timeout=2.0)
-            else:
-                proc.join(timeout=2.0)
-                if _proc_alive(proc):
-                    proc.terminate()
-                    proc.join(timeout=2.0)
-                if _proc_alive(proc):  # pragma: no cover - stuck in kernel
-                    proc.kill()
-                    proc.join(timeout=1.0)
-            _proc_close(proc)
-        for conn in self._conns:
-            _close(conn)
-        _close(self._listener)
+    def _close_shared(self) -> None:
+        close_socket(self._listener)
         self._listener = None
-        self._procs = [None] * self.num_workers
-        self._conns = [None] * self.num_workers
-        self._hung = set()
-
-
-class _ThreadControl:
-    """Stop flag shared with a loopback worker thread."""
-
-    def __init__(self) -> None:
-        self.stopped = False
 
 
 class _ThreadProc:
     """Duck-typed process handle around a loopback worker thread.
 
-    Threads cannot be signalled; ``kill``/``terminate`` raise the stop
-    flag and rely on the coordinator closing the thread's sockets to
-    unblock it (every blocking point in ``serve_socket`` re-checks the
-    flag after a socket error or dial timeout).
+    Threads cannot be signalled; ``kill``/``terminate`` raise the
+    ``stopped`` flag (the thread's ``control``, standing in for
+    SIGKILL) and rely on the coordinator closing the thread's sockets
+    to unblock it (every blocking point in ``serve_socket`` re-checks
+    the flag after a socket error or dial timeout).
     """
 
     exitcode: Optional[int] = None
 
-    def __init__(self, thread: threading.Thread, control: _ThreadControl):
-        self._thread = thread
-        self._control = control
+    def __init__(self, name: str, *args: Any) -> None:
+        self.stopped = False
+        self._thread = threading.Thread(
+            target=serve_socket, args=(*args, self), name=name, daemon=True
+        )
+        self._thread.start()
 
     def is_alive(self) -> bool:
         return self._thread.is_alive()
@@ -953,10 +621,9 @@ class _ThreadProc:
         self._thread.join(timeout)
 
     def kill(self) -> None:
-        self._control.stopped = True
+        self.stopped = True
 
-    def terminate(self) -> None:
-        self._control.stopped = True
+    terminate = kill
 
     def close(self) -> None:
         pass
@@ -990,20 +657,5 @@ class LoopbackTcpTransport(TcpTransport):
         )
         super().__init__(num_workers, **kwargs)
 
-    def _spawn(self, worker_id: int) -> None:
-        self._spawn_at[worker_id] = time.perf_counter()
-        self._gen[worker_id] += 1
-        control = _ThreadControl()
-        thread = threading.Thread(
-            target=serve_socket,
-            args=(self.host, self.port, worker_id, self._gen[worker_id]),
-            kwargs={
-                "heartbeat_interval": self.heartbeat_interval,
-                "dial_policy": self.dial_policy,
-                "control": control,
-            },
-            name=f"graphlab-runtime-loop-w{worker_id}",
-            daemon=True,
-        )
-        thread.start()
-        self._procs[worker_id] = _ThreadProc(thread, control)
+    def _start_server(self, worker_id: int, *args: Any) -> Any:
+        return _ThreadProc(f"graphlab-runtime-loop-w{worker_id}", *args)

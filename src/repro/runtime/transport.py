@@ -17,19 +17,23 @@ command to every worker, collect every reply). Implementations here:
   cores — the paper's claim that the abstraction carries unchanged from
   shared memory to distributed execution, cashed in (Sec. 4).
 
-A third backend, :class:`~repro.runtime.socket_transport.TcpTransport`,
-speaks the same contract over length-prefixed TCP frames (one OS
-process per worker dialing back to a coordinator listener) and adds
-connection supervision: retries with backoff, idempotent in-flight
-replay, and partition tolerance. It lives in its own module; see its
-docstring for the wire protocol and the ``REPRO_FAULT`` *network* fault
-modes (``drop_conn``, ``delay=ms``, ``partition=n``,
-``reset_mid_frame``) that only socket backends can inject. This module
-owns the fault grammar itself: :data:`FAULT_MODES` lists every mode,
-:data:`NETWORK_MODES` the subset that needs a wire to break, and each
-transport declares the subset it can inject via ``fault_caps`` — a
-schedule naming a mode the backend cannot inject raises
-:class:`~repro.errors.FaultSpecError` instead of silently not firing.
+Supervising worker *processes* — launch, the round, the reply-wait
+loop with its liveness checks, reap-and-respawn recovery, shutdown —
+is written once, in :class:`ProcessSupervisor`; ``MpTransport`` is that
+supervisor over a pipe, and
+:class:`~repro.runtime.socket_transport.TcpTransport` the same
+supervisor over length-prefixed TCP frames (one OS process per worker
+dialing back to a coordinator listener) plus what only a socket has:
+retries with backoff, idempotent in-flight replay, and partition
+tolerance. It lives in its own module; see its docstring for the wire
+protocol and the ``REPRO_FAULT`` *network* fault modes (``drop_conn``,
+``delay=ms``, ``partition=n``, ``reset_mid_frame``) that only socket
+backends can inject. This module owns the fault grammar itself:
+:data:`FAULT_MODES` lists every mode, :data:`NETWORK_MODES` the subset
+that needs a wire to break, and each transport declares the subset it
+can inject via ``fault_caps`` — a schedule naming a mode the backend
+cannot inject raises :class:`~repro.errors.FaultSpecError` instead of
+silently not firing.
 
 Transports also own the **data plane** lifecycle
 (:mod:`repro.runtime.plane`): the engine asks for the backend's plane
@@ -40,10 +44,10 @@ plain in-process arrays for ``inproc``), and tears it down with
 a worker dies or launch itself raises.
 
 Every command and reply crosses the wire as an explicit pickled byte
-blob, and both transports account the volume (``bytes_sent`` /
-``bytes_received`` / ``rounds_completed``) — the counters
-``BENCH_core.json`` records as ``bytes_on_pipe`` and
-``rounds_per_sweep``.
+blob, and every transport accounts the volume (``bytes_sent`` /
+``bytes_received`` / ``rounds_completed``) — the counters the repo
+benchmark records as ``runtime.transport.bytes_on_pipe`` and
+``runtime.coord.rounds_per_sweep``.
 
 A transport is single-use: ``launch`` once, ``round`` many times,
 ``shutdown`` once (idempotent).
@@ -67,7 +71,7 @@ from repro.runtime.plane import (
     ShmDataPlane,
     shm_available,
 )
-from repro.runtime.worker import serve, worker_from_bytes
+from repro.runtime.worker import ready_ack, serve, worker_from_bytes
 
 Message = Tuple[str, Any]
 
@@ -126,6 +130,10 @@ NETWORK_MODES = frozenset(
 PROCESS_FAULT_MODES = frozenset(
     ("kill", "hang", "stall", "corrupt_reply", "crash_mid_snapshot")
 )
+
+#: The process modes a worker executes itself, from a ``_fault``
+#: directive on the command payload (``kill`` is a coordinator SIGKILL).
+_DIRECTIVE_MODES = PROCESS_FAULT_MODES - {"kill"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -377,6 +385,37 @@ class Transport:
         """Backward-compatible alias: ``schedule_fault(..., "kill")``."""
         self.schedule_fault(worker_id, when, mode="kill")
 
+    def _arm_fault(
+        self,
+        worker_id: int,
+        modes: Iterable[str],
+        message: Optional[Message] = None,
+        at: Union[int, str, None] = None,
+    ) -> Optional[FaultSpec]:
+        """The fault of this worker that is due now, if it is one of
+        ``modes`` — popped from the plan and stamped as fired. The one
+        place a schedule becomes a fault: inproc emulation, process
+        directives, coordinator kills and network injection all call
+        it with the mode set they handle. ``at`` is the schedule point
+        being passed (default: the round about to start, i.e.
+        ``rounds_completed``; ``"launch"`` during launch).
+        ``crash_mid_snapshot`` arms at round ``when`` but holds fire
+        until ``message`` is a snapshot command. Nothing fires once
+        shutdown has begun."""
+        spec = self._fault_plan.get(worker_id)
+        if spec is None or spec.mode not in modes or self._closed:
+            return None
+        if at is None:
+            at = self.rounds_completed
+        if spec.mode == "crash_mid_snapshot":
+            if at < spec.when or not _is_snapshot_command(message):
+                return None
+        elif spec.when != at:
+            return None
+        del self._fault_plan[worker_id]
+        self.last_fault_fired_at = time.monotonic()
+        return spec
+
     def net_counters(self) -> Dict[str, int]:
         """Connection-supervision counters for the run result/bench.
 
@@ -567,69 +606,41 @@ class InprocTransport(Transport):
             worker.attach_plane(self.data_plane)
         return worker
 
-    def _ack(self, worker: Any) -> Any:
-        ack = {
-            "worker": worker.worker_id,
-            "owned": len(worker.store.owned_vertices),
-            # Same handshake field serve() sends, so the clock-offset
-            # path is exercised (trivially: one process, offset 0.0).
-            "clk": time.perf_counter(),
-        }
-        # Launch acks cross MpTransport's pipe and are counted
+    def _boot(self, worker_id: int, blob: bytes) -> Any:
+        """Build worker ``worker_id`` in place; returns its ready ack."""
+        t_send = time.perf_counter()
+        worker = self._workers[worker_id] = self._build_worker(blob)
+        # Launch acks cross the process backends' wire and are counted
         # there; count the identical envelope here so bytes_received
-        # agrees between backends from the first message on.
-        self.bytes_received += len(
-            pickle.dumps(("ok", ack), protocol=pickle.HIGHEST_PROTOCOL)
-        )
+        # agrees between backends from the first message on (and the
+        # clock-offset path is exercised — trivially: offset 0.0).
+        envelope = ready_ack(worker)
+        self.bytes_received += len(envelope)
+        ack = pickle.loads(envelope)[1]
+        self._set_offset(worker_id, t_send, time.perf_counter(), ack)
         return ack
 
     def _launch(self, init_payloads: Iterable[bytes]) -> List[Any]:
         acks = []
         for worker_id, blob in enumerate(init_payloads):
-            spec = self._fault_plan.get(worker_id)
-            if spec is not None and spec.when == "launch":
-                del self._fault_plan[worker_id]
-                self._workers.append(None)
-                self.last_fault_fired_at = time.monotonic()
+            self._workers.append(None)
+            if self._arm_fault(worker_id, ("kill",), at="launch"):
                 raise WorkerFailure(
                     worker_id,
                     "injected fault: killed at launch",
                     last_command="launch",
                     phase="launch",
                 )
-            t_send = time.perf_counter()
-            worker = self._build_worker(blob)
-            self._workers.append(worker)
-            ack = self._ack(worker)
-            self._set_offset(worker_id, t_send, time.perf_counter(), ack)
-            acks.append(ack)
+            acks.append(self._boot(worker_id, blob))
         self._check_payload_count(len(acks))
         return acks
-
-    def _armed_fault(self, worker_id: int, message: Message) -> Optional[FaultSpec]:
-        """The fault due to fire for this worker on this round, if any
-        (popped from the plan). ``crash_mid_snapshot`` arms at round
-        ``when`` but holds fire until a snapshot command comes by."""
-        spec = self._fault_plan.get(worker_id)
-        if spec is None or spec.when == "launch":
-            return None
-        if spec.mode == "crash_mid_snapshot":
-            if self.rounds_completed < spec.when or not _is_snapshot_command(
-                message
-            ):
-                return None
-        elif spec.when != self.rounds_completed:
-            return None
-        del self._fault_plan[worker_id]
-        self.last_fault_fired_at = time.monotonic()
-        return spec
 
     def _round(self, messages: Sequence[Message]) -> List[Any]:
         replies = []
         for worker_id, (worker, message) in enumerate(
             zip(self._workers, messages)
         ):
-            spec = self._armed_fault(worker_id, message)
+            spec = self._arm_fault(worker_id, PROCESS_FAULT_MODES, message)
             if spec is not None and spec.mode != "stall":
                 # Deterministic emulation of the mp failure modes: the
                 # worker object is dropped (its state is unreachable,
@@ -709,12 +720,7 @@ class InprocTransport(Transport):
             # Same scrub as the mp respawn path: descriptors a dead
             # worker left in its rings must not outlive it.
             self.data_plane.reset_rings(worker_id)
-        t_send = time.perf_counter()
-        worker = self._build_worker(init_payload)
-        self._workers[worker_id] = worker
-        ack = self._ack(worker)
-        self._set_offset(worker_id, t_send, time.perf_counter(), ack)
-        return ack
+        return self._boot(worker_id, init_payload)
 
     def _shutdown(self) -> None:
         self._workers = []
@@ -737,102 +743,41 @@ def _proc_close(proc: Any) -> None:
         pass
 
 
-class ProcessFaultMixin:
-    """Round-keyed fault arming shared by the process-backed transports
-    (mp pipes and the TCP socket backend).
+class ProcessSupervisor(Transport):
+    """Supervision of one OS process per worker, whatever the wire.
 
-    Hosts expect ``self._procs`` (killable process handles),
-    ``self._hung`` (workers declared untrusted), and the base
-    :class:`Transport` fault plan. ``kill`` fires coordinator-side as a
-    SIGKILL between barriers; the other process modes ride the command
-    payload as a ``_fault`` directive the worker's serve loop executes.
-    Network modes are *not* directives — they never reach the worker;
-    the socket transport injects them at its framing layer and pops
-    them from the plan itself.
-    """
-
-    def kill_worker(self, worker_id: int) -> None:
-        """Hard-kill one worker process (fault injection)."""
-        proc = self._procs[worker_id]
-        if _proc_alive(proc):
-            proc.kill()
-            proc.join(timeout=2.0)
-
-    def _fire_kills(self, when: Union[int, str]) -> List[int]:
-        """SIGKILL every worker whose *kill* schedule matches ``when``;
-        the other modes are worker-side directives injected per-round
-        by :meth:`_fault_directive`. Returns the killed worker ids."""
-        killed = []
-        for worker_id, spec in list(self._fault_plan.items()):
-            if (
-                spec.mode == "kill"
-                and spec.when == when
-                and worker_id < len(self._procs)
-            ):
-                del self._fault_plan[worker_id]
-                self.last_fault_fired_at = time.monotonic()
-                self.kill_worker(worker_id)
-                killed.append(worker_id)
-        return killed
-
-    def _fault_directive(
-        self, worker_id: int, message: Message
-    ) -> Optional[Dict[str, Any]]:
-        """Non-kill process fault due this round, as the ``_fault``
-        payload directive the worker's serve loop executes (hang =
-        SIGSTOP itself, stall = sleep, corrupt_reply = garble the wire
-        blob, crash = ``os._exit`` mid-command)."""
-        spec = self._fault_plan.get(worker_id)
-        if (
-            spec is None
-            or spec.mode == "kill"
-            or spec.when == "launch"
-            or spec.mode in NETWORK_MODES
-        ):
-            return None
-        if spec.mode == "crash_mid_snapshot":
-            if self.rounds_completed < spec.when or not _is_snapshot_command(
-                message
-            ):
-                return None
-            mode = "crash"
-        elif spec.when != self.rounds_completed:
-            return None
-        else:
-            mode = spec.mode
-        del self._fault_plan[worker_id]
-        self.last_fault_fired_at = time.monotonic()
-        if mode == "hang":
-            self._hung.add(worker_id)
-        return {"mode": mode, "arg": spec.arg}
-
-
-class MpTransport(ProcessFaultMixin, Transport):
-    """One OS process per worker, one duplex pipe each.
-
-    ``start_method`` defaults to ``fork`` where available (cheap launch;
-    the init payload still ships pickled so the code path is identical)
-    and falls back to ``spawn``.
+    Owns — once, for every process-backed backend — the liveness
+    configuration, ``_launch`` (spawn all, fire launch kills, collect
+    acks), ``_round`` (arm faults, pickle, account bytes, send, wait
+    for every reply, feed the deadline EMA), the reply-wait loop
+    ``_recv``, ``_recover`` (drain survivors, reap, scrub plane rings,
+    respawn, handshake) and ``_shutdown`` (best-effort stop, bounded
+    joins, escalate, close handles). A backend supplies only what is
+    different about its link, as five primitives: :meth:`_spawn` one
+    worker, :meth:`_send` one command body, :meth:`_poll` one message,
+    :meth:`_link_lost` (what a lost link means) and :meth:`_close_link`.
 
     **Liveness.** Workers emit progress heartbeats — tiny ``("hb",
-    None)`` frames on the reply pipe, produced by a daemon thread while
-    a command is being processed (same piggyback discipline as the
-    telemetry batches: they ride the existing pipe and add no barrier;
-    the coordinator strips them in ``_recv`` and they are never counted
-    as data bytes). A worker that goes silent for ``heartbeat_timeout``
-    seconds while a reply is owed is declared hung — seconds, not the
-    old fixed two minutes. Independently, each round must finish within
-    an *adaptive deadline*: an EMA of observed round durations times
+    None)`` messages on the reply link, produced by a daemon thread
+    while a command is being processed (same piggyback discipline as
+    the telemetry batches: they ride the existing link and add no
+    barrier; ``_recv`` strips them and they are never counted as data
+    bytes). A worker that goes silent for ``heartbeat_timeout`` seconds
+    while a reply is owed is declared hung — seconds, not the old fixed
+    two minutes. Independently, each round must finish within an
+    *adaptive deadline*: an EMA of observed round durations times
     ``deadline_slack``, clamped below by ``deadline_floor`` (so early
     noise and legitimately long kernel passes are never falsely killed)
     and above by ``reply_timeout`` (the historical hard cap, still the
     only deadline for the launch handshake, which precedes heartbeats).
     A dead, hung, or deadline-blowing worker raises
     :class:`WorkerFailure` naming the worker and the last command it
-    was sent, instead of blocking forever on the pipe.
-    """
+    was sent, instead of blocking forever on the link.
 
-    name = "mp"
+    ``start_method`` defaults to ``fork`` where available (cheap launch;
+    the init payload still ships pickled so the code path is identical)
+    and falls back to ``spawn``.
+    """
 
     def __init__(
         self,
@@ -859,16 +804,16 @@ class MpTransport(ProcessFaultMixin, Transport):
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.deadline_floor = float(deadline_floor)
         self.deadline_slack = float(deadline_slack)
-        #: The EMA/clamp arithmetic, shared with the socket backend
-        #: (:mod:`repro.runtime.liveness`).
+        #: The EMA/clamp arithmetic (:mod:`repro.runtime.liveness`).
         self._deadline = AdaptiveDeadline(
             floor=self.deadline_floor,
             slack=self.deadline_slack,
             cap=self.reply_timeout,
         )
         self.heartbeats_received = 0
-        self._procs: List[Any] = []
-        self._conns: List[Any] = []
+        #: Killable process handles and the links to them, by worker.
+        self._procs: List[Any] = [None] * num_workers
+        self._conns: List[Any] = [None] * num_workers
         self._last_cmd: List[str] = ["launch"] * num_workers
         #: Coordinator-clock spawn times, the t_send of the clock-offset
         #: handshake (resolved when the launch-phase ack arrives).
@@ -876,11 +821,12 @@ class MpTransport(ProcessFaultMixin, Transport):
         #: True while a command has been sent and its reply not yet
         #: consumed; lets recovery drain survivors of an aborted round.
         self._pending: List[bool] = [False] * num_workers
-        #: Workers declared hung (missed heartbeats / injected hang):
-        #: recovery and shutdown skip the graceful SIGTERM dance — a
-        #: stopped process never handles it — and go straight to
-        #: SIGKILL, so a hang-kill releases its pipe fds and process
-        #: handle promptly instead of waiting out escalation timeouts.
+        #: Workers declared hung or untrusted (missed heartbeats,
+        #: injected hang, corrupt reply, link lost for good): recovery
+        #: and shutdown skip the graceful SIGTERM dance — a stopped
+        #: process never handles it — and go straight to SIGKILL, so a
+        #: hang-kill releases its link and process handle promptly
+        #: instead of waiting out escalation timeouts.
         self._hung: set = set()
 
     @property
@@ -907,6 +853,323 @@ class MpTransport(ProcessFaultMixin, Transport):
     def _observe_round(self, seconds: float) -> None:
         self._deadline.observe(seconds)
 
+    # Link primitives (what a backend supplies) ------------------------
+    def _spawn(self, worker_id: int, blob: bytes) -> None:
+        """Start one worker process and record it in ``_procs``."""
+        raise NotImplementedError
+
+    def _send(self, worker_id: int, blob: bytes) -> None:
+        """Write one command body; ``OSError`` if the link is dead."""
+        raise NotImplementedError
+
+    def _poll(self, worker_id: int, phase: str) -> Optional[bytes]:
+        """One message blob, or ``None`` after a short idle wait;
+        ``EOFError`` / ``OSError`` if the link is dead."""
+        raise NotImplementedError
+
+    def _link_lost(self, worker_id: int, phase: str, exc: Exception) -> None:
+        """The link died while sending (``phase`` ``"send"``) or waiting
+        (``"reply"`` / ``"launch"``): raise the structured failure, or
+        return once it is back and the in-flight command re-delivered."""
+        raise NotImplementedError
+
+    def _close_link(self, worker_id: int) -> None:
+        """Release the coordinator's end of one link (idempotent)."""
+        raise NotImplementedError
+
+    def _close_shared(self) -> None:
+        """Release what all links share (a listener), last in shutdown."""
+
+    # Fault injection --------------------------------------------------
+    def kill_worker(self, worker_id: int) -> None:
+        """Hard-kill one worker process (fault injection)."""
+        proc = self._procs[worker_id]
+        if _proc_alive(proc):
+            proc.kill()
+            proc.join(timeout=2.0)
+
+    def _fire_kills(self, at: Union[int, str]) -> List[int]:
+        """SIGKILL every worker whose *kill* schedule is due; returns
+        the killed worker ids."""
+        killed = []
+        for worker_id in list(self._fault_plan):
+            if self._arm_fault(worker_id, ("kill",), at=at) is not None:
+                self.kill_worker(worker_id)
+                killed.append(worker_id)
+        return killed
+
+    def _with_directive(self, worker_id: int, message: Message) -> Message:
+        """Attach the non-kill process fault due this round, if any, as
+        the ``_fault`` payload directive the worker's command core
+        executes (hang = SIGSTOP itself, stall = sleep, corrupt_reply =
+        garble the wire blob, crash = ``os._exit`` mid-command).
+        Network modes never reach the worker; the socket backend
+        injects them at its framing layer."""
+        spec = self._arm_fault(worker_id, _DIRECTIVE_MODES, message)
+        if spec is None:
+            return message
+        if spec.mode == "hang":
+            self._hung.add(worker_id)
+        mode = "crash" if spec.mode == "crash_mid_snapshot" else spec.mode
+        tag, payload = message
+        return tag, {**payload, "_fault": {"mode": mode, "arg": spec.arg}}
+
+    # Contract hooks ---------------------------------------------------
+    def _failure(
+        self, worker_id: int, detail: str, phase: str = "reply"
+    ) -> WorkerFailure:
+        """The structured failure of one worker, naming the last
+        command it was sent."""
+        return WorkerFailure(
+            worker_id,
+            detail,
+            last_command=self._last_cmd[worker_id],
+            phase=phase,
+        )
+
+    def _process(self, name: str, target: Any, *args: Any) -> Any:
+        """A started daemon worker process."""
+        proc = self._ctx.Process(
+            target=target, args=args, name=name, daemon=True
+        )
+        proc.start()
+        return proc
+
+    def _start(self, worker_id: int, blob: bytes) -> None:
+        self._last_cmd[worker_id] = "launch"
+        self._pending[worker_id] = True
+        self._spawn_at[worker_id] = time.perf_counter()
+        self._spawn(worker_id, blob)
+
+    def _handshake(self, worker_id: int) -> Any:
+        """Wait for a freshly spawned worker's ready ack."""
+        return self._recv(worker_id, phase="launch")
+
+    def _launch(self, init_payloads: Iterable[bytes]) -> List[Any]:
+        count = 0
+        for worker_id, blob in enumerate(init_payloads):
+            count += 1
+            if worker_id < self.num_workers:
+                self._start(worker_id, blob)
+        self._check_payload_count(count)
+        # Kill-at-launch fires after the spawn, before the ready acks.
+        # The failure is raised here, not discovered in _recv: a worker
+        # can squeeze its ack into the link before the SIGKILL lands,
+        # and trusting that ack would defer the failure to the first
+        # round's send — nondeterministic phase for a scheduled fault.
+        killed = self._fire_kills("launch")
+        acks = []
+        for worker_id in range(self.num_workers):
+            if worker_id in killed:
+                raise self._failure(
+                    worker_id, "injected fault: killed at launch", "launch"
+                )
+            acks.append(self._handshake(worker_id))
+        return acks
+
+    def _round(self, messages: Sequence[Message]) -> List[Any]:
+        # Scheduled kills fire before the sends, so the doomed worker
+        # never processes this round's command — deterministic "machine
+        # lost between barriers" semantics. The other process modes ride
+        # the command payload as a worker-side directive instead: the
+        # worker starts the round and fails mid-command.
+        self._fire_kills(self.rounds_completed)
+        t0 = time.monotonic()
+        for worker_id, message in enumerate(messages):
+            if self._fault_plan:
+                message = self._with_directive(worker_id, message)
+            blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+            # The pickled body, once per command: link framing,
+            # heartbeats and retransmissions are never counted, so the
+            # counters agree across backends.
+            self.bytes_sent += len(blob)
+            self._last_cmd[worker_id] = message[0]
+            self._pending[worker_id] = True
+            try:
+                self._send(worker_id, blob)
+            except OSError as exc:
+                self._link_lost(worker_id, "send", exc)
+        # All workers now compute concurrently; collecting every reply
+        # is the barrier.
+        replies = [self._recv(w) for w in range(self.num_workers)]
+        self._observe_round(time.monotonic() - t0)
+        return replies
+
+    def _recv(self, worker_id: int, phase: str = "reply") -> Any:
+        """The reply-wait loop: one worker's next reply (or ready ack),
+        or the structured :class:`WorkerFailure` saying why not."""
+        proc = self._procs[worker_id]
+        start = last_beat = time.monotonic()
+        # The launch handshake precedes the worker's serve loop (graph
+        # unpickling, shard build), so no heartbeats flow and no round
+        # history exists: only the hard cap applies there.
+        timeout = (
+            self.reply_timeout if phase == "launch" else self.reply_deadline()
+        )
+        check_beats = phase != "launch" and self.heartbeat_interval
+        while True:
+            try:
+                blob = self._poll(worker_id, phase)
+            except (EOFError, OSError) as exc:
+                self._link_lost(worker_id, phase, exc)
+                # Fresh link: the backend bounded the disconnected
+                # window, so the liveness clocks restart here.
+                start = last_beat = time.monotonic()
+                timeout = self.reply_deadline()
+                continue
+            if blob is not None:
+                try:
+                    tag, payload = pickle.loads(blob)
+                except Exception as exc:
+                    # A reply that does not parse is as dead as no
+                    # reply: the worker's state can no longer be
+                    # trusted (wire corruption — or a worker writing
+                    # garbage). Recovery respawns it.
+                    self._hung.add(worker_id)
+                    raise self._failure(
+                        worker_id,
+                        "corrupt reply (reply blob failed to unpickle: "
+                        f"{type(exc).__name__})",
+                        phase,
+                    ) from None
+                if tag == "hb":
+                    # Progress heartbeat: liveness control, not data —
+                    # refreshed deadline, never counted as wire bytes
+                    # (the byte counters stay backend-identical).
+                    last_beat = time.monotonic()
+                    self.heartbeats_received += 1
+                    if self.obs is not None:
+                        self.obs.count("heartbeats")
+                    continue
+                self.bytes_received += len(blob)
+                self._pending[worker_id] = False
+                if tag == "error":
+                    raise self._failure(worker_id, payload, phase)
+                if phase == "launch":
+                    self._set_offset(
+                        worker_id,
+                        self._spawn_at[worker_id],
+                        time.perf_counter(),
+                        payload,
+                    )
+                return payload
+            now = time.monotonic()
+            if not _proc_alive(proc):
+                raise self._failure(
+                    worker_id,
+                    f"process exited with code {proc.exitcode} before "
+                    "replying",
+                    phase,
+                )
+            if check_beats and now - last_beat > self.heartbeat_timeout:
+                self._hung.add(worker_id)
+                if self.obs is not None:
+                    self.obs.count("hang_detections")
+                raise self._failure(
+                    worker_id,
+                    "hung (no progress heartbeat within "
+                    f"{self.heartbeat_timeout:.1f}s; declared dead)",
+                    phase,
+                )
+            if now - start > timeout:
+                kind = "launch" if phase == "launch" else "adaptive round"
+                raise self._failure(
+                    worker_id,
+                    f"no reply within the {timeout:.1f}s {kind} deadline",
+                    phase,
+                )
+
+    def _reap(self, worker_id: int, wait: bool) -> None:
+        """End one worker process and release its handle. A worker
+        declared hung (or untrusted) is still alive — SIGSTOPped
+        processes never handle SIGTERM, so it goes straight to SIGKILL
+        (which the kernel delivers even to a stopped process). Anyone
+        else gets ``wait`` (a bounded join, for a worker that was told
+        to stop), then ``terminate``, then ``kill``."""
+        proc = self._procs[worker_id]
+        if worker_id in self._hung:
+            self._hung.discard(worker_id)
+            if _proc_alive(proc):
+                proc.kill()
+            proc.join(timeout=2.0)
+        else:
+            if wait:
+                proc.join(timeout=2.0)
+            if _proc_alive(proc):
+                proc.terminate()
+                proc.join(timeout=2.0)
+            if _proc_alive(proc):  # pragma: no cover - stuck in kernel
+                proc.kill()
+                proc.join(timeout=1.0)
+        _proc_close(proc)
+
+    def _recover(self, worker_id: int, init_payload: bytes) -> Any:
+        # Drain survivors of the aborted round first: they finished the
+        # round whose barrier the failure broke, and their replies are
+        # still in the links. The replies are discarded — the engine
+        # rolls everyone back to the snapshot anyway. A second failure
+        # here propagates; the engine's bounded retry handles it.
+        for w in range(self.num_workers):
+            if w != worker_id and self._pending[w]:
+                self._recv(w)
+        # Close the dead worker's link *before* joining it (a loopback
+        # thread blocked in recv only unblocks on EOF), reap what's
+        # left of it, then respawn on a fresh link. The shm plane
+        # segment is coordinator-owned and survives for the respawn to
+        # re-attach.
+        self._close_link(worker_id)
+        self._reap(worker_id, wait=False)
+        if self.data_plane is not None:
+            # Scrub the dead worker's dirty rings: a worker killed
+            # mid-write can leave a torn ring half behind, and the
+            # respawned attachment should start from zeroed descriptors
+            # rather than whatever the corpse left in shared memory.
+            self.data_plane.reset_rings(worker_id)
+        self._start(worker_id, init_payload)
+        return self._handshake(worker_id)
+
+    def _shutdown(self) -> None:
+        """Stop workers; join with timeouts and escalate to kill.
+
+        Never blocks on a dead link: sends are best-effort, every join
+        is bounded, and stragglers are reaped with ``terminate`` then
+        ``kill`` — except workers already declared hung, which skip
+        straight to ``kill`` (waiting out the graceful joins would
+        stall every shutdown after a hang). Links and process handles
+        are closed on every path, so a run that ends on a hang leaks
+        neither.
+        """
+        stop = pickle.dumps(("stop", {}))
+        for worker_id, conn in enumerate(self._conns):
+            if conn is None or worker_id in self._hung:
+                # Nobody to stop gracefully; closing now unblocks a
+                # loopback thread parked on an unadopted connection.
+                self._close_link(worker_id)
+                continue
+            try:
+                self._send(worker_id, stop)
+            except (OSError, ValueError):
+                pass
+        for worker_id, proc in enumerate(self._procs):
+            if proc is not None:
+                self._reap(worker_id, wait=True)
+        for worker_id in range(self.num_workers):
+            self._close_link(worker_id)
+        self._close_shared()
+        self._procs = []
+        self._conns = []
+        self._hung = set()
+
+
+class MpTransport(ProcessSupervisor):
+    """One OS process per worker, one duplex ``multiprocessing`` pipe
+    each: the :class:`ProcessSupervisor` over a link that cannot come
+    back. The wire is bare pickled ``(tag, payload)`` blobs with the
+    heartbeat in-band, the init payload rides the process arguments
+    (free under ``fork``), and a lost pipe is a lost worker."""
+
+    name = "mp"
+
     def plane_kind(self) -> Optional[str]:
         return "shm" if shm_available() else None
 
@@ -922,263 +1185,34 @@ class MpTransport(ProcessFaultMixin, Transport):
         return self.data_plane
 
     def _spawn(self, worker_id: int, blob: bytes) -> None:
-        self._spawn_at[worker_id] = time.perf_counter()
-        parent, child = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=serve,
-            args=(child, blob, self.heartbeat_interval),
-            name=f"graphlab-runtime-w{worker_id}",
-            daemon=True,
+        self._conns[worker_id], child = self._ctx.Pipe()
+        self._procs[worker_id] = self._process(
+            f"graphlab-runtime-w{worker_id}",
+            serve, child, blob, self.heartbeat_interval,
         )
-        proc.start()
         child.close()
-        if worker_id < len(self._procs):
-            self._procs[worker_id] = proc
-            self._conns[worker_id] = parent
-        else:
-            self._procs.append(proc)
-            self._conns.append(parent)
 
-    def _launch(self, init_payloads: Iterable[bytes]) -> List[Any]:
-        count = 0
-        for worker_id, blob in enumerate(init_payloads):
-            self._spawn(worker_id, blob)
-            count += 1
-        self._check_payload_count(count)
-        self._pending = [True] * self.num_workers
-        # Kill-at-launch fires after the spawn, before the ready acks.
-        # The failure is raised here, not discovered in _recv: a worker
-        # can squeeze its ack into the pipe before the SIGKILL lands,
-        # and trusting that ack would defer the failure to the first
-        # round's send — nondeterministic phase for a scheduled fault.
-        killed = self._fire_kills("launch")
-        acks = []
-        for worker_id in range(self.num_workers):
-            if worker_id in killed:
-                raise WorkerFailure(
-                    worker_id,
-                    "injected fault: killed at launch",
-                    last_command="launch",
-                    phase="launch",
-                )
-            acks.append(self._recv(worker_id, phase="launch"))
-        return acks
+    def _send(self, worker_id: int, blob: bytes) -> None:
+        self._conns[worker_id].send_bytes(blob)
 
-    def _round(self, messages: Sequence[Message]) -> List[Any]:
-        # Scheduled kills fire before the sends, so the doomed worker
-        # never processes this round's command — deterministic "machine
-        # lost between barriers" semantics. The other fault modes ride
-        # the command payload as a worker-side directive instead: the
-        # worker starts the round and fails mid-command.
-        self._fire_kills(self.rounds_completed)
-        t0 = time.monotonic()
-        for worker_id, (conn, message) in enumerate(
-            zip(self._conns, messages)
-        ):
-            directive = self._fault_directive(worker_id, message)
-            if directive is not None:
-                tag, payload = message
-                payload = dict(payload)
-                payload["_fault"] = directive
-                message = (tag, payload)
-            blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-            self.bytes_sent += len(blob)
-            self._last_cmd[worker_id] = message[0]
-            try:
-                conn.send_bytes(blob)
-            except (BrokenPipeError, OSError) as exc:
-                raise WorkerFailure(
-                    worker_id,
-                    f"pipe write failed ({exc})",
-                    last_command=message[0],
-                    phase="send",
-                ) from exc
-            self._pending[worker_id] = True
-        # All workers now compute concurrently; collecting every reply
-        # is the barrier.
-        replies = [self._recv(w) for w in range(self.num_workers)]
-        self._observe_round(time.monotonic() - t0)
-        return replies
-
-    def _recv(self, worker_id: int, phase: str = "reply") -> Any:
+    def _poll(self, worker_id: int, phase: str) -> Optional[bytes]:
         conn = self._conns[worker_id]
-        proc = self._procs[worker_id]
-        last = self._last_cmd[worker_id]
-        start = last_beat = time.monotonic()
-        # The launch handshake precedes the worker's serve loop (graph
-        # unpickling, shard build), so no heartbeats flow and no round
-        # history exists: only the hard cap applies there.
-        timeout = (
-            self.reply_timeout if phase == "launch" else self.reply_deadline()
-        )
-        check_beats = phase != "launch" and self.heartbeat_interval
-        while True:
-            if conn.poll(0.05):
-                try:
-                    blob = conn.recv_bytes()
-                except (EOFError, OSError):
-                    raise WorkerFailure(
-                        worker_id,
-                        "pipe closed mid-reply",
-                        last_command=last,
-                        phase=phase,
-                    ) from None
-                try:
-                    tag, payload = pickle.loads(blob)
-                except Exception as exc:
-                    # A reply that does not parse is as dead as no
-                    # reply: the worker's state can no longer be
-                    # trusted (wire corruption — or a worker writing
-                    # garbage). Recovery respawns it.
-                    self._hung.add(worker_id)
-                    raise WorkerFailure(
-                        worker_id,
-                        "corrupt reply (reply blob failed to unpickle: "
-                        f"{type(exc).__name__})",
-                        last_command=last,
-                        phase=phase,
-                    ) from None
-                if tag == "hb":
-                    # Progress heartbeat: liveness control, not data —
-                    # refreshed deadline, never counted as wire bytes
-                    # (the byte counters stay backend-identical).
-                    last_beat = time.monotonic()
-                    self.heartbeats_received += 1
-                    if self.obs is not None:
-                        self.obs.count("heartbeats")
-                    continue
-                self.bytes_received += len(blob)
-                self._pending[worker_id] = False
-                if tag == "error":
-                    raise WorkerFailure(
-                        worker_id, payload, last_command=last, phase=phase
-                    )
-                if phase == "launch":
-                    self._set_offset(
-                        worker_id,
-                        self._spawn_at[worker_id],
-                        time.perf_counter(),
-                        payload,
-                    )
-                return payload
-            now = time.monotonic()
-            if not _proc_alive(proc):
-                raise WorkerFailure(
-                    worker_id,
-                    f"process exited with code {proc.exitcode} before "
-                    "replying",
-                    last_command=last,
-                    phase=phase,
-                )
-            if check_beats and now - last_beat > self.heartbeat_timeout:
-                self._hung.add(worker_id)
-                if self.obs is not None:
-                    self.obs.count("hang_detections")
-                raise WorkerFailure(
-                    worker_id,
-                    "hung (no progress heartbeat within "
-                    f"{self.heartbeat_timeout:.1f}s; declared dead)",
-                    last_command=last,
-                    phase=phase,
-                )
-            if now - start > timeout:
-                raise WorkerFailure(
-                    worker_id,
-                    f"no reply within the {timeout:.1f}s "
-                    + (
-                        "launch deadline"
-                        if phase == "launch"
-                        else "adaptive round deadline"
-                    ),
-                    last_command=last,
-                    phase=phase,
-                )
+        return conn.recv_bytes() if conn.poll(0.05) else None
 
-    def _recover(self, worker_id: int, init_payload: bytes) -> Any:
-        # Drain survivors of the aborted round first: they finished the
-        # round whose barrier the failure broke, and their replies are
-        # still in the pipes. The replies are discarded — the engine
-        # rolls everyone back to the snapshot anyway. A second failure
-        # here propagates; the engine's bounded retry handles it.
-        for w in range(self.num_workers):
-            if w != worker_id and self._pending[w]:
-                self._recv(w)
-        # Reap what's left of the dead worker, then respawn on a fresh
-        # pipe. A worker declared hung (or untrusted) is still alive —
-        # SIGSTOPped processes never handle SIGTERM, so escalation goes
-        # straight to SIGKILL (which the kernel delivers even to a
-        # stopped process) instead of waiting out the graceful joins.
-        # The process handle and the old pipe fds are closed here, so a
-        # hang-kill releases its descriptors; the shm plane segment is
-        # coordinator-owned and survives for the respawn to re-attach.
-        proc = self._procs[worker_id]
-        if worker_id in self._hung:
-            self._hung.discard(worker_id)
-            if _proc_alive(proc):
-                proc.kill()
-                proc.join(timeout=2.0)
-        elif _proc_alive(proc):
-            proc.terminate()
-            proc.join(timeout=2.0)
-            if proc.is_alive():  # pragma: no cover - stuck in kernel
-                proc.kill()
-                proc.join(timeout=1.0)
-        _proc_close(proc)
-        try:
-            self._conns[worker_id].close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
-        if self.data_plane is not None:
-            # Scrub the dead worker's dirty rings: a worker killed
-            # mid-write can leave a torn ring half behind, and the
-            # respawned attachment should start from zeroed descriptors
-            # rather than whatever the corpse left in shared memory.
-            self.data_plane.reset_rings(worker_id)
-        self._last_cmd[worker_id] = "launch"
-        self._spawn(worker_id, init_payload)
-        self._pending[worker_id] = True
-        return self._recv(worker_id, phase="launch")
+    def _link_lost(self, worker_id: int, phase: str, exc: Exception) -> None:
+        if phase == "send":
+            raise self._failure(
+                worker_id, f"pipe write failed ({exc})", phase
+            ) from exc
+        raise self._failure(worker_id, "pipe closed mid-reply", phase) from None
 
-    def _shutdown(self) -> None:
-        """Stop workers; join with timeouts and escalate to kill.
-
-        Never blocks on a dead pipe: sends are best-effort, every join
-        is bounded, and stragglers are reaped with ``terminate`` then
-        ``kill`` — except workers already declared hung, which skip
-        straight to ``kill`` (a stopped process never honors SIGTERM,
-        and waiting out the graceful joins would stall every shutdown
-        after a hang). Pipe fds and process handles are closed on every
-        path, so a run that ends on a hang leaks neither.
-        """
-        for worker_id, conn in enumerate(self._conns):
-            if worker_id in self._hung:
-                continue
-            try:
-                conn.send_bytes(pickle.dumps(("stop", {})))
-            except (OSError, ValueError):
-                pass
-        for worker_id, proc in enumerate(self._procs):
-            if worker_id in self._hung:
-                if _proc_alive(proc):
-                    proc.kill()
-                proc.join(timeout=2.0)
-            else:
-                proc.join(timeout=2.0)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=2.0)
-                if proc.is_alive():  # pragma: no cover - stuck in kernel
-                    proc.kill()
-                    proc.join(timeout=1.0)
-            _proc_close(proc)
-        for conn in self._conns:
+    def _close_link(self, worker_id: int) -> None:
+        conn = self._conns[worker_id]
+        if conn is not None:
             try:
                 conn.close()
-            except OSError:
+            except OSError:  # pragma: no cover - already torn down
                 pass
-        self._procs = []
-        self._conns = []
-        self._hung = set()
 
 
 def make_transport(

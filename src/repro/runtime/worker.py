@@ -72,7 +72,17 @@ import traceback
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter, sleep
-from typing import Any, Deque, Dict, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -1664,9 +1674,11 @@ def worker_from_bytes(blob: bytes) -> _PlaneClient:
 #: A deliberately unparseable reply blob — the ``corrupt_reply`` fault.
 _CORRUPT_REPLY = b"repro-corrupt-reply"
 
-#: One pre-pickled heartbeat frame; tiny and constant, so the pump's
-#: steady-state cost is a lock acquire and a pipe write.
-_HB_FRAME = pickle.dumps(("hb", None))
+#: One pre-pickled heartbeat message; tiny and constant, so the pump's
+#: steady-state cost is a lock acquire and a pipe write. The socket
+#: wire ships an empty ``H`` frame instead and its coordinator side
+#: hands this same blob to the shared reply-wait loop.
+HEARTBEAT_BLOB = pickle.dumps(("hb", None))
 
 
 def _execute_fault(fault: Dict[str, Any]) -> bool:
@@ -1688,6 +1700,62 @@ def _execute_fault(fault: Dict[str, Any]) -> bool:
     elif mode == "crash":
         os._exit(13)
     return mode == "corrupt_reply"
+
+
+def ready_ack(worker: Any) -> bytes:
+    """The pickled ``("ok", ack)`` ready envelope of a built worker —
+    fields *and* encoding in one place, so every backend accounts the
+    launch handshake byte-identically. ``clk`` is the clock-offset
+    handshake: the coordinator brackets this reading with its own to
+    map this process's ``perf_counter`` domain into its timeline
+    (:mod:`repro.obs.timeline`)."""
+    return pickle.dumps(
+        ("ok", {
+            "worker": worker.worker_id,
+            "owned": len(worker.store.owned_vertices),
+            "clk": perf_counter(),
+        }),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+
+
+def run_command(
+    worker: Any,
+    rec: Optional[Any],
+    pump: Optional[HeartbeatPump],
+    tag: str,
+    payload: Any,
+    send: Callable[[bytes], None],
+) -> None:
+    """The command core both serve loops share: run the ``_fault``
+    directive the coordinator may have attached, ``handle`` the command
+    inside the heartbeat bracket, and ``send`` exactly one reply — the
+    pickled ``("ok", payload)`` / ``("error", traceback)`` envelope, or
+    the corrupt blob. Whatever ``send`` raises propagates: the caller
+    owns its link."""
+    fault = payload.pop("_fault", None) if isinstance(payload, dict) else None
+    if pump is not None:
+        pump.begin()
+    try:
+        corrupt = fault is not None and _execute_fault(fault)
+        try:
+            reply = worker.handle(tag, payload)
+        except BaseException:
+            send(pickle.dumps(("error", traceback.format_exc())))
+            return
+        if corrupt:
+            send(_CORRUPT_REPLY)
+        elif rec is None:
+            send(pickle.dumps(("ok", reply), protocol=pickle.HIGHEST_PROTOCOL))
+        else:
+            # This pickle+ship span necessarily rides the *next* reply's
+            # batch — the current one is already built when it ends.
+            t0 = perf_counter()
+            send(pickle.dumps(("ok", reply), protocol=pickle.HIGHEST_PROTOCOL))
+            rec.span("ser", t0, perf_counter())
+    finally:
+        if pump is not None:
+            pump.end()
 
 
 def serve(
@@ -1721,18 +1789,9 @@ def serve(
         with send_lock:
             conn.send_bytes(blob)
 
-    _send(pickle.dumps(
-        ("ok", {
-            "worker": worker.worker_id,
-            "owned": len(worker.store.owned_vertices),
-            # Clock-offset handshake: the coordinator brackets this
-            # reading with its own to map this process's perf_counter
-            # domain into its timeline (repro.obs.timeline).
-            "clk": perf_counter(),
-        })
-    ))
+    _send(ready_ack(worker))
     pump = (
-        HeartbeatPump(lambda: _send(_HB_FRAME), heartbeat_interval)
+        HeartbeatPump(lambda: _send(HEARTBEAT_BLOB), heartbeat_interval)
         if heartbeat_interval
         else None
     )
@@ -1754,39 +1813,7 @@ def serve(
             if tag == "stop":
                 _send(pickle.dumps(("ok", {})))
                 break
-            fault = (
-                payload.pop("_fault", None)
-                if isinstance(payload, dict)
-                else None
-            )
-            if pump is not None:
-                pump.begin()
-            try:
-                corrupt = fault is not None and _execute_fault(fault)
-                try:
-                    reply = worker.handle(tag, payload)
-                except BaseException:
-                    _send(pickle.dumps(("error", traceback.format_exc())))
-                else:
-                    if corrupt:
-                        _send(_CORRUPT_REPLY)
-                    elif rec is None:
-                        _send(pickle.dumps(
-                            ("ok", reply), protocol=pickle.HIGHEST_PROTOCOL
-                        ))
-                    else:
-                        # This pickle+ship span necessarily rides the
-                        # *next* reply's batch — the current one is
-                        # already built when the span ends.
-                        t0 = perf_counter()
-                        out = pickle.dumps(
-                            ("ok", reply), protocol=pickle.HIGHEST_PROTOCOL
-                        )
-                        _send(out)
-                        rec.span("ser", t0, perf_counter())
-            finally:
-                if pump is not None:
-                    pump.end()
+            run_command(worker, rec, pump, tag, payload, _send)
     finally:
         if pump is not None:
             pump.stop()

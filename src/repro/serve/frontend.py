@@ -17,7 +17,7 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import EngineError
-from repro.runtime.socket_transport import _close
+from repro.runtime.frames import close_socket
 from repro.serve.protocol import (
     ReadRequest,
     StatsReply,
@@ -122,7 +122,7 @@ class SocketFrontend:
                 break
             with self._lock:
                 if self._stop.is_set():
-                    _close(conn)
+                    close_socket(conn)
                     break
                 self._conns.append(conn)
                 handler = threading.Thread(
@@ -149,7 +149,7 @@ class SocketFrontend:
                 except (ConnectionError, OSError):
                     break
         finally:
-            _close(conn)
+            close_socket(conn)
 
     def close(self) -> None:
         """Stop accepting, close every connection, join the threads.
@@ -159,12 +159,12 @@ class SocketFrontend:
         lossless engine drain.
         """
         self._stop.set()
-        _close(self._listener)
+        close_socket(self._listener)
         with self._lock:
             conns = list(self._conns)
             handlers = list(self._handlers)
         for conn in conns:
-            _close(conn)
+            close_socket(conn)
         self._acceptor.join(timeout=5.0)
         for handler in handlers:
             handler.join(timeout=5.0)
@@ -233,7 +233,7 @@ class SocketClient:
         return reply.stats
 
     def close(self) -> None:
-        _close(self._sock)
+        close_socket(self._sock)
 
     def __enter__(self) -> "SocketClient":
         return self

@@ -7,9 +7,9 @@ shapes (snapshot, write acknowledgement, stats, structured rejection).
 Every message is a frozen dataclass, so both front ends — the in-process
 client used by tests and the threaded socket server — speak exactly the
 same objects; the socket front end just adds pickling and the
-length-prefixed frames already proven out by the PR 9 transport
-(:mod:`repro.runtime.socket_transport`'s ``!cI`` header framing helpers
-are reused verbatim rather than re-invented).
+length-prefixed frames already proven out by the PR 9 transport (the
+one codec in :mod:`repro.runtime.frames`, reused rather than
+re-invented).
 
 Rejections are structured, not exceptional: admission control sheds load
 by *answering* with a :class:`Rejection` (HTTP-flavored ``code`` 429 for
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import EngineError
-from repro.runtime.socket_transport import _recv_frame, _send_frame
+from repro.runtime.frames import recv_frame, send_frame
 
 # Frame kinds on a serving connection, disjoint from the transport's
 # O/I/A/C/R/H control vocabulary: one request frame, one reply frame.
@@ -142,17 +142,17 @@ def decode_message(data: bytes, expect: Tuple[type, ...]) -> Any:
 
 def send_request(sock: socket.socket, request: Any) -> None:
     """Frame + send one request on a serving connection."""
-    _send_frame(sock, REQUEST_FRAME, encode_message(request))
+    send_frame(sock, REQUEST_FRAME, encode_message(request))
 
 
 def send_reply(sock: socket.socket, reply: Any) -> None:
     """Frame + send one reply on a serving connection."""
-    _send_frame(sock, REPLY_FRAME, encode_message(reply))
+    send_frame(sock, REPLY_FRAME, encode_message(reply))
 
 
 def recv_request(sock: socket.socket) -> Any:
     """Receive one request frame (server side)."""
-    kind, body = _recv_frame(sock)
+    kind, body = recv_frame(sock)
     if kind != REQUEST_FRAME:
         raise EngineError(
             f"serving protocol violation: expected request frame, "
@@ -163,7 +163,7 @@ def recv_request(sock: socket.socket) -> Any:
 
 def recv_reply(sock: socket.socket) -> Any:
     """Receive one reply frame (client side)."""
-    kind, body = _recv_frame(sock)
+    kind, body = recv_frame(sock)
     if kind != REPLY_FRAME:
         raise EngineError(
             f"serving protocol violation: expected reply frame, "

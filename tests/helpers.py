@@ -17,6 +17,16 @@ def ring_graph(n: int, vdata: float = 1.0, edata: float = 0.5) -> DataGraph:
     return g.finalize()
 
 
+def typed_ring_graph(n: int = 12) -> DataGraph:
+    """A ring on typed columns, so ``mp`` really provisions shm segments."""
+    g = DataGraph()
+    for i in range(n):
+        g.add_vertex(i, data=float(i % 5))
+    for i in range(n):
+        g.add_edge(i, (i + 1) % n, data=0.0)
+    return g.finalize(vertex_dtype=float, edge_dtype=float)
+
+
 def path_graph(n: int, vdata: float = 0.0) -> DataGraph:
     """Directed path 0 -> 1 -> ... -> n-1."""
     g = DataGraph()

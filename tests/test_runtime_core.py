@@ -4,26 +4,39 @@ Both runtime engines inherit run / recover / snapshot / serve from
 :class:`repro.runtime.core.RuntimeCore`; these tests pin the lifecycle
 contract on *both* subclasses and both local transports, so the
 behaviours that used to agree only because two copies were kept in sync
-now fail in one place if the core drifts.
+now fail in one place if the core drifts. PR 17 did the same one layer
+down — process supervision lives once, in ``ProcessSupervisor`` — and
+the frozen-signature / one-definition checks at the bottom cover it.
 """
 
 import inspect
 import multiprocessing
 import os
+import pathlib
+import re
 
 import pytest
 
-from repro.core.graph import DataGraph
 from repro.errors import EngineError
+import repro.runtime
 from repro.runtime import (
     FAULT_ENV,
+    FAULT_MODES,
+    InprocTransport,
+    LoopbackTcpTransport,
+    MpTransport,
     RuntimeChromaticEngine,
     RuntimeLockingEngine,
+    TcpTransport,
+    Transport,
     WorkerFailure,
     make_transport,
 )
 from repro.runtime.core import RuntimeCore
+from repro.runtime.transport import ProcessSupervisor
 from repro.serve import GraphService
+
+from tests.helpers import typed_ring_graph as typed_graph
 
 ENGINES = [RuntimeChromaticEngine, RuntimeLockingEngine]
 BACKENDS = ["inproc", "mp"]
@@ -45,16 +58,6 @@ def flood_max(scope):
     if best != scope.data:
         scope.data = best
         return [(u, best) for u in scope.neighbors]
-
-
-def typed_graph(n=12):
-    """A ring on typed columns, so ``mp`` really provisions shm segments."""
-    g = DataGraph()
-    for i in range(n):
-        g.add_vertex(i, data=float(i % 5))
-    for i in range(n):
-        g.add_edge(i, (i + 1) % n, data=0.0)
-    return g.finalize(vertex_dtype=float, edge_dtype=float)
 
 
 def plane_segments():
@@ -222,12 +225,68 @@ FROZEN = {
         "touch", "telemetry", "snapshot_every", "snapshot_dir",
         "engine_kwargs",
     ],
+    InprocTransport: ["self", "num_workers"],
+    MpTransport: [
+        "self", "num_workers", "start_method", "reply_timeout",
+        "heartbeat_interval", "heartbeat_timeout", "deadline_floor",
+        "deadline_slack",
+    ],
+    TcpTransport: [
+        "self", "num_workers", "host", "port", "start_method",
+        "reply_timeout", "heartbeat_interval", "heartbeat_timeout",
+        "deadline_floor", "deadline_slack", "retry_budget", "retry_policy",
+        "dial_policy",
+    ],
+    LoopbackTcpTransport: ["self", "num_workers", "kwargs"],
+    make_transport: ["backend", "num_workers", "reply_timeout"],
 }
 
 
-@pytest.mark.parametrize("cls", list(FROZEN), ids=lambda c: c.__name__)
-def test_constructor_signature_is_frozen(cls):
-    assert list(inspect.signature(cls.__init__).parameters) == FROZEN[cls]
+@pytest.mark.parametrize("obj", list(FROZEN), ids=lambda c: c.__name__)
+def test_constructor_signature_is_frozen(obj):
+    func = obj.__init__ if inspect.isclass(obj) else obj
+    assert list(inspect.signature(func).parameters) == FROZEN[obj]
+
+
+def test_liveness_defaults_and_fault_grammar_are_frozen():
+    """Same knobs, same values, on every process backend; same fault
+    vocabulary and per-backend injectable subset; same env variables."""
+    liveness = {
+        "start_method": None, "reply_timeout": 120.0,
+        "heartbeat_interval": 0.25, "heartbeat_timeout": 2.0,
+        "deadline_floor": 30.0, "deadline_slack": 8.0,
+    }
+    for cls, extra in (
+        (MpTransport, {}),
+        (TcpTransport, {
+            "host": "127.0.0.1", "port": 0, "retry_budget": 4,
+            "retry_policy": None, "dial_policy": None,
+        }),
+    ):
+        params = inspect.signature(cls.__init__).parameters
+        defaults = {
+            name: p.default for name, p in params.items()
+            if p.default is not inspect.Parameter.empty
+        }
+        assert defaults == {**liveness, **extra}
+    assert FAULT_MODES == (
+        "kill", "hang", "stall", "corrupt_reply", "corrupt_snapshot",
+        "crash_mid_snapshot", "drop_conn", "delay", "partition",
+        "reset_mid_frame",
+    )
+    process = {"kill", "hang", "stall", "corrupt_reply", "crash_mid_snapshot"}
+    network = {"drop_conn", "delay", "partition", "reset_mid_frame"}
+    assert InprocTransport.fault_caps == process
+    assert MpTransport.fault_caps == process
+    assert TcpTransport.fault_caps == process | network
+    assert LoopbackTcpTransport.fault_caps == (
+        network | {"stall", "corrupt_reply"}
+    )
+    env = set()
+    for path in pathlib.Path(repro.runtime.__file__).parent.glob("*.py"):
+        env |= set(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+    assert env == {"REPRO_FAULT", "REPRO_NO_SHM"}
+    assert FAULT_ENV == "REPRO_FAULT"
 
 
 @both_engines
@@ -242,3 +301,64 @@ def test_engines_define_no_lifecycle_of_their_own(engine_cls):
     ):
         assert name not in vars(engine_cls), name
         assert name in vars(RuntimeCore), name
+
+
+def test_process_backends_define_no_supervision_of_their_own():
+    """One definition each, in the supervisor — the pipe and the socket
+    backend supply link primitives, not a second copy of the loop."""
+    for cls in (MpTransport, TcpTransport, LoopbackTcpTransport):
+        assert issubclass(cls, ProcessSupervisor)
+        for name in (
+            "_launch", "_round", "_recv", "_recover", "_shutdown", "_reap",
+            "reply_deadline", "_observe_round", "_round_ema", "_fire_kills",
+            "kill_worker", "_with_directive", "_arm_fault",
+        ):
+            assert name not in vars(cls), (cls.__name__, name)
+    for name in ("_spawn", "_send", "_poll", "_link_lost", "_close_link"):
+        assert name in vars(ProcessSupervisor), name
+        assert name in vars(MpTransport), name
+        assert name in vars(TcpTransport), name
+    assert "__init__" not in vars(MpTransport)
+    assert "_arm_fault" in vars(Transport)
+
+
+def test_supervision_is_defined_once_under_runtime():
+    """The reply-wait loop, recover, shutdown, the send-all-receive-all
+    round, the liveness block, the worker command core, the ready ack
+    and fault arming: one ``def`` (or one construction) each in the
+    whole package."""
+    source = {
+        path.name: path.read_text()
+        for path in pathlib.Path(repro.runtime.__file__).parent.glob("*.py")
+    }
+
+    def homes(pattern):
+        return sorted(
+            name for name, text in source.items()
+            for _ in re.finditer(pattern, text, flags=re.M)
+        )
+
+    transport_defs = {
+        # Transport's abstract hook + InprocTransport + the supervisor.
+        r"^    def _round\(": 3,
+        r"^    def _recover\(": 3,
+        r"^    def _shutdown\(": 3,
+        r"^    def _recv\(": 1,
+        r"^    def _reap\(": 1,
+        r"^    def reply_deadline\(": 1,
+        r"^    def _observe_round\(": 1,
+        r"^    def _arm_fault\(": 1,
+        r"AdaptiveDeadline\(\n": 1,
+    }
+    for pattern, count in transport_defs.items():
+        assert homes(pattern) == ["transport.py"] * count, pattern
+    assert homes(r"^def run_command\(") == ["worker.py"]
+    assert homes(r"^def ready_ack\(") == ["worker.py"]
+    # The pieces the shared code replaced are spelled nowhere else.
+    assert homes(r"worker\.handle\(") == ["transport.py"] * 2 + ["worker.py"]
+    assert homes(r"\"clk\":") == ["worker.py"]
+    assert homes(r"_execute_fault\(") == ["worker.py"] * 2
+    assert homes(r"del self\._fault_plan\[") == ["transport.py"]
+    assert homes(r"heartbeats_received \+= 1") == ["transport.py"]
+    assert homes(r"proc\.terminate\(\)") == ["transport.py"]
+    assert homes(r"struct\.Struct\(\"!cI\"\)") == ["frames.py"]

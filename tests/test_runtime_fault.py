@@ -11,6 +11,7 @@ Recovery itself — snapshots, respawn, rollback — is exercised in
 
 import doctest
 import glob
+import multiprocessing
 import os
 import time
 
@@ -23,12 +24,19 @@ from repro.runtime import (
     InprocTransport,
     MpTransport,
     RuntimeChromaticEngine,
+    TcpTransport,
     WorkerFailure,
     parse_fault_plan,
 )
 from repro.runtime.plane import shm_available
 
-from tests.helpers import grid_graph
+from tests.helpers import grid_graph, typed_ring_graph
+
+#: Every process-backed backend runs the one supervisor: what holds for
+#: the pipe must hold, unchanged, for the socket.
+process_backends = pytest.mark.parametrize(
+    "transport_cls", [MpTransport, TcpTransport], ids=["mp", "tcp"]
+)
 
 #: The CI fault lane exports a REPRO_FAULT kill schedule for the whole
 #: job. Captured at import, before the autouse fixture below clears it:
@@ -217,8 +225,9 @@ class TestInjectedKills:
         assert info.value.phase == "launch"
         assert info.value.last_command == "launch"
 
-    def test_mp_launch_kill(self):
-        transport = MpTransport(2)
+    @process_backends
+    def test_launch_kill(self, transport_cls):
+        transport = transport_cls(2)
         transport.schedule_kill(1, "launch")
         g = grid_graph(3, 3)
         engine = RuntimeChromaticEngine(
@@ -229,8 +238,9 @@ class TestInjectedKills:
         assert info.value.worker_id == 1
         assert info.value.phase == "launch"
 
-    def test_mp_round_kill(self):
-        transport = MpTransport(2)
+    @process_backends
+    def test_round_kill(self, transport_cls):
+        transport = transport_cls(2)
         transport.schedule_kill(0, 1)
         g = grid_graph(4, 4)
         engine = RuntimeChromaticEngine(
@@ -239,7 +249,7 @@ class TestInjectedKills:
         with pytest.raises(WorkerFailure) as info:
             engine.run(initial=g.vertices())
         assert info.value.worker_id == 0
-        # The kill surfaces either as a broken pipe at the next send or
+        # The kill surfaces either as a broken link at the next send or
         # as a dead process while awaiting the reply — both structured.
         assert info.value.phase in ("send", "reply")
 
@@ -248,8 +258,9 @@ class TestAdaptiveDeadline:
     """Tentpole: the per-round reply deadline tracks an EMA of observed
     round durations instead of the fixed two-minute timeout."""
 
-    def test_deadline_tracks_ema_between_floor_and_cap(self):
-        transport = MpTransport(
+    @process_backends
+    def test_deadline_tracks_ema_between_floor_and_cap(self, transport_cls):
+        transport = transport_cls(
             2, reply_timeout=120.0, deadline_floor=30.0, deadline_slack=8.0
         )
         # No history yet (launch included): the historical hard cap.
@@ -265,8 +276,9 @@ class TestAdaptiveDeadline:
         # ...but never beyond the hard cap.
         assert transport.reply_deadline() == 120.0
 
-    def test_ema_blend(self):
-        transport = MpTransport(2)
+    @process_backends
+    def test_ema_blend(self, transport_cls):
+        transport = transport_cls(2)
         transport._observe_round(1.0)
         assert transport._round_ema == 1.0
         transport._observe_round(2.0)
@@ -277,8 +289,9 @@ class TestLiveness:
     """Tentpole: a hung worker is declared dead in seconds via missed
     progress heartbeats; a slow-but-alive worker never is."""
 
-    def test_mp_hang_detected_quickly(self):
-        transport = MpTransport(
+    @process_backends
+    def test_hang_detected_quickly(self, transport_cls):
+        transport = transport_cls(
             2, heartbeat_interval=0.05, heartbeat_timeout=0.8
         )
         transport.schedule_fault(1, 0, mode="hang")
@@ -321,11 +334,12 @@ class TestLiveness:
             for v in g.vertices()
         )
 
-    def test_mp_stall_is_slow_not_dead(self):
+    @process_backends
+    def test_stall_is_slow_not_dead(self, transport_cls):
         # The stall (1.2s) dwarfs heartbeat_timeout (0.4s), but the
         # heartbeat pump keeps beating through a sleep — only a genuine
         # freeze goes silent. No false kill.
-        transport = MpTransport(
+        transport = transport_cls(
             2, heartbeat_interval=0.05, heartbeat_timeout=0.4
         )
         transport.schedule_fault(0, 1, mode="stall", arg=1.2)
@@ -337,8 +351,9 @@ class TestLiveness:
         assert result.converged
         assert transport.heartbeats_received > 0
 
-    def test_mp_corrupt_reply_is_structured(self):
-        transport = MpTransport(2)
+    @process_backends
+    def test_corrupt_reply_is_structured(self, transport_cls):
+        transport = transport_cls(2)
         transport.schedule_fault(1, 1, mode="corrupt_reply")
         g = grid_graph(4, 4)
         engine = RuntimeChromaticEngine(
@@ -431,6 +446,137 @@ class TestHangKillReleasesResources:
         assert all(not _proc_is_alive(p) for p in transport._procs)
 
 
+#: case -> (schedule, extra constructor knobs, commands to drive,
+#: expected ``(worker_id, phases, last_command, hung)`` or ``None`` when
+#: the run must *not* fail). ``phases`` is a set only for the round
+#: kill: a dead pipe already fails at the write, a dead socket at the
+#: next read — both structured, the one place the link's nature shows.
+_NOOP = ("sync_count", {})
+_SUPERVISED = {
+    "kill_at_launch": (
+        lambda t: t.schedule_kill(1, "launch"), {}, [],
+        (1, {"launch"}, "launch", set()),
+    ),
+    "kill_at_round": (
+        lambda t: t.schedule_kill(1, 1), {}, [_NOOP, _NOOP],
+        (1, {"send", "reply"}, "sync_count", set()),
+    ),
+    "hang": (
+        lambda t: t.schedule_fault(1, 1, mode="hang"), {}, [_NOOP, _NOOP],
+        (1, {"reply"}, "sync_count", {1}),
+    ),
+    "stall": (
+        lambda t: t.schedule_fault(0, 1, mode="stall", arg=1.2),
+        {"heartbeat_timeout": 0.4}, [_NOOP, _NOOP],
+        None,
+    ),
+    "corrupt_reply": (
+        lambda t: t.schedule_fault(1, 1, mode="corrupt_reply"), {},
+        [_NOOP, _NOOP],
+        (1, {"reply"}, "sync_count", {1}),
+    ),
+    "crash_mid_snapshot": (
+        lambda t: t.schedule_fault(1, 0, mode="crash_mid_snapshot"), {},
+        [_NOOP, ("checkpoint", {})],
+        (1, {"reply"}, "checkpoint", set()),
+    ),
+    # No heartbeats, so only the adaptive deadline can end the wait:
+    # after one fast round it sits on its floor.
+    "blown_deadline": (
+        lambda t: t.schedule_fault(1, 1, mode="stall", arg=30.0),
+        {"heartbeat_interval": None, "deadline_floor": 0.5,
+         "reply_timeout": 5.0},
+        [_NOOP, _NOOP],
+        (1, {"reply"}, "sync_count", set()),
+    ),
+}
+
+
+def _link_closed(link):
+    if hasattr(link, "closed"):  # multiprocessing Connection
+        return link.closed
+    return link.fileno() == -1  # socket
+
+
+class TestSupervisorParity:
+    """Tentpole (PR 17): process supervision exists once, so a dead,
+    hung, slow or lying worker looks the same over a pipe and a socket
+    — same structured failure, same ``_hung`` bookkeeping, same
+    respawn, same clean teardown."""
+
+    @pytest.mark.parametrize("case", list(_SUPERVISED))
+    def test_mp_and_tcp_fail_recover_and_stop_alike(self, case):
+        schedule, knobs, commands, expected = _SUPERVISED[case]
+        before = set(glob.glob("/dev/shm/repro-plane-*"))
+        seen = {}
+        for transport_cls in (MpTransport, TcpTransport):
+            kw = {"heartbeat_interval": 0.05, "heartbeat_timeout": 0.8}
+            kw.update(knobs)
+            transport = transport_cls(2, **kw)
+            schedule(transport)
+            engine = RuntimeChromaticEngine(
+                typed_ring_graph(), flood_max, num_workers=2, transport=transport
+            )
+            failure = None
+            try:
+                engine._provision_plane()
+                inits = list(engine._encoded_inits())
+                try:
+                    transport.launch(iter(inits))
+                    for command in commands:
+                        transport.round([command] * 2)
+                except WorkerFailure as exc:
+                    failure = exc
+                if expected is None:
+                    assert failure is None, failure
+                    assert transport.heartbeats_received > 0
+                    assert transport._hung == set()
+                    seen[transport.name] = None
+                else:
+                    assert failure is not None
+                    seen[transport.name] = (
+                        failure.worker_id,
+                        failure.phase,
+                        failure.last_command,
+                        set(transport._hung),
+                    )
+                    assert transport.last_fault_fired_at is not None
+                    # The respawn answers with a fresh ready ack and
+                    # the cluster is whole again.
+                    t0 = time.perf_counter()
+                    ack = transport.recover(
+                        failure.worker_id, inits[failure.worker_id]
+                    )
+                    assert ack["worker"] == failure.worker_id
+                    assert ack["clk"] >= t0
+                    assert transport._hung == set()
+                    assert transport.round([_NOOP] * 2) == [
+                        {"partials": []}, {"partials": []}
+                    ]
+                procs = list(transport._procs)
+                links = list(transport._conns)
+            finally:
+                transport.shutdown()
+            # No live child, no open link, no leaked segment.
+            assert all(not _proc_is_alive(p) for p in procs)
+            assert not multiprocessing.active_children()
+            assert all(_link_closed(link) for link in links)
+            assert getattr(transport, "_listener", None) is None
+            assert transport._hung == set()
+            assert set(glob.glob("/dev/shm/repro-plane-*")) <= before
+        if expected is None:
+            assert seen == {"mp": None, "tcp": None}
+            return
+        worker_id, phases, last_command, hung = expected
+        for got in seen.values():
+            assert got[0] == worker_id
+            assert got[1] in phases
+            assert got[2] == last_command
+            assert got[3] == hung
+        if len(phases) == 1:
+            assert seen["mp"] == seen["tcp"]
+
+
 def _proc_is_alive(proc):
     try:
         return proc.is_alive()
@@ -479,8 +625,9 @@ class TestShutdownAfterFailedLaunch:
         transport.shutdown()
         assert set(self._leaked_segments()) <= before
 
-    def test_shutdown_never_launched(self):
-        transport = MpTransport(2)
+    @process_backends
+    def test_shutdown_never_launched(self, transport_cls):
+        transport = transport_cls(2)
         transport.shutdown()
         transport.shutdown()
 

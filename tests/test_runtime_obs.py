@@ -417,6 +417,34 @@ class TestTraceStructure:
             assert start >= run_start - 0.5 and end <= run_end + 0.5
         assert validate_chrome_trace(chrome_trace(tel)) == []
 
+    def test_same_worker_span_kinds_on_mp_and_tcp(self):
+        """Both serve loops run one command core, so the same traced
+        run records the same worker phases on either wire — reply
+        encoding (``ser``) included, which the socket loop used to
+        attribute to nothing."""
+        kinds, ser = {}, {}
+        for wire in ("mp", "tcp"):
+            g = power_law_web_graph(150, seed=7)
+            engine = RuntimeChromaticEngine(
+                g, pagerank_program(), num_workers=2, transport=wire,
+                telemetry=True, use_plane=False,
+            )
+            tel = engine.run(initial=g.vertices()).telemetry
+            commands = engine.transport.rounds_completed
+            kinds[wire] = {
+                kind for (track, kind, *_rest) in tel.events
+                if track != COORDINATOR_TRACK
+            }
+            ser[wire] = [
+                sum(1 for _ in tel.spans("ser", track=w)) for w in (0, 1)
+            ]
+            # One decode span per executed command plus one encode span
+            # per reply — except the last reply's, which would have
+            # ridden the next batch.
+            assert all(n >= 2 * commands - 1 for n in ser[wire]), ser
+        assert kinds["mp"] == kinds["tcp"]
+        assert ser["mp"] == ser["tcp"]
+
     def test_locking_telemetry_meta_and_grants(self):
         g = power_law_web_graph(150, seed=5)
         result = _locking_run(g, True, "inproc")
