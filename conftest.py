@@ -1,9 +1,10 @@
 """Repo-wide pytest configuration.
 
-Registers the ``perf`` marker and keeps perf benchmarks out of the
+Registers the opt-in markers and keeps what they mark out of the
 tier-1 suite: ``pytest -x -q`` (the verify command) skips anything
-marked ``perf``; run them explicitly with ``pytest -m perf`` or
-``make perf``. The throughput *recorder* is ``make bench``
+marked ``perf`` or ``chaos_large``; run them explicitly with
+``pytest -m perf`` (``make perf``) / ``pytest -m chaos_large``. The
+throughput *recorder* is ``make bench``
 (``python -m benchmarks.perf.bench_core``), which writes
 ``BENCH_core.json``.
 """
@@ -11,18 +12,27 @@ marked ``perf``; run them explicitly with ``pytest -m perf`` or
 import pytest
 
 
+#: Markers that keep a test out of tier-1 (``pytest -x -q`` skips
+#: them); each is selected explicitly with ``-m <marker>``.
+OPT_IN_MARKERS = {
+    "perf": "core hot-path throughput benchmarks (non-tier-1; select "
+    "with -m perf)",
+    "chaos_large": "full-size no-fault control runs of the chaos "
+    "harness (CI chaos lane; select with -m chaos_large)",
+}
+
+
 def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "perf: core hot-path throughput benchmarks (non-tier-1; "
-        "select with -m perf)",
-    )
+    for name, description in OPT_IN_MARKERS.items():
+        config.addinivalue_line("markers", f"{name}: {description}")
 
 
 def pytest_collection_modifyitems(config, items):
-    if "perf" in (config.option.markexpr or ""):
-        return
-    skip_perf = pytest.mark.skip(reason="perf benchmark: run with -m perf")
-    for item in items:
-        if "perf" in item.keywords:
-            item.add_marker(skip_perf)
+    selected = config.option.markexpr or ""
+    for name in OPT_IN_MARKERS:
+        if name in selected:
+            continue
+        skip = pytest.mark.skip(reason=f"opt-in lane: run with -m {name}")
+        for item in items:
+            if name in item.keywords:
+                item.add_marker(skip)

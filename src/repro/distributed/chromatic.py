@@ -332,10 +332,7 @@ class ChromaticEngine(DistributedEngineBase):
         writers = []
         for m in range(self.cluster.num_machines):
             payload = self.stores[m].checkpoint_payload()
-            size = sum(
-                self.stores[m].key_bytes(key)
-                for key in payload["versions"]
-            )
+            size = self.stores[m].checkpoint_bytes(payload)
             total_bytes += size
             writers.append(
                 self.kernel.spawn(

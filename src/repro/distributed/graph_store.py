@@ -278,6 +278,11 @@ class LocalGraphStore:
                 ]
         return payload
 
+    def checkpoint_bytes(self, payload: Mapping[str, Any]) -> float:
+        """Modeled size of a checkpoint payload: every journaled datum
+        plus its version tag."""
+        return sum(self.key_bytes(key) for key in payload["versions"])
+
     def restore_checkpoint(self, payload: Mapping[str, Any]) -> None:
         """Overwrite owned data from a checkpoint payload."""
         for v, value in payload["vdata"].items():

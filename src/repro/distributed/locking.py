@@ -653,9 +653,7 @@ class LockingEngine(DistributedEngineBase):
 
         for m in range(n):
             payload = self.stores[m].checkpoint_payload()
-            size = sum(
-                self.stores[m].key_bytes(key) for key in payload["versions"]
-            )
+            size = self.stores[m].checkpoint_bytes(payload)
             total_bytes += size
             writers.append(
                 self.kernel.spawn(

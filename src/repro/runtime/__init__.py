@@ -43,7 +43,6 @@ from repro.runtime.checkpoint import (
     CheckpointManager,
     SnapshotCadence,
     SnapshotDirectory,
-    merge_journals,
 )
 from repro.runtime.engine import RuntimeChromaticEngine, RuntimeRunResult
 from repro.runtime.locking import RuntimeLockingEngine
@@ -108,7 +107,6 @@ __all__ = [
     "WorkerFailure",
     "WorkerInit",
     "make_transport",
-    "merge_journals",
     "named_program",
     "parse_fault_plan",
     "resolve_program",

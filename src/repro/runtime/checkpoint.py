@@ -3,11 +3,13 @@
 The simulator reproduces the paper's fault-tolerance story on a modeled
 DFS (:mod:`repro.distributed.snapshot`); this module is its on-disk
 twin for the runtime engines: numbered snapshot directories holding one
-journal per worker — the exact per-machine path scheme and payload
-shape of the simulated DFS (``snapshot/<id>/machine-<worker>``,
-``{"vdata", "edata", "versions"}`` plus runtime extras the simulator's
-restore ignores) — a coordinator-side manager that writes and reads
-them, and the cadence rule deciding *when* to snapshot.
+journal per worker at the simulated DFS's per-machine paths
+(``snapshot/<id>/machine-<worker>``), a coordinator-side manager that
+writes and reads them, and the cadence rule deciding *when* to
+snapshot. The path scheme is the simulator's; the payload is not — the
+simulator models bytes per key, the runtime journals its shards' own
+slot arrays (:mod:`repro.runtime.shard`), so a snapshot costs a gather
+and a buffer copy instead of a Python object per slot.
 
 Two construction modes share this layout:
 
@@ -25,8 +27,17 @@ previous complete snapshot remains the recovery point.
 
 On-disk format of one snapshot (``<root>/snapshot/<id>/``)::
 
-    machine-<w>   pickled journal of worker w: {"vdata", "edata",
-                  "versions"} plus engine extras (sched state etc.)
+    machine-<w>   journal of worker w, pickle protocol 5:
+                  {"format": shard.JOURNAL_FORMAT,
+                   "state":  FlatEntries — per data column, parallel
+                             (int32 index/slot, value, int32 version)
+                             arrays over the worker's owned vertices
+                             and source-owned edges; values are a raw
+                             numpy buffer on a typed column, a list on
+                             an object column,
+                   "counts": (int32 vertex index, int64 update count),
+                   "sched":  (int32 vertex index, float64 priority) —
+                             locking engine only}
     meta          pickled coordinator bookkeeping (progress counters,
                   globals, the task-set mask)
     MANIFEST      pickled {basename: {"bytes": int, "crc32": int}}
@@ -41,7 +52,13 @@ name. At recovery time :meth:`SnapshotDirectory.verify` re-reads every
 manifested file and checks both size and CRC; a snapshot that fails —
 truncated journal, flipped bits, missing manifest — is *rejected* and
 the manager falls back to the next-newest complete snapshot (the
-baseline taken right after launch guarantees there is always one).
+baseline taken right after launch guarantees there is always one). So
+is one whose journals pass their CRC but are not well-formed slot
+journals — a directory written before the format tag existed, a missing
+field, parallel arrays of different lengths
+(:func:`repro.runtime.shard.check_journal`): a format mismatch is a
+:class:`SnapshotError` naming the file, never a ``KeyError`` inside a
+worker's restore.
 """
 
 from __future__ import annotations
@@ -53,6 +70,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.distributed.snapshot import snapshot_file, suggested_interval
 from repro.errors import SnapshotError
+from repro.runtime.shard import check_journal
 
 #: Coordinator-side metadata file inside a snapshot directory.
 META_NAME = "meta"
@@ -74,10 +92,10 @@ def _crc(blob: bytes) -> int:
 class SnapshotDirectory:
     """On-disk snapshot layout, shared by coordinator and workers.
 
-    Journals are pickled blobs at the simulated DFS's per-machine paths
-    rooted at ``root``; ``meta`` (coordinator bookkeeping: engine
-    progress counters, globals, the task-set mask) and the ``COMPLETE``
-    marker sit next to them. Workers hold only ``root`` — an async
+    Journals are pickled slot-array records at the simulated DFS's
+    per-machine paths rooted at ``root``; ``meta`` (coordinator
+    bookkeeping: engine progress counters, globals, the task-set mask)
+    and the ``COMPLETE`` marker sit next to them. Workers hold only ``root`` — an async
     snapshot ships ``(snapshot_id, root)`` to every worker and each
     writes its own journal, mirroring the paper's "each machine saves
     to distributed storage".
@@ -112,7 +130,10 @@ class SnapshotDirectory:
         try:
             with open(path, "rb") as fh:
                 return pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError) as exc:
+        except Exception as exc:
+            # Damaged or foreign pickle bytes can raise nearly anything
+            # (ValueError, AttributeError, ImportError, IndexError ...);
+            # all of it means "not a usable snapshot file".
             raise SnapshotError(f"cannot read snapshot file {path}: {exc}")
 
     def write_journal(
@@ -122,7 +143,19 @@ class SnapshotDirectory:
         return self._write(self.journal_path(snapshot_id, worker_id), payload)
 
     def read_journal(self, snapshot_id: int, worker_id: int) -> Dict[str, Any]:
-        return self._read(self.journal_path(snapshot_id, worker_id))
+        """Load one worker's journal, rejecting anything that is not a
+        well-formed slot-form journal (see the module docstring)."""
+        path = self.journal_path(snapshot_id, worker_id)
+        journal = self._read(path)
+        try:
+            check_journal(journal)
+        except ValueError as exc:
+            raise SnapshotError(
+                f"snapshot {snapshot_id}: journal "
+                f"{os.path.basename(path)!r} is not a usable slot "
+                f"journal ({exc})"
+            )
+        return journal
 
     def write_meta(
         self, snapshot_id: int, meta: Dict[str, Any]
@@ -229,26 +262,6 @@ class SnapshotDirectory:
         """Highest *complete* snapshot id, or ``None``."""
         complete = [s for s in self.snapshot_ids() if self.is_complete(s)]
         return max(complete) if complete else None
-
-
-def merge_journals(journals: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Union of per-worker journals into one global restore payload.
-
-    Journals partition the graph by ownership (every owned vertex, every
-    edge at its source-endpoint owner), so the union covers each slot
-    exactly once. The merged payload is what every worker — survivor or
-    respawn — applies through
-    :meth:`~repro.runtime.shard.CSRShardStore.restore_checkpoint`, each
-    filtering down to the slots it holds: ghosts roll back to their
-    owner's snapshot values, which is exactly what makes the restored
-    cluster state consistent.
-    """
-    merged: Dict[str, Any] = {"vdata": {}, "edata": {}, "versions": {}}
-    for journal in journals:
-        merged["vdata"].update(journal.get("vdata", {}))
-        merged["edata"].update(journal.get("edata", {}))
-        merged["versions"].update(journal.get("versions", {}))
-    return merged
 
 
 class SnapshotCadence:

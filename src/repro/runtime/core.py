@@ -33,20 +33,17 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.consistency import Consistency, edge_key, vertex_key
+from repro.core.consistency import Consistency
 from repro.core.graph import DataGraph, VertexId
 from repro.core.sync import GlobalValues
 from repro.distributed.deploy import OwnershipPlan, plan_ownership
 from repro.errors import EngineError, SnapshotError
 from repro.obs.events import Stopwatch
 from repro.obs.timeline import RunTelemetry, TimelineCollector, drain_telemetry
-from repro.runtime.checkpoint import (
-    CheckpointManager,
-    SnapshotCadence,
-    merge_journals,
-)
+from repro.runtime.checkpoint import CheckpointManager, SnapshotCadence
 from repro.runtime.plane import plane_spec_for
 from repro.runtime.program import check_picklable
+from repro.runtime.shard import gather_entries, make_journal, scatter_entries
 from repro.runtime.transport import Transport, WorkerFailure, make_transport
 from repro.runtime.worker import encode_worker
 
@@ -127,24 +124,26 @@ def baseline_journals(
     Taken before any round runs, so it needs no transport traffic — and
     therefore cannot itself be lost to an injected or real worker death:
     a failure in the very first round always has a complete snapshot
-    (the initial state) to recover to. Versions are journaled as 0 so a
-    restore force-resets survivors' version clocks along with their
-    values — without that, post-recovery deliveries would be filtered
-    as stale.
+    (the initial state) to recover to. One vectorized gather per worker
+    over the compiled columns, in the workers' own journal form (every
+    owned vertex, every source-owned edge); versions are journaled as 0
+    so a restore force-resets survivors' version clocks along with
+    their values.
     """
-    journals: List[Dict[str, Any]] = [
-        {"vdata": {}, "edata": {}, "versions": {}, "counts": {}}
-        for _ in range(num_workers)
+    csr = graph.compiled
+    owner_idx = csr.dense_map(owner)
+    edge_owner = owner_idx[csr.edge_src_index]
+    return [
+        make_journal(
+            gather_entries(
+                csr.vdata,
+                csr.edata,
+                np.nonzero(owner_idx == w)[0],
+                np.nonzero(edge_owner == w)[0],
+            )
+        )
+        for w in range(num_workers)
     ]
-    for v in graph.vertices():
-        journal = journals[owner[v]]
-        journal["vdata"][v] = graph.vertex_data(v)
-        journal["versions"][vertex_key(v)] = 0
-    for (a, b) in graph.edges():
-        journal = journals[owner[a]]
-        journal["edata"][(a, b)] = graph.edge_data(a, b)
-        journal["versions"][edge_key(a, b)] = 0
-    return journals
 
 
 def route_ghost_entries(
@@ -278,6 +277,10 @@ class RuntimeCore:
         self._shared_blob: Optional[bytes] = None
         self._recoveries = 0
         self._recovery_seconds = 0.0
+        #: Why each recovery happened (one record per failure recovered
+        #: from), so a recovery no fault was armed for is diagnosable
+        #: from the result alone.
+        self._recovery_causes: List[Dict[str, Any]] = []
         self._resume_seconds: Optional[float] = None
         # Observability (observe, never steer): workers piggyback span
         # batches on round replies; the collector assembles the timeline
@@ -345,6 +348,14 @@ class RuntimeCore:
                     self._recoveries += 1
                     if self._recoveries > self.max_recoveries:
                         raise
+                    self._recovery_causes.append(
+                        {
+                            "worker": exc.worker_id,
+                            "detail": exc.detail,
+                            "phase": exc.phase,
+                            "last_command": exc.last_command,
+                        }
+                    )
                     failure = exc
         finally:
             self._teardown()
@@ -462,7 +473,6 @@ class RuntimeCore:
                 "service is already closed)"
             )
         self._serving = False
-        counts: Dict[VertexId, int] = {}
         try:
             drains = 0
             while not self.service_pump_round():
@@ -603,7 +613,7 @@ class RuntimeCore:
         # write-back) ever sees the extra field.
         return drain_telemetry(self.transport.round(messages), self._collector)
 
-    def _collect_and_write_back(self) -> Dict[VertexId, int]:
+    def _collect_and_write_back(self) -> np.ndarray:
         """Gather owned shards; write final data into the parent graph.
 
         The collect command carries each worker's residual inbox so
@@ -612,13 +622,13 @@ class RuntimeCore:
         of which endpoint owner reports it. Columns on the data plane
         are read straight out of each worker's shared segment (owned
         slots are authoritative at their owner after the final inbox
-        applies); only plane-less columns travel pickled.
+        applies); only plane-less columns travel, as slot arrays.
+        Returns the dense per-vertex update-count vector.
         """
         replies = self._send_round("collect", {})
-        graph = self.graph
+        csr = self._csr
         plane = self._plane
         if plane is not None:
-            csr = self._csr
             owner_idx = self._owner_idx
             edge_owner = owner_idx[csr.edge_src_index]
             for w, segment in enumerate(plane.segments):
@@ -630,19 +640,25 @@ class RuntimeCore:
                     slots = np.nonzero(edge_owner == w)[0]
                     if slots.size:
                         csr.edata[slots] = segment.edata[slots]
-        counts: Dict[VertexId, int] = {}
+        counts = np.zeros(len(csr.vertex_ids), dtype=np.int64)
         for reply in replies:
-            for v, value in reply.get("vdata", {}).items():
-                graph.set_vertex_data(v, value)
-            for (a, b), value in reply.get("edata", {}).items():
-                graph.set_edge_data(a, b, value)
-            counts.update(reply["counts"])
+            state = reply.get("state")
+            if state is not None:
+                scatter_entries(state, csr.vdata, csr.edata)
+            index, count = reply["counts"]
+            counts[index] = count
         self._absorb_collect(replies)
         return counts
 
-    def _build_result(self, counts: Dict[VertexId, int]) -> RuntimeRunResult:
+    def _build_result(self, counts: np.ndarray) -> RuntimeRunResult:
         """Close the wall clock and assemble the run summary."""
         wall = self._run_sw.stop()
+        executed = np.nonzero(counts)[0]
+        vertex_ids = self._csr.vertex_ids
+        updates_per_vertex = {
+            vertex_ids[i]: count
+            for i, count in zip(executed.tolist(), counts[executed].tolist())
+        }
         transport = self.transport
         extra = self._result_extra()
         # Socket backends report their connection-supervision counters
@@ -654,6 +670,7 @@ class RuntimeCore:
             extra["snapshots_rejected"] = self._ckpt.snapshots_rejected
             extra["recoveries"] = self._recoveries
             extra["recovery_seconds"] = self._recovery_seconds
+            extra["recovery_causes"] = self._recovery_causes
             if self._resume_seconds is not None:
                 extra["resume_seconds"] = self._resume_seconds
         spec = self._plane.spec if self._plane is not None else None
@@ -673,7 +690,7 @@ class RuntimeCore:
             )
         return RuntimeRunResult(
             num_updates=self._total_updates,
-            updates_per_vertex=counts,
+            updates_per_vertex=updates_per_vertex,
             converged=self._converged,
             globals=self.globals.snapshot(),
             sweeps=self._sweeps,
@@ -737,21 +754,23 @@ class RuntimeCore:
         """Send one verified snapshot's state to every worker and reset
         the coordinator to match.
 
-        Every worker — a respawn *and* the survivors — applies the
-        merged journal (survivors' ghosts roll back to their owner's
-        snapshot values; that rollback is what makes the restored
-        cluster state consistent) and re-seeds its share of the
-        snapshot's schedule.
+        Every worker — a respawn *and* the survivors — force-applies
+        every journal's slot arrays to the slots it holds (journals
+        partition the graph by ownership, so together they cover each
+        slot exactly once; survivors' ghosts roll back to their owner's
+        snapshot values, and that rollback is what makes the restored
+        cluster state consistent), resets its own update counts and
+        re-seeds its share of the snapshot's schedule.
         """
-        merged = merge_journals(journals)
+        state = [journal["state"] for journal in journals]
         scheds = self._restore_progress(meta, journals)
         globals_items = list(meta.get("globals", {}).items())
         messages: List[Tuple[str, Dict[str, Any]]] = [
             (
                 "restore",
                 {
-                    "state": merged,
-                    "counts": journals[w].get("counts"),
+                    "state": state,
+                    "counts": journals[w]["counts"],
                     "sched": scheds[w],
                     "globals": globals_items,
                 },

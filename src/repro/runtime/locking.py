@@ -245,14 +245,10 @@ class RuntimeLockingEngine(RuntimeCore):
         return self._rounds
 
     def _reset_progress(self, initial: Iterable) -> None:
-        by_worker = self._route_schedule(initial)
-        #: Per-worker ``(index, priority)`` pairs of the initial
-        #: schedule, journaled by the baseline snapshot so a recovery
-        #: before the first real snapshot restarts the run exactly.
-        self._initial_sched = {
-            w: list(zip(indices, priorities))
-            for w, (indices, priorities) in by_worker.items()
-        }
+        #: Per-worker ``(indices, priorities)`` of the initial schedule,
+        #: journaled by the baseline snapshot so a recovery before the
+        #: first real snapshot restarts the run exactly.
+        self._initial_sched = self._route_schedule(initial)
         self._rounds = 0
         #: Misra black flags, coordinator-maintained: a worker blackens
         #: when it executes updates or is routed any message, and the
@@ -486,7 +482,11 @@ class RuntimeLockingEngine(RuntimeCore):
     def _baseline_journals(self) -> List[Dict[str, Any]]:
         journals = super()._baseline_journals()
         for w, journal in enumerate(journals):
-            journal["sched"] = self._initial_sched.get(w, [])
+            indices, priorities = self._initial_sched.get(w, ((), ()))
+            journal["sched"] = (
+                np.asarray(indices, dtype=np.int32),
+                np.asarray(priorities, dtype=np.float64),
+            )
         return journals
 
     def _take_snapshot(self) -> None:
@@ -564,15 +564,13 @@ class RuntimeLockingEngine(RuntimeCore):
         self._rounds = meta["rounds"]
         self._total_updates = 0
         for w, journal in enumerate(journals):
-            count = sum((journal.get("counts") or {}).values())
+            count = int(journal["counts"][1].sum())
             self.updates_per_worker[w] = count
             self._total_updates += count
         self._black = [True] * self.num_workers
         self._new_token()
         self._async = None
-        return [
-            journals[w].get("sched") or [] for w in range(self.num_workers)
-        ]
+        return [journal.get("sched") for journal in journals]
 
     # ------------------------------------------------------------------
     # Routing.

@@ -22,6 +22,14 @@ same :class:`~repro.distributed.models.DataSizeModel` accounting, so the
 coordinator-side routing and any consumer of the simulated stores' entry
 format work unchanged.
 
+Snapshots use the same layout: owned state leaves and enters a shard
+only as a slot-form :class:`FlatEntries` batch (``index``/``value``/
+``version`` per column) — :meth:`CSRShardStore.checkpoint_payload`
+gathers it, :meth:`CSRShardStore.restore_checkpoint` force-applies it,
+and the journal record built around it (:func:`make_journal`, checked
+by :func:`check_journal`) is what crosses the wire and lands on disk.
+This module is the only one that knows that layout.
+
 Scope contract: access is expected to come through
 :class:`~repro.core.scope.Scope`, whose adjacency checks confine reads
 to held data (the scope of an owned vertex is always fully held —
@@ -33,7 +41,16 @@ does check heldness, so misrouted deliveries are still dropped.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Mapping, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -63,16 +80,19 @@ def _concat_field(a: Any, b: Any) -> Any:
 
 
 class FlatEntries:
-    """A struct-of-arrays batch of slot-form ghost entries.
+    """A struct-of-arrays batch of slot-form entries.
 
     Parallel fields: ``v_index``/``v_value``/``v_version`` for vertex
     data, ``e_slot``/``e_value``/``e_version`` for edge data. On graphs
     with typed data columns every field is a numpy array — the **wire
     format is then raw array buffers** (one pickled buffer per field, no
-    per-entry Python objects); on the object fallback they are plain
-    parallel lists. Batches merge with :meth:`extend` (the coordinator
-    routes several workers' output into one destination inbox per
-    round).
+    per-entry Python objects); on the object fallback the values are a
+    parallel list (and the dirty wire ships index/version as lists too).
+    Ghost batches merge with :meth:`extend` (the coordinator routes
+    several workers' output into one destination inbox per round); the
+    same shape carries snapshot journals and the final collect
+    (:func:`gather_entries`), where many small batches merge at once
+    with :func:`concat_entries`.
     """
 
     __slots__ = (
@@ -133,6 +153,161 @@ class UndoLog:
         self.e_slots = e_slots
         self.e_vals = e_vals
         self.e_vers = e_vers
+
+
+def _gather(column: Any, index: np.ndarray) -> Any:
+    """Copy ``column[index]``: an array off a typed column, a parallel
+    list off the object fallback."""
+    if isinstance(column, np.ndarray):
+        return column[index]
+    return [column[i] for i in index.tolist()]
+
+
+def _scatter(column: Any, index: np.ndarray, values: Any) -> None:
+    """``column[index] = values`` for either column kind."""
+    if isinstance(column, np.ndarray):
+        column[index] = values
+    else:
+        for i, value in zip(index.tolist(), values):
+            column[i] = value
+
+
+def gather_entries(
+    vdata: Any,
+    edata: Any,
+    v_index: np.ndarray,
+    e_slot: np.ndarray,
+    vversion: Optional[np.ndarray] = None,
+    eversion: Optional[np.ndarray] = None,
+) -> FlatEntries:
+    """The given slots of two data columns as one slot-form batch.
+
+    The one gather behind every snapshot journal and the final collect:
+    index and version fields are int32 arrays (same widths as the dirty
+    wire), values an array off a typed column or a list off an object
+    column. ``None`` versions journal as 0 — the coordinator's launch
+    baseline, which must force survivors' version clocks back to zero
+    along with their values or post-recovery deliveries would be
+    filtered as stale.
+    """
+    batch = FlatEntries()
+    batch.v_index = v_index.astype(np.int32)
+    batch.v_value = _gather(vdata, v_index)
+    batch.v_version = (
+        np.zeros(len(v_index), dtype=np.int32)
+        if vversion is None
+        else vversion[v_index].astype(np.int32)
+    )
+    batch.e_slot = e_slot.astype(np.int32)
+    batch.e_value = _gather(edata, e_slot)
+    batch.e_version = (
+        np.zeros(len(e_slot), dtype=np.int32)
+        if eversion is None
+        else eversion[e_slot].astype(np.int32)
+    )
+    return batch
+
+
+def _concat_all(parts: List[Any]) -> Any:
+    """One field of several batches of the same store, end to end."""
+    if isinstance(parts[0], np.ndarray):
+        return np.concatenate(parts)
+    return [value for part in parts for value in part]
+
+
+def concat_entries(batches: Sequence[FlatEntries]) -> FlatEntries:
+    """Merge many batches of one store in a single pass per field
+    (pairwise :meth:`FlatEntries.extend` would copy quadratically)."""
+    merged = FlatEntries()
+    for name in FlatEntries.__slots__:
+        setattr(
+            merged, name, _concat_all([getattr(b, name) for b in batches])
+        )
+    return merged
+
+
+def scatter_entries(batch: FlatEntries, vdata: Any, edata: Any) -> None:
+    """Write a batch's values into two data columns, unconditionally
+    (the coordinator's collect write-back: owners are authoritative)."""
+    _scatter(vdata, np.asarray(batch.v_index, dtype=np.int64), batch.v_value)
+    _scatter(edata, np.asarray(batch.e_slot, dtype=np.int64), batch.e_value)
+
+
+#: Format tag of a snapshot journal; anything else on disk (the
+#: pre-slot-form per-key dicts included) is rejected at load time.
+JOURNAL_FORMAT = "slot-journal/1"
+
+
+def sparse_counts(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """A dense per-vertex update-count vector as the ``(int32 index,
+    int64 count)`` pair that rides journals and collect replies."""
+    index = np.nonzero(counts)[0]
+    return index.astype(np.int32), counts[index]
+
+
+def make_journal(
+    state: FlatEntries,
+    counts: Optional[np.ndarray] = None,
+    sched: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> Dict[str, Any]:
+    """One worker's snapshot journal record.
+
+    ``state`` is the worker's owned slots
+    (:meth:`CSRShardStore.checkpoint_payload`), ``counts`` its dense
+    update-count vector (journaled through :func:`sparse_counts`; none
+    at the launch baseline), ``sched`` the locking engine's journaled
+    scheduler as ``(int32 index, float64 priority)`` (the chromatic task
+    set rides the coordinator's meta record instead).
+    """
+    if counts is None:
+        counts = np.empty(0, dtype=np.int64)
+    journal = {
+        "format": JOURNAL_FORMAT,
+        "state": state,
+        "counts": sparse_counts(counts),
+    }
+    if sched is not None:
+        journal["sched"] = sched
+    return journal
+
+
+def check_journal(journal: Any) -> None:
+    """Raise ``ValueError`` unless ``journal`` is a well-formed
+    :func:`make_journal` record: right format tag, every field present,
+    parallel arrays of equal length. A journal can pass its CRC and
+    still be unusable (written by another version, or truncated before
+    it was checksummed); this is what keeps that from surfacing as a
+    ``KeyError`` inside a worker's restore."""
+    tag = journal.get("format") if isinstance(journal, dict) else None
+    if tag != JOURNAL_FORMAT:
+        raise ValueError(
+            f"format tag {tag!r}, expected {JOURNAL_FORMAT!r}"
+        )
+    state = journal.get("state")
+    if not isinstance(state, FlatEntries):
+        raise ValueError("field 'state' is missing or not slot entries")
+    pairs = {"counts": journal.get("counts")}
+    if "sched" in journal:
+        pairs["sched"] = journal["sched"]
+    for name, pair in pairs.items():
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            raise ValueError(
+                f"field {name!r} is missing or not an (index, value) pair"
+            )
+    groups = {
+        "state vertex": (state.v_index, state.v_value, state.v_version),
+        "state edge": (state.e_slot, state.e_value, state.e_version),
+        **pairs,
+    }
+    for name, fields in groups.items():
+        try:
+            lengths = {len(field) for field in fields}
+        except TypeError:
+            raise ValueError(f"{name} fields are not arrays") from None
+        if len(lengths) != 1:
+            raise ValueError(
+                f"{name} arrays have mismatched lengths {sorted(lengths)}"
+            )
 
 
 class CSRShardStore:
@@ -441,39 +616,21 @@ class CSRShardStore:
             v_idx = np.nonzero(vmask)[0]
         else:
             v_idx = np.unique(np.asarray(active, dtype=np.int64))
-        vdata = self.vdata_flat
-        edata = self.edata_flat
-        v_vals = (
-            vdata[v_idx]
-            if isinstance(vdata, np.ndarray)
-            else [vdata[i] for i in v_idx.tolist()]
-        )
-        e_vals = (
-            edata[e_slots]
-            if isinstance(edata, np.ndarray)
-            else [edata[s] for s in e_slots.tolist()]
-        )
         return UndoLog(
-            v_idx, v_vals, self._vversion[v_idx].copy(),
-            e_slots, e_vals, self._eversion[e_slots].copy(),
+            v_idx,
+            _gather(self.vdata_flat, v_idx),
+            self._vversion[v_idx].copy(),
+            e_slots,
+            _gather(self.edata_flat, e_slots),
+            self._eversion[e_slots].copy(),
         )
 
     def restore_scope(self, undo: UndoLog) -> None:
         """Revert an aborted speculative step (values, versions, dirty)."""
-        vdata = self.vdata_flat
-        if isinstance(vdata, np.ndarray):
-            vdata[undo.v_idx] = undo.v_vals
-        else:
-            for i, value in zip(undo.v_idx.tolist(), undo.v_vals):
-                vdata[i] = value
+        _scatter(self.vdata_flat, undo.v_idx, undo.v_vals)
         self._vversion[undo.v_idx] = undo.v_vers
         self._dirty_v[undo.v_idx] = False
-        edata = self.edata_flat
-        if isinstance(edata, np.ndarray):
-            edata[undo.e_slots] = undo.e_vals
-        else:
-            for s, value in zip(undo.e_slots.tolist(), undo.e_vals):
-                edata[s] = value
+        _scatter(self.edata_flat, undo.e_slots, undo.e_vals)
         self._eversion[undo.e_slots] = undo.e_vers
         self._dirty_e[undo.e_slots] = False
 
@@ -861,64 +1018,73 @@ class CSRShardStore:
         """Slots changed since the last :meth:`collect_dirty`."""
         return int(self._dirty_v.sum()) + int(self._dirty_e.sum())
 
-    def checkpoint_payload(self) -> Dict[str, Any]:
-        """All owned data: same shape as ``LocalGraphStore``'s."""
-        payload: Dict[str, Any] = {"vdata": {}, "edata": {}, "versions": {}}
-        index_of = self._index_of
-        for v in self.owned_vertices:
-            index = index_of[v]
-            payload["vdata"][v] = self.vdata_flat[index]
-            payload["versions"][vertex_key(v)] = self._vversion[index]
+    def checkpoint_payload(
+        self,
+        v_index: Optional[np.ndarray] = None,
+        e_slot: Optional[np.ndarray] = None,
+    ) -> FlatEntries:
+        """Owned state as one slot-form batch (value + version per slot).
+
+        By default every owned vertex and every edge whose *source* this
+        shard owns — the journal partitioning rule: across workers each
+        slot is covered exactly once. Explicit ``v_index``/``e_slot``
+        arrays journal just those slots (the asynchronous snapshot
+        captures one scope at a time; the final collect skips columns
+        the data plane already exposes by passing an empty array).
+        """
+        if v_index is None:
+            v_index = np.nonzero(self._owned_mask)[0]
+        if e_slot is None:
+            e_slot = np.nonzero(
+                self._owned_mask[self._csr.edge_src_index]
+            )[0]
+        return gather_entries(
+            self.vdata_flat, self.edata_flat, v_index, e_slot,
+            self._vversion, self._eversion,
+        )
+
+    def checkpoint_bytes(self, payload: FlatEntries) -> float:
+        """Modeled size of a journal (the simulator charges bytes per
+        key): each slot's data plus its version tag."""
+        sizes = self.sizes
+        vertex_ids = self._csr.vertex_ids
         edge_keys = self._csr.edge_keys
-        machine_id = self.machine_id
-        owner = self.owner
-        for slot in np.nonzero(self._held_e_mask)[0].tolist():
-            (a, b) = edge_keys[slot]
-            if owner[a] == machine_id:
-                payload["edata"][(a, b)] = self.edata_flat[slot]
-                payload["versions"][edge_key(a, b)] = self._eversion[slot]
-        return payload
+        return (
+            sum(sizes.vbytes(vertex_ids[i]) for i in payload.v_index)
+            + sum(sizes.ebytes(*edge_keys[s]) for s in payload.e_slot)
+            + VERSION_BYTES * len(payload)
+        )
 
-    def restore_checkpoint(self, payload: Mapping[str, Any]) -> None:
-        """Force-restore held slots from a (merged) snapshot payload.
+    def restore_checkpoint(self, payload: FlatEntries) -> None:
+        """Force-restore held slots from one journal's entries.
 
-        The recovery inverse of :meth:`checkpoint_payload`, applied with
-        the whole cluster's merged journals: this shard takes every slot
+        The recovery inverse of :meth:`checkpoint_payload`, applied once
+        per worker journal of the snapshot: this shard takes every slot
         it holds — primaries *and* ghosts — and overwrites value and
         version unconditionally. Recovery rolls state *back*, so the
-        monotone version filter of :meth:`apply_remote` must not apply
-        here. Slots the payload does not cover keep their current value
-        (a journal in ``LocalGraphStore``'s per-machine shape restores
-        just that machine's owned slots — same format, same semantics as
-        the simulator's restore). Dirty flags are cleared wholesale: the
-        post-restore state is globally snapshot-consistent, so nothing
-        needs to ship.
+        monotone version filter of :meth:`apply_flat` must not apply
+        here. Slots no journal covers keep their current value. Dirty
+        flags are cleared wholesale: the post-restore state is globally
+        snapshot-consistent, so nothing needs to ship.
         """
-        versions = payload.get("versions", {})
-        index_of = self._index_of
-        held_v = self._held_v_mask
-        vdata = self.vdata_flat
-        vversion = self._vversion
-        for vid, value in payload.get("vdata", {}).items():
-            index = index_of.get(vid)
-            if index is None or not held_v[index]:
-                continue
-            vdata[index] = value
-            version = versions.get(vertex_key(vid))
-            if version is not None:
-                vversion[index] = version
-        edge_slot = self._edge_slot
-        held_e = self._held_e_mask
-        edata = self.edata_flat
-        eversion = self._eversion
-        for (a, b), value in payload.get("edata", {}).items():
-            slot = edge_slot.get((a, b))
-            if slot is None or not held_e[slot]:
-                continue
-            edata[slot] = value
-            version = versions.get(edge_key(a, b))
-            if version is not None:
-                eversion[slot] = version
+        for index, values, versions, held, column, stored in (
+            (
+                payload.v_index, payload.v_value, payload.v_version,
+                self._held_v_mask, self.vdata_flat, self._vversion,
+            ),
+            (
+                payload.e_slot, payload.e_value, payload.e_version,
+                self._held_e_mask, self.edata_flat, self._eversion,
+            ),
+        ):
+            index = np.asarray(index, dtype=np.int64)
+            keep = np.nonzero(held[index])[0]
+            if keep.size < index.size:
+                index = index[keep]
+                values = _gather(values, keep)
+                versions = np.asarray(versions)[keep]
+            _scatter(column, index, values)
+            stored[index] = versions
         self._dirty_v[:] = False
         self._dirty_e[:] = False
 

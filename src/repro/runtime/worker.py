@@ -34,8 +34,12 @@ The message protocol is a tagged request/reply pair per phase:
 * ``("sync_count", {inbox})`` — apply the inbox, evaluate each sync's
   partial over owned vertices (Eq. 2), reply with the partials;
 * ``("collect", {inbox})`` — reply with owned data (only the columns
-  the data plane does not already expose to the coordinator) and update
-  counts;
+  the data plane does not already expose to the coordinator, as one
+  slot-form batch) and update counts;
+* ``("checkpoint", {inbox})`` / ``("restore", {state, counts, sched,
+  globals})`` — journal the owned slots, or force-apply a snapshot's
+  journals (:mod:`repro.runtime.checkpoint`); both move slot arrays,
+  never per-key objects;
 * ``("stop", {})`` — acknowledge and exit the serve loop.
 
 The **locking worker** (:class:`LockingWorker`, driving the pipelined
@@ -86,7 +90,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.consistency import Consistency, LockKind, edge_key, vertex_key
+from repro.core.consistency import Consistency, LockKind
 from repro.core.graph import DataGraph, VertexId
 from repro.core.kernels import independent_classes, kernel_of
 from repro.core.scheduler import make_scheduler
@@ -99,12 +103,18 @@ from repro.obs.events import SpanRecorder
 from repro.runtime.checkpoint import SnapshotDirectory
 from repro.runtime.liveness import HeartbeatPump
 from repro.runtime.plane import DataPlane, PlaneSpec, ShmDataPlane
-from repro.runtime.shard import CSRShardStore
+from repro.runtime.shard import (
+    CSRShardStore,
+    concat_entries,
+    make_journal,
+    sparse_counts,
+)
 
 #: Inbox entry lists, keyed like the wire payloads.
 Inbox = Dict[str, Any]
 
 _EMPTY_I32 = np.empty(0, dtype=np.int32)
+_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
 def empty_inbox() -> Inbox:
@@ -259,6 +269,8 @@ class _PlaneClient:
 
     worker_id: int
     store: CSRShardStore
+    #: Updates executed per vertex, dense index space.
+    _counts: np.ndarray
     #: Telemetry recorder; ``None`` when telemetry is off (the hot-path
     #: contract: disabled cost is one falsy check per site).
     _obs: Optional[SpanRecorder]
@@ -409,22 +421,37 @@ class _PlaneClient:
         }
         return (self._ring.half if self._ring is not None else 0, body)
 
-    def _collect_payload(self, counts: Dict[VertexId, int]) -> Dict[str, Any]:
+    def _collect_payload(self) -> Dict[str, Any]:
         """The collect reply: counts plus whatever the plane can't carry.
 
-        Columns living on the data plane are *not* pickled back — the
+        Columns living on the data plane are *not* shipped back — the
         coordinator reads owned slots straight out of this worker's
-        segment after the barrier; only plane-less columns travel.
+        segment after the barrier; plane-less columns travel as one
+        slot-form batch of the owned slots.
         """
         spec = self.plane.spec if self.plane is not None else None
-        reply: Dict[str, Any] = {"counts": counts}
-        if spec is None or not spec.has_v or not spec.has_e:
-            payload = self.store.checkpoint_payload()
-            if spec is None or not spec.has_v:
-                reply["vdata"] = payload["vdata"]
-            if spec is None or not spec.has_e:
-                reply["edata"] = payload["edata"]
+        on_plane_v = spec is not None and spec.has_v
+        on_plane_e = spec is not None and spec.has_e
+        reply: Dict[str, Any] = {"counts": sparse_counts(self._counts)}
+        if not (on_plane_v and on_plane_e):
+            reply["state"] = self.store.checkpoint_payload(
+                _EMPTY_I64 if on_plane_v else None,
+                _EMPTY_I64 if on_plane_e else None,
+            )
         return reply
+
+    def _restore_store(self, payload: Mapping[str, Any]) -> None:
+        """The part of a restore every worker kind shares: force-apply
+        each journal of the snapshot to the slots held here, reset the
+        update counts to this worker's journaled ones, publish the
+        snapshot-time globals."""
+        for state in payload["state"]:
+            self.store.restore_checkpoint(state)
+        index, count = payload["counts"]
+        self._counts[:] = 0
+        self._counts[index] = count
+        for key, value in payload.get("globals", ()):
+            self.globals.publish(key, value)
 
 
 class RuntimeWorker(_PlaneClient):
@@ -453,7 +480,6 @@ class RuntimeWorker(_PlaneClient):
         #: The local task set T_w. Scalar mode tracks vertex ids; kernel
         #: mode a boolean mask in dense index space.
         self.scheduled: Set[VertexId] = set()
-        self.counts: Dict[VertexId, int] = {}
         #: Undo logs of the last round's speculative color-steps, held
         #: until the coordinator's commit/abort verdict arrives with the
         #: next command's inbox.
@@ -480,6 +506,7 @@ class RuntimeWorker(_PlaneClient):
         kernel = kernel_of(self.update_fn) if init.use_kernel else None
         index_of = self._index_of
         num_vertices = len(csr.vertex_ids)
+        self._counts = np.zeros(num_vertices, dtype=np.int64)
         if (
             kernel is not None
             and kernel.compatible(init.graph)
@@ -488,7 +515,6 @@ class RuntimeWorker(_PlaneClient):
             kernel.bind(init.graph)
             self.kernel = kernel
             self._sched_mask = np.zeros(num_vertices, dtype=bool)
-            self._counts_vec = np.zeros(num_vertices, dtype=np.int64)
             self._owner_idx = csr.dense_map(init.owner)
             self._by_color_idx = [
                 np.fromiter(
@@ -639,14 +665,13 @@ class RuntimeWorker(_PlaneClient):
         t0 = perf_counter() if rec is not None else 0.0
         scheduled.difference_update(work)
         index_of = self._index_of
+        work_idx = np.fromiter(
+            (index_of[v] for v in work), dtype=np.int64, count=len(work)
+        )
         undo = None
         if speculative:
             undo = self.store.capture_scope(
-                np.fromiter(
-                    (index_of[v] for v in work),
-                    dtype=np.int64,
-                    count=len(work),
-                ),
+                work_idx,
                 include_neighbors=self.consistency is Consistency.FULL,
             )
         owner = self.owner
@@ -657,8 +682,6 @@ class RuntimeWorker(_PlaneClient):
         scope = self._scope
         rebind = scope.rebind
         drain = scope.drain_scheduled
-        counts = self.counts
-        counts_get = counts.get
         #: Freshly scheduled local vertices (reported for the
         #: coordinator's frontier mask and speculation validation).
         local_new: List[VertexId] = []
@@ -684,7 +707,7 @@ class RuntimeWorker(_PlaneClient):
                     if u not in seen:
                         seen.add(u)
                         sched_out[target].append(u)
-            counts[vertex] = counts_get(vertex, 0) + 1
+        self._counts[work_idx] += 1
         if rec is not None:
             t1 = perf_counter()
             rec.span("compute", t0, t1, len(work))
@@ -745,7 +768,7 @@ class RuntimeWorker(_PlaneClient):
             self.globals.view(),
         )
         store.apply_kernel_result(result)
-        self._counts_vec[work] += 1
+        self._counts[work] += 1
         requested = result.scheduled
         if requested.size:
             owners = self._owner_idx[requested]
@@ -790,16 +813,11 @@ class RuntimeWorker(_PlaneClient):
                 if len(added):
                     self._sched_mask[np.asarray(added, dtype=np.int64)] = False
                 if len(work):
-                    self._counts_vec[work] -= 1
+                    self._counts[work] -= 1
                     self._sched_mask[work] = True
             else:
-                counts = self.counts
-                for v in work:
-                    remaining = counts[v] - 1
-                    if remaining:
-                        counts[v] = remaining
-                    else:
-                        del counts[v]
+                index_of = self._index_of
+                self._counts[[index_of[v] for v in work]] -= 1
                 self.scheduled.difference_update(added)
                 self.scheduled.update(work)
 
@@ -823,17 +841,7 @@ class RuntimeWorker(_PlaneClient):
         straight out of this worker's segment after the barrier.
         """
         self._apply_inbox(inbox)
-        return self._collect_payload(self._counts_dict())
-
-    def _counts_dict(self) -> Dict[VertexId, int]:
-        """Update counts as one id-keyed dict (kernel vec + scalar)."""
-        counts = dict(self.counts)
-        if self.kernel is not None:
-            vertex_ids = self._vertex_ids
-            counts_vec = self._counts_vec
-            for i in counts_vec.nonzero()[0]:
-                counts[vertex_ids[i]] = int(counts_vec[i])
-        return counts
+        return self._collect_payload()
 
     # ------------------------------------------------------------------
     # Checkpoint / restore (runtime fault tolerance, Sec. 4.3).
@@ -843,56 +851,42 @@ class RuntimeWorker(_PlaneClient):
 
         Runs at a sweep boundary; the residual inbox applies first —
         including any pending speculation verdict, so the journal always
-        reflects post-verdict state — and the reply is a journal in the
-        simulated DFS's per-machine shape plus the runtime's update
-        counts. The task set is *not* journaled here: the chromatic
-        coordinator's global mask is exact and rides the meta record.
+        reflects post-verdict state — and the reply is this worker's
+        slot-form journal. The task set is *not* journaled here: the
+        chromatic coordinator's global mask is exact and rides the meta
+        record.
         """
         self._apply_inbox(inbox)
         rec = self._obs
         t0 = perf_counter() if rec is not None else 0.0
-        payload = self.store.checkpoint_payload()
-        payload["counts"] = self._counts_dict()
+        journal = make_journal(self.store.checkpoint_payload(), self._counts)
         if rec is not None:
             rec.span("snap", t0, perf_counter())
-        return payload
+        return journal
 
     def _restore(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
         """Roll this worker back to a snapshot.
 
-        ``state`` is the cluster-wide merged journal (this shard filters
-        to its held slots — ghosts roll back to their owner's snapshot
-        values), ``counts`` the worker's journaled update counts,
-        ``sched`` the dense indices of its share of the snapshot task
-        set, ``globals`` the snapshot-time published values. Any pending
-        speculation is dropped first: the round it belonged to was
-        aborted by the failure, and the restore overwrites its state
+        ``state`` holds every worker's journaled slots (this shard
+        filters to its held ones — ghosts roll back to their owner's
+        snapshot values), ``counts`` the worker's journaled update
+        counts, ``sched`` the dense indices of its share of the snapshot
+        task set, ``globals`` the snapshot-time published values. Any
+        pending speculation is dropped first: the round it belonged to
+        was aborted by the failure, and the restore overwrites its state
         anyway.
         """
         rec = self._obs
         t0 = perf_counter() if rec is not None else 0.0
         self._spec_pending = None
-        self.store.restore_checkpoint(payload["state"])
-        counts = payload.get("counts") or {}
-        sched = payload.get("sched")
+        self._restore_store(payload)
+        sched = np.asarray(payload["sched"], dtype=np.int64)
         if self.kernel is not None:
-            self.counts = {}
-            self._counts_vec[:] = 0
-            index_of = self._index_of
-            for vertex, count in counts.items():
-                self._counts_vec[index_of[vertex]] = count
             self._sched_mask[:] = False
-            if sched is not None and len(sched):
-                self._sched_mask[np.asarray(sched, dtype=np.int64)] = True
+            self._sched_mask[sched] = True
         else:
-            self.counts = dict(counts)
-            self.scheduled = set()
-            if sched is not None:
-                vertex_ids = self._vertex_ids
-                for i in np.asarray(sched).tolist():
-                    self.scheduled.add(vertex_ids[i])
-        for key, value in payload.get("globals", ()):
-            self.globals.publish(key, value)
+            vertex_ids = self._vertex_ids
+            self.scheduled = {vertex_ids[i] for i in sched.tolist()}
         if rec is not None:
             rec.span("snap", t0, perf_counter())
         return {"worker": self.worker_id}
@@ -999,7 +993,7 @@ class LockingWorker(_PlaneClient):
         self.table = RWQueueCore(
             self._index_of[v] for v in self.store.owned_vertices
         )
-        self.counts: Dict[VertexId, int] = {}
+        self._counts = np.zeros(len(csr.vertex_ids), dtype=np.int64)
         self._chains: Dict[VertexId, List] = {}
         self._inflight: Dict[int, _PendingScope] = {}
         self._ready: Deque[_PendingScope] = deque()
@@ -1007,8 +1001,9 @@ class LockingWorker(_PlaneClient):
         self._trace: Optional[List[Tuple]] = [] if init.trace else None
         self._obs = SpanRecorder() if init.telemetry else None
         #: In-progress async Chandy–Lamport snapshot (Alg. 5): marked /
-        #: queued owned vertices, the local work queue, and the growing
-        #: journal. ``None`` when no snapshot is active.
+        #: queued owned vertices, the local work queue, journaled edge
+        #: slots and the growing list of per-scope slot batches. ``None``
+        #: when no snapshot is active.
         self._snap: Optional[Dict[str, Any]] = None
         #: Snapshot scopes need EDGE consistency regardless of the
         #: engine's model (the snapshot update reads the vertex and all
@@ -1150,6 +1145,23 @@ class LockingWorker(_PlaneClient):
     # ------------------------------------------------------------------
     # One round.
     # ------------------------------------------------------------------
+    def _apply_inbox_state(self, inbox: Inbox) -> None:
+        """The lock-free part of an inbox, in delivery order: ghost
+        data, newly published globals, remote scheduling requests."""
+        self._apply_entries(inbox)
+        for key, value in inbox.get("globals", ()):
+            self.globals.publish(key, value)
+        vertex_ids = self._vertex_ids
+        add = self.scheduler.add
+        for indices, priorities in inbox.get("sched", ()):
+            indices = np.asarray(indices).tolist()
+            if priorities is None:
+                for i in indices:
+                    add(vertex_ids[i])
+            else:
+                for i, prio in zip(indices, priorities.tolist()):
+                    add(vertex_ids[i], prio)
+
     def _lstep(self, payload: Mapping[str, Any]) -> Tuple:
         """Apply the inbox, then pipeline until blocked or out of budget.
 
@@ -1185,18 +1197,8 @@ class LockingWorker(_PlaneClient):
             self._snap_begin(snap_info)
         if inbox:
             t0 = perf_counter() if rec is not None else 0.0
-            self._apply_entries(inbox)
-            for key, value in inbox.get("globals", ()):
-                self.globals.publish(key, value)
+            self._apply_inbox_state(inbox)
             vertex_ids = self._vertex_ids
-            for indices, priorities in inbox.get("sched", ()):
-                indices = np.asarray(indices).tolist()
-                if priorities is None:
-                    for i in indices:
-                        self.scheduler.add(vertex_ids[i])
-                else:
-                    for i, prio in zip(indices, priorities.tolist()):
-                        self.scheduler.add(vertex_ids[i], prio)
             if self._snap is not None:
                 for arr in inbox.get("ssched", ()):
                     for i in np.asarray(arr).tolist():
@@ -1353,7 +1355,7 @@ class LockingWorker(_PlaneClient):
                 )
                 idx_list.append(index_of[u])
                 prio_list.append(prio)
-        self.counts[vertex] = self.counts.get(vertex, 0) + 1
+        self._counts[index_of[vertex]] += 1
         if self._trace is not None:
             self._trace.append(
                 (
@@ -1384,9 +1386,12 @@ class LockingWorker(_PlaneClient):
             "marked": set(),
             "queued": set(),
             "queue": deque(),
-            "vdata": {},
-            "edata": {},
-            "versions": {},
+            "edges": set(),
+            # Seeded with an empty batch so a worker that owns nothing
+            # still packs a journal with this store's column types.
+            "batches": [
+                self.store.checkpoint_payload(_EMPTY_I64, _EMPTY_I64)
+            ],
         }
         self._snap_seed()
 
@@ -1448,69 +1453,65 @@ class LockingWorker(_PlaneClient):
         (source-endpoint ownership, the journal partitioning rule) that
         is not yet journaled; propagate to unmarked neighbors — locally
         by queueing, remotely via ``ssched`` — then mark and release.
-        The ``(a, b) in edata`` dedup is what makes double delivery
-        harmless when both endpoints reach the same edge.
+        The scope's slots are captured as one slot-form batch while the
+        locks are held; the journaled-edge set is what makes double
+        delivery harmless when both endpoints reach the same edge.
         """
         snap = self._snap
         vertex = ps.vertex
         if snap is not None and vertex not in snap["marked"]:
-            store = self.store
             index_of = self._index_of
+            edge_slot = self.graph.compiled.edge_slot
             marked = snap["marked"]
-            edata = snap["edata"]
-            versions = snap["versions"]
-            snap["vdata"][vertex] = store.vertex_data(vertex)
-            versions[vertex_key(vertex)] = int(
-                store._vversion[index_of[vertex]]
-            )
+            journaled = snap["edges"]
+            slots: List[int] = []
             owner = self.owner
             me = self.worker_id
-            graph = self.graph
-            for u in graph.neighbors(vertex):
+            for u in self.graph.neighbors(vertex):
                 owned_u = owner[u] == me
                 if owned_u and u in marked:
                     continue
-                for a, b in ((u, vertex), (vertex, u)):
-                    if owner[a] != me:
+                for key in ((u, vertex), (vertex, u)):
+                    if owner[key[0]] != me:
                         continue
-                    if not graph.has_edge(a, b) or (a, b) in edata:
+                    slot = edge_slot.get(key)
+                    if slot is None or slot in journaled:
                         continue
-                    edata[(a, b)] = store.edge_data(a, b)
-                    versions[edge_key(a, b)] = int(
-                        store._eversion[store._edge_slot[(a, b)]]
-                    )
+                    journaled.add(slot)
+                    slots.append(slot)
                 if owned_u:
                     self._snap_enqueue(u)
                 else:
                     self._out_ssched.setdefault(owner[u], []).append(
                         index_of[u]
                     )
+            snap["batches"].append(
+                self.store.checkpoint_payload(
+                    np.array([index_of[vertex]], dtype=np.int64),
+                    np.array(slots, dtype=np.int64),
+                )
+            )
             marked.add(vertex)
         self._release(ps)
 
     def _snap_finish(self) -> Optional[Tuple[int, int]]:
         """Persist this worker's journal and end its snapshot epoch.
 
-        The journal carries the shard state in the simulated DFS's shape
-        plus the runtime extras recovery needs; the task set journaled
-        for an async snapshot is *every* owned vertex — the cut is
-        consistent but not quiescent, so recovery re-executes from a
-        full frontier and converges to the same fixed point.
+        The per-scope batches pack into one slot-form journal; the task
+        set journaled for an async snapshot is *every* owned vertex —
+        the cut is consistent but not quiescent, so recovery re-executes
+        from a full frontier and converges to the same fixed point.
         """
         snap = self._snap
         if snap is None:
             return None
-        index_of = self._index_of
-        journal = {
-            "vdata": snap["vdata"],
-            "edata": snap["edata"],
-            "versions": snap["versions"],
-            "counts": dict(self.counts),
-            "sched": [
-                (int(index_of[v]), 0.0)
-                for v in self.store.owned_vertices
-            ],
-        }
+        state = concat_entries(snap["batches"])
+        owned = np.sort(state.v_index)
+        journal = make_journal(
+            state,
+            self._counts,
+            (owned, np.zeros(len(owned), dtype=np.float64)),
+        )
         nbytes, crc = SnapshotDirectory(snap["root"]).write_journal(
             snap["id"], self.worker_id, journal
         )
@@ -1539,18 +1540,7 @@ class LockingWorker(_PlaneClient):
                     f"worker {self.worker_id}: checkpoint round carries "
                     "lock traffic; pipeline was not quiescent"
                 )
-            self._apply_entries(inbox)
-            for key, value in inbox.get("globals", ()):
-                self.globals.publish(key, value)
-            vertex_ids = self._vertex_ids
-            for indices, priorities in inbox.get("sched", ()):
-                indices = np.asarray(indices).tolist()
-                if priorities is None:
-                    for i in indices:
-                        self.scheduler.add(vertex_ids[i])
-                else:
-                    for i, prio in zip(indices, priorities.tolist()):
-                        self.scheduler.add(vertex_ids[i], prio)
+            self._apply_inbox_state(inbox)
         if self._inflight or self._ready:
             raise SnapshotError(
                 f"worker {self.worker_id}: checkpoint with "
@@ -1560,15 +1550,26 @@ class LockingWorker(_PlaneClient):
         rec = self._obs
         t0 = perf_counter() if rec is not None else 0.0
         index_of = self._index_of
-        payload = self.store.checkpoint_payload()
-        payload["counts"] = dict(self.counts)
-        payload["sched"] = [
-            (int(index_of[v]), float(priority))
-            for v, priority in self.scheduler.entries()
-        ]
+        entries = list(self.scheduler.entries())
+        journal = make_journal(
+            self.store.checkpoint_payload(),
+            self._counts,
+            (
+                np.fromiter(
+                    (index_of[v] for v, _prio in entries),
+                    dtype=np.int32,
+                    count=len(entries),
+                ),
+                np.fromiter(
+                    (prio for _v, prio in entries),
+                    dtype=np.float64,
+                    count=len(entries),
+                ),
+            ),
+        )
         if rec is not None:
             rec.span("snap", t0, perf_counter())
-        return payload
+        return journal
 
     def _restore(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
         """Roll this worker back to a snapshot.
@@ -1577,20 +1578,22 @@ class LockingWorker(_PlaneClient):
         locking engine's dynamic state: the lock table rebuilds empty
         (every lock a failed round held is gone with it), in-flight
         scopes and outgoing batches drop, the scheduler rebuilds from
-        the journaled task set, and any half-run async snapshot is
-        abandoned — its COMPLETE marker never existed, so it was never
-        recoverable anyway.
+        the journaled ``(index, priority)`` task set, and any half-run
+        async snapshot is abandoned — its COMPLETE marker never existed,
+        so it was never recoverable anyway.
         """
         rec = self._obs
         t0 = perf_counter() if rec is not None else 0.0
-        self.store.restore_checkpoint(payload["state"])
-        self.counts = dict(payload.get("counts") or {})
+        self._restore_store(payload)
         self.table = RWQueueCore(
             self._index_of[v] for v in self.store.owned_vertices
         )
         self.scheduler = make_scheduler(self._scheduler_kind)
         vertex_ids = self._vertex_ids
-        for index, priority in payload.get("sched", ()):
+        indices, priorities = payload.get("sched") or ((), ())
+        for index, priority in zip(
+            np.asarray(indices).tolist(), np.asarray(priorities).tolist()
+        ):
             self.scheduler.add(vertex_ids[index], priority)
         self._inflight = {}
         self._ready = deque()
@@ -1603,8 +1606,6 @@ class LockingWorker(_PlaneClient):
         if self._trace is not None:
             self._trace = []
         self._snap = None
-        for key, value in payload.get("globals", ()):
-            self.globals.publish(key, value)
         if rec is not None:
             rec.span("snap", t0, perf_counter())
         return {"worker": self.worker_id}
@@ -1639,7 +1640,7 @@ class LockingWorker(_PlaneClient):
         """Owned data + update counts (+ the trace when recording)."""
         if inbox:
             self._apply_entries(inbox)
-        reply = self._collect_payload(dict(self.counts))
+        reply = self._collect_payload()
         if self._trace is not None:
             reply["trace"] = self._trace
         return reply

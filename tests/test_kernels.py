@@ -39,6 +39,7 @@ from repro.apps.pagerank import make_pagerank_update
 from repro.distributed import (
     ChromaticEngine,
     DataSizeModel,
+    DistributedFileSystem,
     constant_cost,
     deploy,
 )
@@ -497,6 +498,33 @@ class TestSimulatedChromaticKernel:
             gathered[use_kernel] = sim.gather_vertex_data()
         oracle = {v: g1.vertex_data(v) for v in g1.vertices()}
         assert gathered[True] == gathered[False] == oracle
+
+    def test_sim_snapshot_sizes_slot_journals_like_dict_ones(self):
+        """The simulator charges bytes per key; on slot-addressed stores
+        the modeled size comes from the journal's slot counts and equals
+        what the dict stores report for the same ownership."""
+        fn = make_pagerank_update(epsilon=1e-4)
+        coloring = greedy_coloring(typed_pagerank_graph(n=40, seed=5))
+        written = {}
+        for kind in ("dict", "slots"):
+            g = typed_pagerank_graph(n=40, seed=5)
+            dep = deploy(g, 2, partitioner="hash", skip_ingress_io=True)
+            stores = (
+                dep.stores
+                if kind == "dict"
+                else {m: CSRShardStore(m, g, dep.owner) for m in range(2)}
+            )
+            sim = ChromaticEngine(
+                dep.cluster, g, fn, stores, dep.owner,
+                constant_cost(1e6), DataSizeModel(16, 8),
+                coloring=coloring, max_sweeps=3,
+                snapshot_every_updates=1,
+                dfs=DistributedFileSystem(dep.cluster, replication=1),
+            )
+            sim.run(initial=g.vertices())
+            assert sim.snapshots
+            written[kind] = [rec.bytes_written for rec in sim.snapshots]
+        assert written["slots"] == written["dict"]
 
     def test_dict_stores_fall_back_to_scalar(self):
         g = typed_pagerank_graph(n=30)

@@ -394,6 +394,40 @@ class TestChaosTcpReal:
         )
 
 
+class TestNoFaultControl:
+    """The control arm: with snapshots on and *no* fault injected, a run
+    must report zero recoveries and zero rejected snapshots at any size
+    — a recovery nobody armed means liveness misread a healthy worker
+    (ROADMAP open item 5(c): a multi-second GIL-holding journal pickle
+    starved the heartbeat pump). ``recovery_causes`` carries the
+    evidence when it fails."""
+
+    @staticmethod
+    def _control(graph, **kw):
+        result = RuntimeChromaticEngine(
+            graph,
+            UpdateProgram(make_pagerank_update, kwargs={"schedule": "self"}),
+            num_workers=2, transport="mp", **kw,
+        ).run(initial=graph.vertices())
+        assert result.extra["snapshots"] >= 2
+        assert result.extra["recovery_causes"] == []
+        assert result.extra["recoveries"] == 0
+        assert result.extra["snapshots_rejected"] == 0
+
+    def test_small(self):
+        self._control(
+            power_law_web_graph(48, out_degree=3, seed=11, typed=True),
+            max_sweeps=8, snapshot_every=2,
+        )
+
+    @pytest.mark.chaos_large
+    def test_fifty_thousand_vertices(self):
+        self._control(
+            power_law_web_graph(50_000, out_degree=8, seed=0, typed=True),
+            max_sweeps=30, snapshot_every=4,
+        )
+
+
 def test_schedule_generator_is_reproducible():
     """Same seed, same schedules — the property the failure-replay
     instructions depend on."""

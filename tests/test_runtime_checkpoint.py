@@ -18,7 +18,9 @@ Both ``use_plane`` settings run, pinning the shm and the pipe wire
 """
 
 import os
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.apps.pagerank import make_pagerank_update
@@ -26,15 +28,21 @@ from repro.datasets.webgraph import power_law_web_graph
 from repro.errors import SnapshotError, EngineError
 from repro.runtime import (
     CheckpointManager,
+    LoopbackTcpTransport,
     RuntimeChromaticEngine,
     RuntimeLockingEngine,
     SnapshotCadence,
     SnapshotDirectory,
     UpdateProgram,
     WorkerFailure,
-    merge_journals,
+    make_transport,
 )
-
+from repro.runtime.shard import (
+    JOURNAL_FORMAT,
+    FlatEntries,
+    gather_entries,
+    make_journal,
+)
 from repro.runtime.transport import FAULT_ENV
 
 from tests.helpers import grid_graph
@@ -61,8 +69,33 @@ PAGERANK = UpdateProgram(
 )
 
 
-def web(n=60):
-    return power_law_web_graph(n, out_degree=3, seed=11)
+def web(n=60, typed=False):
+    return power_law_web_graph(n, out_degree=3, seed=11, typed=typed)
+
+
+def slot_journal(index, value, version=1):
+    """A one-vertex slot-form journal (float64 typed columns)."""
+    v_index = np.array([index], dtype=np.int64)
+    return make_journal(
+        gather_entries(
+            np.full(index + 1, value),
+            np.empty(0),
+            v_index,
+            np.empty(0, dtype=np.int64),
+            np.full(index + 1, version),
+            np.empty(0, dtype=np.int64),
+        )
+    )
+
+
+def old_format_journal(vid, value):
+    """What the pre-slot-form runtime wrote: one dict entry per key."""
+    return {
+        "vdata": {vid: value},
+        "edata": {},
+        "versions": {("v", vid): 1},
+        "counts": {},
+    }
 
 
 def ranks(graph):
@@ -237,18 +270,33 @@ class TestLockingCrashRecover:
     def test_async_snapshot_covers_whole_graph(self, tmp_path):
         """The Chandy–Lamport cut journals every vertex and edge."""
         g = web()
-        RuntimeLockingEngine(
+        engine = RuntimeLockingEngine(
             g, PAGERANK, num_workers=3, transport="inproc",
             snapshot_every=2, snapshot_mode="async",
             snapshot_dir=str(tmp_path),
-        ).run(initial=g.vertices())
+        )
+        engine.run(initial=g.vertices())
         directory = SnapshotDirectory(str(tmp_path))
         latest = directory.latest()
         assert latest is not None
         journals = [directory.read_journal(latest, w) for w in range(3)]
-        merged = merge_journals(journals)
-        assert set(merged["vdata"]) == set(g.vertices())
-        assert set(merged["edata"]) == set(g.edges())
+        # Every vertex and every edge exactly once across the journals.
+        csr = g.compiled
+        v_index = np.concatenate([j["state"].v_index for j in journals])
+        e_slot = np.concatenate([j["state"].e_slot for j in journals])
+        assert sorted(v_index.tolist()) == list(range(len(csr.vertex_ids)))
+        assert sorted(e_slot.tolist()) == list(range(len(csr.edge_keys)))
+        owner = engine.owner
+        for w, journal in enumerate(journals):
+            state = journal["state"]
+            assert all(owner[csr.vertex_ids[i]] == w for i in state.v_index)
+            assert all(
+                owner[csr.edge_keys[s][0]] == w for s in state.e_slot
+            )
+            # The async task set is every owned vertex at priority 0.
+            assert sorted(journal["sched"][0].tolist()) == sorted(
+                state.v_index.tolist()
+            )
         # Async snapshots exist alongside the sync baseline.
         metas = [
             directory.read_meta(s)
@@ -268,19 +316,24 @@ class TestLockingCrashRecover:
 class TestCheckpointManager:
     def test_write_read_roundtrip(self, tmp_path):
         manager = CheckpointManager(str(tmp_path), 2)
-        journals = [
-            {"vdata": {"v:0": 1.0}, "edata": {}, "versions": {"v:0": 3}},
-            {"vdata": {"v:1": 2.0}, "edata": {}, "versions": {"v:1": 4}},
-        ]
+        journals = [slot_journal(0, 1.0, 3), slot_journal(1, 2.0, 4)]
         sid = manager.next_id()
         manager.write(sid, journals, {"engine": "test", "rounds": 7})
         got_sid, meta, got = manager.latest_state()
         assert got_sid == sid
         assert meta["rounds"] == 7
-        assert got == journals
-        merged = merge_journals(got)
-        assert merged["vdata"] == {"v:0": 1.0, "v:1": 2.0}
-        assert merged["versions"] == {"v:0": 3, "v:1": 4}
+        for want, have in zip(journals, got):
+            assert have["format"] == JOURNAL_FORMAT
+            for name in FlatEntries.__slots__:
+                a = getattr(want["state"], name)
+                b = getattr(have["state"], name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            for a, b in zip(want["counts"], have["counts"]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        # Across journals: each slot once, value and version intact.
+        assert [j["state"].v_index.tolist() for j in got] == [[0], [1]]
+        assert [j["state"].v_value.tolist() for j in got] == [[1.0], [2.0]]
+        assert [j["state"].v_version.tolist() for j in got] == [[3], [4]]
 
     def test_incomplete_snapshot_is_not_a_recovery_point(self, tmp_path):
         manager = CheckpointManager(str(tmp_path), 1)
@@ -310,10 +363,7 @@ class TestSnapshotIntegrity:
     valid one."""
 
     def _write_one(self, manager, value=1.0):
-        journals = [
-            {"vdata": {"v:0": value}, "edata": {}, "versions": {"v:0": 1}},
-            {"vdata": {"v:1": value}, "edata": {}, "versions": {"v:1": 1}},
-        ]
+        journals = [slot_journal(0, value), slot_journal(1, value)]
         sid = manager.next_id()
         manager.write(sid, journals, {"engine": "test", "value": value})
         return sid
@@ -394,6 +444,49 @@ class TestSnapshotIntegrity:
         assert "failed integrity verification" in str(info.value)
         assert f"snapshot {sid}" in str(info.value)
 
+    def test_old_format_directory_rejected_by_name(self, tmp_path):
+        """A directory in the pre-slot-form dict format passes its own
+        manifest but is rejected at load, through the fallback."""
+        manager = CheckpointManager(str(tmp_path), 2)
+        good = self._write_one(manager, value=1.0)
+        old = manager.next_id()
+        manager.write(
+            old,
+            [old_format_journal(0, 2.0), old_format_journal(1, 2.0)],
+            {"engine": "test", "value": 2.0},
+        )
+        manager.dir.verify(old, 2)  # bytes are intact; the format is not
+        with pytest.raises(SnapshotError) as info:
+            manager.dir.read_journal(old, 0)
+        assert "machine-0" in str(info.value)
+        assert "format" in str(info.value)
+        sid, meta, _journals = manager.latest_state()
+        assert sid == good and meta["value"] == 1.0
+        assert manager.snapshots_rejected == 1
+
+    @pytest.mark.parametrize("damage", ["truncated", "no_counts", "no_state"])
+    def test_malformed_journal_that_passes_its_crc_rejected(
+        self, tmp_path, damage
+    ):
+        manager = CheckpointManager(str(tmp_path), 2)
+        good = self._write_one(manager, value=1.0)
+        bad = slot_journal(1, 2.0)
+        if damage == "truncated":
+            bad["state"].v_value = bad["state"].v_value[:0]
+        elif damage == "no_counts":
+            del bad["counts"]
+        else:
+            del bad["state"]
+        sid = manager.next_id()
+        manager.write(sid, [slot_journal(0, 2.0), bad], {"value": 2.0})
+        manager.dir.verify(sid, 2)
+        with pytest.raises(SnapshotError) as info:
+            manager.dir.read_journal(sid, 1)
+        assert "machine-1" in str(info.value)
+        got, meta, _journals = manager.latest_state()
+        assert got == good and meta["value"] == 1.0
+        assert manager.snapshots_rejected == 1
+
     def test_finalize_async_builds_manifest_from_reported_crcs(
         self, tmp_path
     ):
@@ -402,7 +495,7 @@ class TestSnapshotIntegrity:
         crcs = {}
         for w in range(2):
             _nbytes, crcs[w] = manager.dir.write_journal(
-                sid, w, {"vdata": {f"v:{w}": float(w)}}
+                sid, w, slot_journal(w, float(w))
             )
         manager.finalize_async(sid, {"engine": "test"}, crcs=crcs)
         manager.dir.verify(sid, 2)
@@ -472,6 +565,29 @@ class TestResumeFromDisk:
         ).run(initial=g.vertices(), resume_from=str(tmp_path))
         assert result.converged
         assert result.extra["snapshots_rejected"] >= 1
+        assert ranks(g) == clean
+
+    def test_resume_rejects_old_format_snapshot_then_falls_back(
+        self, tmp_path
+    ):
+        """A newest snapshot in the old dict format is a rejected
+        snapshot (counted, named), never a KeyError in a worker."""
+        clean, _ = clean_chromatic()
+        self._crashed_run(tmp_path)
+        manager = CheckpointManager(str(tmp_path), 2)
+        newest = manager.dir.latest()
+        manager.write(
+            manager.next_id(),
+            [old_format_journal(0, 9.0), old_format_journal(1, 9.0)],
+            manager.dir.read_meta(newest),
+        )
+        g = web()
+        result = RuntimeChromaticEngine(
+            g, PAGERANK, num_workers=2, transport="inproc",
+            max_sweeps=100, snapshot_every=1,
+        ).run(initial=g.vertices(), resume_from=str(tmp_path))
+        assert result.converged
+        assert result.extra["snapshots_rejected"] == 1
         assert ranks(g) == clean
 
     def test_locking_resume_fixed_point(self, tmp_path):
@@ -566,6 +682,121 @@ class TestAsyncSnapshotNoShm:
         got = ranks(g)
         for v, rank in clean.items():
             assert got[v] == pytest.approx(rank, abs=1e-3)
+
+
+@pytest.mark.parametrize("no_shm", [False, True])
+@pytest.mark.parametrize("transport", ["inproc", "mp", "tcp-loopback"])
+class TestRecoveryOnEveryWire:
+    """Kill → recover on typed columns over every wire the slot-form
+    journal crosses: plane-backed and pickled (``REPRO_NO_SHM``), pipe
+    and socket frames."""
+
+    @staticmethod
+    def _shm(monkeypatch, no_shm):
+        if no_shm:
+            monkeypatch.setenv("REPRO_NO_SHM", "1")
+        else:
+            monkeypatch.delenv("REPRO_NO_SHM", raising=False)
+
+    @staticmethod
+    def _doomed(transport, worker, when):
+        """A transport that loses ``worker`` for good at round ``when``:
+        a process kill, or — the loopback double has no process to
+        kill — a partition that outlasts its retry budget."""
+        if transport != "tcp-loopback":
+            link = make_transport(transport, 2)
+            link.schedule_kill(worker, when)
+            return link
+        link = LoopbackTcpTransport(
+            2, retry_budget=3, heartbeat_interval=0.02,
+            heartbeat_timeout=1.0, reply_timeout=60.0,
+        )
+        link.schedule_fault(worker, when, mode="partition", arg=5)
+        return link
+
+    def test_chromatic_bit_identical(self, transport, no_shm, monkeypatch):
+        self._shm(monkeypatch, no_shm)
+        g_clean = web(typed=True)
+        RuntimeChromaticEngine(
+            g_clean, PAGERANK, num_workers=2, transport="inproc",
+            max_sweeps=100,
+        ).run(initial=g_clean.vertices())
+        g = web(typed=True)
+        result = RuntimeChromaticEngine(
+            g, PAGERANK, num_workers=2,
+            transport=self._doomed(transport, 1, 5),
+            max_sweeps=100, snapshot_every=2, recovery_backoff=0.0,
+        ).run(initial=g.vertices())
+        assert result.extra["recoveries"] == 1
+        assert result.extra["snapshots_rejected"] == 0
+        (cause,) = result.extra["recovery_causes"]
+        assert cause["worker"] == 1 and cause["last_command"] == "step"
+        assert cause["phase"] in ("send", "reply") and cause["detail"]
+        assert ranks(g) == ranks(g_clean)
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_locking_fixed_point(
+        self, transport, no_shm, mode, monkeypatch
+    ):
+        self._shm(monkeypatch, no_shm)
+        g_clean = web(typed=True)
+        RuntimeLockingEngine(
+            g_clean, PAGERANK, num_workers=2, transport="inproc",
+        ).run(initial=g_clean.vertices())
+        clean = ranks(g_clean)
+        g = web(typed=True)
+        result = RuntimeLockingEngine(
+            g, PAGERANK, num_workers=2,
+            transport=self._doomed(transport, 0, 6),
+            snapshot_every=3, snapshot_mode=mode, recovery_backoff=0.0,
+        ).run(initial=g.vertices())
+        assert result.converged
+        assert result.extra["recoveries"] == 1
+        assert result.extra["snapshots_rejected"] == 0
+        got = ranks(g)
+        for v, rank in clean.items():
+            assert got[v] == pytest.approx(rank, abs=1e-3)
+
+
+class TestJournalSize:
+    """The journal is slot arrays, not per-key objects — pinned by size
+    and by type, never by time."""
+
+    def test_typed_snapshot_bytes_per_slot_and_ndarray_fields(
+        self, tmp_path
+    ):
+        g = web(400, typed=True)
+        result = RuntimeChromaticEngine(
+            g, PAGERANK, num_workers=2, transport="inproc",
+            max_sweeps=6, snapshot_every=2, snapshot_dir=str(tmp_path),
+        ).run(initial=g.vertices())
+        snapshots = result.extra["snapshots"]
+        assert snapshots >= 3  # the baseline + two sweep barriers
+        slots = g.num_vertices + g.num_edges
+        assert result.extra["snapshot_bytes"] <= snapshots * (
+            32 * slots + 4096
+        )
+        directory = SnapshotDirectory(str(tmp_path))
+        for sid in directory.snapshot_ids():
+            for w in range(2):
+                with open(directory.journal_path(sid, w), "rb") as fh:
+                    journal = pickle.load(fh)
+                state = journal["state"]
+                fields = [
+                    getattr(state, name) for name in FlatEntries.__slots__
+                ]
+                fields += list(journal["counts"])
+                assert all(type(f) is np.ndarray for f in fields)
+                assert all(f.dtype != object for f in fields)
+
+    def test_recovery_free_run_reports_no_causes(self):
+        g = web()
+        result = RuntimeChromaticEngine(
+            g, PAGERANK, num_workers=2, transport="inproc",
+            max_sweeps=100, snapshot_every=2,
+        ).run(initial=g.vertices())
+        assert result.extra["recoveries"] == 0
+        assert result.extra["recovery_causes"] == []
 
 
 class TestSnapshotCadence:

@@ -165,7 +165,7 @@ def test_snapshot_extra_keys_agree_across_engines(backend, tmp_path):
     snapshot/recovery accounting keys (plus their own diagnostics)."""
     shared = {
         "snapshots", "snapshot_bytes", "snapshots_rejected",
-        "recoveries", "recovery_seconds",
+        "recoveries", "recovery_seconds", "recovery_causes",
     }
     own = {
         RuntimeChromaticEngine: set(),

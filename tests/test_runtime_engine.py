@@ -110,8 +110,9 @@ def graph_values(graph):
     return vdata, edata
 
 
-def random_graph(num_vertices, num_edges, seed, default=0.0):
-    """Seeded random simple digraph with numeric data on both levels."""
+def random_graph(num_vertices, num_edges, seed, default=0.0, typed=False):
+    """Seeded random simple digraph with numeric data on both levels
+    (``typed``: float64 columns instead of object lists)."""
     rng = random.Random(seed)
     g = DataGraph()
     for i in range(num_vertices):
@@ -125,6 +126,8 @@ def random_graph(num_vertices, num_edges, seed, default=0.0):
         if a != b and (a, b) not in added:
             added.add((a, b))
             g.add_edge(a, b, data=float(rng.randrange(4)))
+    if typed:
+        return g.finalize(vertex_dtype=float, edge_dtype=float)
     return g.finalize()
 
 
@@ -521,12 +524,104 @@ class TestShardStore:
             assert sorted(legacy_v) == sorted(flat_v)
 
     def test_checkpoint_covers_owned_data(self):
+        """Across the shards' journals: every owned vertex and every
+        source-owned edge, exactly once, in slot form."""
         g = grid_graph(3, 3)
-        store, plan = self._store(g)
-        payload = store.checkpoint_payload()
-        assert set(payload["vdata"]) == set(store.owned_vertices)
-        for (a, b) in payload["edata"]:
-            assert plan.owner[a] == 0
+        plan = plan_ownership(g, 2, partitioner="hash")
+        csr = g.compiled
+        v_seen, e_seen = [], []
+        for w in range(2):
+            store = CSRShardStore(w, g, plan.owner)
+            payload = store.checkpoint_payload()
+            assert {csr.vertex_ids[i] for i in payload.v_index} == set(
+                store.owned_vertices
+            )
+            for slot in payload.e_slot:
+                assert plan.owner[csr.edge_keys[slot][0]] == w
+            for name in ("v_index", "v_version", "e_slot", "e_version"):
+                assert getattr(payload, name).dtype == np.int32
+            assert len(payload.v_value) == len(payload.v_index)
+            assert len(payload.e_value) == len(payload.e_slot)
+            v_seen += payload.v_index.tolist()
+            e_seen += payload.e_slot.tolist()
+        assert sorted(v_seen) == list(range(len(csr.vertex_ids)))
+        assert sorted(e_seen) == list(range(len(csr.edge_keys)))
+
+
+    @given(
+        seed=st.integers(0, 10_000),
+        workers=st.integers(2, 4),
+        typed=st.booleans(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_restoring_the_journals_rolls_every_held_slot_back(
+        self, seed, workers, typed
+    ):
+        """``restore(journal(store))`` over a whole cluster: owned slots
+        come back to their journaled value and version, *ghost* slots
+        and their version clocks roll back to the owner's, dirty bits
+        clear — whatever happened in between, delivered or not."""
+        g = random_graph(12, num_edges=26, seed=seed, typed=typed)
+        plan = plan_ownership(g, workers, partitioner="hash")
+        owner = plan.owner
+        stores = [CSRShardStore(w, g, owner) for w in range(workers)]
+        rng = random.Random(seed)
+
+        def scribble(deliver):
+            """Owners write some of their vertices and source-owned
+            edges; ghosts hear about it only when ``deliver``."""
+            for store in stores:
+                for v in store.owned_vertices:
+                    if rng.random() < 0.6:
+                        store.set_vertex_data(v, float(rng.randrange(100)))
+                    for u in g.out_neighbors(v):
+                        if rng.random() < 0.4:
+                            store.set_edge_data(
+                                v, u, float(rng.randrange(100))
+                            )
+            if deliver:
+                for store in stores:
+                    for dst, batch in store.collect_dirty_flat().items():
+                        stores[dst].apply_flat(batch)
+
+        def owner_view():
+            """(value, version) of every datum at its journaling owner."""
+            view = {}
+            for v in g.vertices():
+                s = stores[owner[v]]
+                view["v", v] = (s.vertex_data(v), s.version(("v", v)))
+            for (a, b) in g.edges():
+                s = stores[owner[a]]
+                view["e", a, b] = (s.edge_data(a, b), s.version(("e", a, b)))
+            return view
+
+        scribble(deliver=True)
+        scribble(deliver=False)  # ghosts are stale at journal time
+        journals = [store.checkpoint_payload() for store in stores]
+        truth = owner_view()
+        if typed:
+            for journal in journals:
+                for name in type(journal).__slots__:
+                    assert isinstance(getattr(journal, name), np.ndarray)
+        scribble(deliver=True)
+        scribble(deliver=False)  # and dirty at restore time
+        assert owner_view() != truth
+        for store in stores:
+            for journal in journals:
+                store.restore_checkpoint(journal)
+        assert owner_view() == truth
+        for store in stores:
+            assert store.dirty_count == 0
+            assert store.collect_dirty_flat() == {}
+            for key, (value, version) in truth.items():
+                held = store.version(key)
+                if held == -1:
+                    continue
+                assert held == version
+                if key[0] == "v":
+                    assert store.vertex_data(key[1]) == value
+                else:
+                    assert store.edge_data(key[1], key[2]) == value
 
 
 class TestPicklability:
