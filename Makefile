@@ -4,22 +4,21 @@ PY := PYTHONPATH=src python
 
 .PHONY: test perf bench bench-smoke bench-compare
 
-# Tier-1 verify: unit + figure-reproduction suites (perf tests skipped).
+# Tier-1 verify: unit + figure-reproduction suites (perf guards skipped).
 test:
 	$(PY) -m pytest -x -q
 
-# Hot-path perf checks (non-tier-1, selected by the perf marker).
+# The three telemetry budgets (tracing cost, attribution, telemetry
+# off), asserted on full-scale bench records; not tier-1.
 perf:
-	$(PY) -m pytest -m perf benchmarks/perf -q
+	$(PY) -m pytest -m perf tests/test_perf_guards.py -q
 
-# Record core throughput to BENCH_core.json. Refuses to overwrite an
-# existing file from a dirty working tree so the perf trajectory stays
-# reproducible from committed states (pass FORCE=1 to override).
+# The repo benchmark (BENCHMARK.json + bench/): every workload at full
+# scale, one fresh process each.
 bench:
-	$(PY) -m benchmarks.perf.bench_core $(if $(FORCE),--force,)
+	python3 -m bench --all
 
-# The repo benchmark (BENCHMARK.json + bench/): every workload at smoke
-# scale — what CI runs per PR.
+# Every workload at smoke scale — what CI runs per PR.
 bench-smoke:
 	python3 -m bench --all --scale smoke
 

@@ -4,9 +4,8 @@ Registers the opt-in markers and keeps what they mark out of the
 tier-1 suite: ``pytest -x -q`` (the verify command) skips anything
 marked ``perf`` or ``chaos_large``; run them explicitly with
 ``pytest -m perf`` (``make perf``) / ``pytest -m chaos_large``. The
-throughput *recorder* is ``make bench``
-(``python -m benchmarks.perf.bench_core``), which writes
-``BENCH_core.json``.
+benchmark itself is ``python3 -m bench`` (``make bench``); the ``perf``
+tests only assert on the records it produces.
 """
 
 import pytest
@@ -15,8 +14,8 @@ import pytest
 #: Markers that keep a test out of tier-1 (``pytest -x -q`` skips
 #: them); each is selected explicitly with ``-m <marker>``.
 OPT_IN_MARKERS = {
-    "perf": "core hot-path throughput benchmarks (non-tier-1; select "
-    "with -m perf)",
+    "perf": "guards over full-scale traced bench records (non-tier-1; "
+    "select with -m perf)",
     "chaos_large": "full-size no-fault control runs of the chaos "
     "harness (CI chaos lane; select with -m chaos_large)",
 }

@@ -1,7 +1,7 @@
 """Ablations of the paper's design choices (DESIGN.md Sec. 5).
 
 The paper motivates three mechanisms without isolating them; these
-benchmarks isolate each on the executing engines:
+suites isolate each on the executing engines:
 
 * **data versioning** (Sec. 4.1) — ghost pushes ship only *changed*
   data. Ablation: compare shipped bytes against re-sending the full
@@ -14,7 +14,7 @@ benchmarks isolate each on the executing engines:
   placement of the same atoms.
 """
 
-from repro.bench import Figure
+from repro.figures import Figure
 from repro.core import greedy_coloring
 from repro.core.graph import DataGraph
 from repro.datasets import mesh_3d
@@ -136,8 +136,8 @@ def run_placement_ablation():
     return results
 
 
-def test_ablation_versioning_saves_bytes(run_once):
-    shipped, naive = run_once(run_versioning_ablation)
+def test_ablation_versioning_saves_bytes():
+    shipped, naive = run_versioning_ablation()
     fig = Figure(
         figure_id="ablation_versioning",
         title="Ghost traffic: version-filtered vs naive resend (bytes)",
@@ -152,8 +152,8 @@ def test_ablation_versioning_saves_bytes(run_once):
     assert shipped < naive
 
 
-def test_ablation_async_propagation(run_once):
-    results = run_once(run_async_propagation_ablation)
+def test_ablation_async_propagation():
+    results = run_async_propagation_ablation()
     fig = Figure(
         figure_id="ablation_async_flush",
         title="Chromatic engine: overlapped vs barrier-only ghost pushes",
@@ -167,8 +167,8 @@ def test_ablation_async_propagation(run_once):
     assert results["async_overlap"] <= results["barrier_only"] * 1.05
 
 
-def test_ablation_placement_affinity(run_once):
-    results = run_once(run_placement_ablation)
+def test_ablation_placement_affinity():
+    results = run_placement_ablation()
     fig = Figure(
         figure_id="ablation_placement",
         title="Atom placement: affinity vs round-robin",

@@ -13,13 +13,13 @@ from repro.apps import (
     l1_error,
     make_pagerank_update,
 )
-from repro.bench import Figure
+from repro.figures import Figure
 from repro.core import SequentialEngine, SweepScheduler
 from repro.datasets import power_law_web_graph
 
-#: The Fig. 1a workload definition — also imported by
-#: ``benchmarks.perf.bench_core`` so the real-runtime throughput rows in
-#: ``BENCH_core.json`` measure exactly this graph.
+#: The Fig. 1a workload: a power-law web graph, Jacobi vs Gauss-Seidel
+#: sweeps. Its real-runtime counterpart is the bench workload
+#: ``pagerank_chromatic`` (``python3 -m bench``).
 NUM_PAGES = 1200
 OUT_DEGREE = 4
 SEED = 7
@@ -66,8 +66,8 @@ def run_experiment():
     return fig
 
 
-def test_fig1a_async_beats_sync(run_once):
-    fig = run_once(run_experiment)
+def test_fig1a_async_beats_sync():
+    fig = run_experiment()
     print("\n" + fig.render())
     fig.save()
     sync = fig.values_of("sync_pregel")

@@ -9,7 +9,7 @@ than 10 updates".
 from collections import Counter
 
 from repro.apps import initialize_ranks, make_pagerank_update
-from repro.bench import Figure
+from repro.figures import Figure
 from repro.core import SequentialEngine
 from repro.datasets import power_law_web_graph
 
@@ -41,8 +41,8 @@ def run_experiment():
     return fig, single, heavy, result
 
 
-def test_fig1b_majority_single_update(run_once):
-    fig, single, heavy, result = run_once(run_experiment)
+def test_fig1b_majority_single_update():
+    fig, single, heavy, result = run_experiment()
     print("\n" + fig.render())
     fig.save()
     assert result.converged

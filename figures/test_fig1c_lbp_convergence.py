@@ -6,7 +6,7 @@ async (in-place) beats sync (Pregel) per sweep, and dynamic async
 """
 
 from repro.apps import make_lbp_update, synchronous_lbp_sweep, total_residual
-from repro.bench import Figure
+from repro.figures import Figure
 from repro.core import SequentialEngine
 from repro.datasets import grid_2d
 
@@ -73,8 +73,8 @@ def run_experiment():
     return fig
 
 
-def test_fig1c_dynamic_fastest(run_once):
-    fig = run_once(run_experiment)
+def test_fig1c_dynamic_fastest():
+    fig = run_experiment()
     print("\n" + fig.render())
     fig.save()
     sync = fig.values_of("sync_pregel")

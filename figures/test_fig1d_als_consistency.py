@@ -11,7 +11,7 @@ serializability violations and the stability gap.
 import numpy as np
 
 from repro.apps import initialize_factors, make_als_update, test_rmse
-from repro.bench import Figure
+from repro.figures import Figure
 from repro.core import Consistency, SequentialEngine, ThreadedEngine
 from repro.datasets import synthetic_netflix
 
@@ -102,8 +102,8 @@ def _instability(errors):
     )
 
 
-def test_fig1d_racing_is_not_serializable(run_once):
-    fig, racing, violations = run_once(run_experiment)
+def test_fig1d_racing_is_not_serializable():
+    fig, racing, violations = run_experiment()
     print("\n" + fig.render())
     print("not_serializable (this run):", [round(e, 3) for e in racing])
     print(

@@ -9,7 +9,7 @@ the same vertex-count ratio (their 100..10,000 on 27M vertices maps to
 single digits..hundreds here).
 """
 
-from repro.bench import Figure
+from repro.figures import Figure
 from repro.core import Consistency
 from repro.datasets import mesh_3d
 from repro.apps import make_lbp_update
@@ -76,8 +76,8 @@ def run_experiment():
     return fig_a, fig_b
 
 
-def test_fig3_pipelined_locking(run_once):
-    fig_a, fig_b = run_once(run_experiment)
+def test_fig3_pipelined_locking():
+    fig_a, fig_b = run_experiment()
     print("\n" + fig_a.render())
     print("\n" + fig_b.render())
     fig_a.save()

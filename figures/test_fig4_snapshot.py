@@ -7,7 +7,7 @@ sync snapshot absorbs the full stall, the async snapshot a fraction.
 """
 
 from repro.apps import make_lbp_update
-from repro.bench import Figure
+from repro.figures import Figure
 from repro.core import Consistency
 from repro.datasets import mesh_3d
 from repro.distributed import COSEG_SIZES, LockingEngine, degree_cost, deploy
@@ -136,9 +136,9 @@ def _user_done_time(result, budget):
     return result.progress[-1][0]
 
 
-def test_fig4_async_beats_sync_snapshots(run_once):
+def test_fig4_async_beats_sync_snapshots():
     (fig, baseline, async_run, sync_run, async_stall, sync_stall, stall) = (
-        run_once(run_experiment)
+        run_experiment()
     )
     print("\n" + fig.render())
     fig.save()

@@ -23,7 +23,7 @@ from repro.baselines import (
     run_mpi_als,
     speedup_curve,
 )
-from repro.bench import Figure
+from repro.figures import Figure
 from repro.core import Consistency, bipartite_coloring
 from repro.datasets import synthetic_netflix
 from repro.distributed import (
@@ -181,8 +181,8 @@ def _merged(engine):
     return _value_store(engine.graph, values)
 
 
-def test_fig6a_scalability_shapes(run_once):
-    fig_a, fig_b = run_once(run_fig6a_and_6b)
+def test_fig6a_scalability_shapes():
+    fig_a, fig_b = run_fig6a_and_6b()
     print("\n" + fig_a.render())
     print("\n" + fig_b.render())
     fig_a.save()
@@ -204,8 +204,8 @@ def test_fig6a_scalability_shapes(run_once):
     assert ner_mbps[-1] > fig_b.values_of("netflix")[-1]
 
 
-def test_fig6c_intensity(run_once):
-    fig = run_once(run_fig6c)
+def test_fig6c_intensity():
+    fig = run_fig6c()
     print("\n" + fig.render())
     fig.save()
     finals = [s.values[-1] for s in fig.series]  # d=5,20,50,100 order
@@ -213,8 +213,8 @@ def test_fig6c_intensity(run_once):
     assert finals[-1] > 1.5 * finals[0]
 
 
-def test_fig6d_system_comparison(run_once):
-    fig = run_once(run_fig6d)
+def test_fig6d_system_comparison():
+    fig = run_fig6d()
     print("\n" + fig.render())
     fig.save()
     hadoop = fig.values_of("hadoop")
@@ -225,9 +225,9 @@ def test_fig6d_system_comparison(run_once):
         assert 0.6 <= g / p <= 1.6  # comparable to MPI
 
 
-def test_fig6_reduced_scale_cross_validation(run_once):
-    (gl_rmse, h_rmse, mpi_rmse, gl_t, h_t, mpi_t) = run_once(
-        run_reduced_scale_validation
+def test_fig6_reduced_scale_cross_validation():
+    (gl_rmse, h_rmse, mpi_rmse, gl_t, h_t, mpi_t) = (
+        run_reduced_scale_validation()
     )
     print(
         f"\nreduced-scale ALS agreement: graphlab={gl_rmse:.4f} "

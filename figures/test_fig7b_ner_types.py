@@ -12,7 +12,7 @@ from repro.apps import (
     phrase_labels,
     top_words_per_type,
 )
-from repro.bench import Figure
+from repro.figures import Figure
 from repro.core import SequentialEngine
 from repro.datasets import TYPE_VOCABULARY, synthetic_ner
 
@@ -43,8 +43,8 @@ def run_experiment():
     return fig, top, accuracy, result
 
 
-def test_fig7b_top_words(run_once):
-    fig, top, accuracy, result = run_once(run_experiment)
+def test_fig7b_top_words():
+    fig, top, accuracy, result = run_experiment()
     print("\n" + fig.render())
     fig.save()
     assert result.converged

@@ -19,7 +19,7 @@ from repro.baselines import (
     netflix_workload,
     coseg_workload,
 )
-from repro.bench import Figure
+from repro.figures import Figure
 from repro.core import Consistency
 from repro.datasets import synthetic_video
 from repro.distributed import (
@@ -170,8 +170,8 @@ def run_fig8d():
     return fig
 
 
-def test_fig8a_weak_scaling(run_once):
-    fig = run_once(run_fig8a)
+def test_fig8a_weak_scaling():
+    fig = run_fig8a()
     print("\n" + fig.render())
     fig.save()
     runtimes = fig.values_of("runtime_s")
@@ -182,8 +182,8 @@ def test_fig8a_weak_scaling(run_once):
     assert runtimes[-1] <= 1.6 * runtimes[1]
 
 
-def test_fig8b_pipeline_compensates_partitioning(run_once):
-    fig = run_once(run_fig8b)
+def test_fig8b_pipeline_compensates_partitioning():
+    fig = run_fig8b()
     print("\n" + fig.render())
     fig.save()
     optimal = fig.values_of("optimal_partition")
@@ -200,8 +200,8 @@ def test_fig8b_pipeline_compensates_partitioning(run_once):
     assert worst_gain > optimal_gain
 
 
-def test_fig8c_ner_systems(run_once):
-    fig = run_once(run_fig8c)
+def test_fig8c_ner_systems():
+    fig = run_fig8c()
     print("\n" + fig.render())
     fig.save()
     hadoop = fig.values_of("hadoop")
@@ -217,8 +217,8 @@ def test_fig8c_ner_systems(run_once):
         assert g / p > 1.2
 
 
-def test_fig8d_snapshot_overhead(run_once):
-    fig = run_once(run_fig8d)
+def test_fig8d_snapshot_overhead():
+    fig = run_fig8d()
     print("\n" + fig.render())
     fig.save()
     overheads = dict(zip(fig.x_values, fig.values_of("overhead_pct")))

@@ -19,7 +19,7 @@ from repro.baselines import (
     hadoop_runtime,
     netflix_workload,
 )
-from repro.bench import Figure
+from repro.figures import Figure
 from repro.core import SequentialEngine
 from repro.datasets import synthetic_netflix
 from repro.sim import CC1_4XLARGE
@@ -112,8 +112,8 @@ def run_fig9b():
     return fig
 
 
-def test_fig9a_dynamic_halves_updates(run_once):
-    fig, bsp_updates, dyn_updates = run_once(run_fig9a)
+def test_fig9a_dynamic_halves_updates():
+    fig, bsp_updates, dyn_updates = run_fig9a()
     print("\n" + fig.render())
     fig.save()
     bsp = fig.values_of("bsp_pregel")
@@ -125,8 +125,8 @@ def test_fig9a_dynamic_halves_updates(run_once):
     assert dyn_updates <= 0.85 * bsp_updates
 
 
-def test_fig9b_cost_effectiveness(run_once):
-    fig = run_once(run_fig9b)
+def test_fig9b_cost_effectiveness():
+    fig = run_fig9b()
     print("\n" + fig.render())
     fig.save()
     gl_cost = fig.values_of("graphlab_cost_usd")

@@ -1,6 +1,6 @@
 """Table 1: comparison chart of large-scale computation frameworks."""
 
-from repro.bench import Figure, capability_table, graphlab_claims
+from repro.figures import Figure, capability_table, graphlab_claims
 
 
 def build_table1():
@@ -23,8 +23,8 @@ def build_table1():
     return fig, rows
 
 
-def test_table1_capability_matrix(run_once):
-    fig, rows = run_once(build_table1)
+def test_table1_capability_matrix():
+    fig, rows = build_table1()
     print("\n" + fig.render())
     fig.save()
     by_name = {r.name: r for r in rows}

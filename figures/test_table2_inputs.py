@@ -6,7 +6,7 @@ generated datasets, and checks the data-size formulas (vertex bytes
 (bipartite / 3-D grid).
 """
 
-from repro.bench import Figure
+from repro.figures import Figure
 from repro.core import bipartite_coloring
 from repro.baselines import coseg_workload, ner_workload, netflix_workload
 from repro.datasets import synthetic_ner, synthetic_netflix, synthetic_video
@@ -66,8 +66,8 @@ def run_experiment():
     return fig, netflix, video, ner
 
 
-def test_table2_input_sizes(run_once):
-    fig, netflix, video, ner = run_once(run_experiment)
+def test_table2_input_sizes():
+    fig, netflix, video, ner = run_experiment()
     print("\n" + fig.render())
     fig.save()
     # Byte formulas from Table 2.

@@ -6,7 +6,7 @@ runtime of our experiments" — the argument against Hadoop's always-on
 fault-tolerance tax.
 """
 
-from repro.bench import Figure
+from repro.figures import Figure
 from repro.baselines import netflix_workload, graphlab_runtime
 from repro.distributed import young_checkpoint_interval
 from repro.distributed.snapshot import SECONDS_PER_YEAR
@@ -30,8 +30,8 @@ def run_experiment():
     return fig
 
 
-def test_young_interval(run_once):
-    fig = run_once(run_experiment)
+def test_young_interval():
+    fig = run_experiment()
     print("\n" + fig.render())
     fig.save()
     hours = dict(zip(fig.x_values, fig.values_of("interval_hours")))

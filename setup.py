@@ -1,6 +1,6 @@
 """Setup shim for environments without the ``wheel`` package.
 
-The canonical metadata lives in ``pyproject.toml``; this file exists so
+This file is the package's only build metadata. It exists so
 ``pip install -e .`` can use the legacy ``setup.py develop`` code path on
 offline machines where PEP 660 editable wheels cannot be built.
 """

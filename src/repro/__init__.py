@@ -20,8 +20,9 @@ The package provides:
   NER/CoEM applications;
 * :mod:`repro.datasets` — synthetic workload generators matching the
   paper's inputs (Table 2);
-* :mod:`repro.bench` — the experiment harness regenerating every table
-  and figure of the evaluation.
+* :mod:`repro.figures` — the figure containers and capability table the
+  ``figures/`` suites use to regenerate every table and figure of the
+  evaluation.
 
 Quickstart::
 

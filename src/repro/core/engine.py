@@ -146,8 +146,9 @@ class SequentialEngine(_EngineBase):
     reproduction, so it pools a single :class:`Scope` (rebound per pop),
     inlines the schedule merge of :func:`run_update` (same merge order),
     hoists attribute lookups, and skips sync ticking entirely when no
-    syncs are registered. ``benchmarks/perf/bench_core.py`` tracks its
-    updates/sec.
+    syncs are registered. The bench probe
+    ``core.scope.scalar_update_us`` (``python3 -m bench --probes``)
+    tracks its per-update cost.
     """
 
     def run(

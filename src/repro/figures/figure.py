@@ -1,10 +1,10 @@
-"""Series/figure containers and rendering for the experiment harness.
+"""Series/figure containers and rendering for the figure suites.
 
-Every benchmark regenerates one table or figure of the paper as a
-:class:`Figure`: named series over a shared x-axis, rendered as an
-aligned text table (and optionally CSV) and written under
-``results/``. Benchmarks print the rendering so ``pytest benchmarks/
---benchmark-only -s`` reproduces the evaluation section on stdout.
+Every suite under ``figures/`` regenerates one table or figure of the
+paper as a :class:`Figure`: named series over a shared x-axis, rendered
+as an aligned text table and written under ``results/``. The suites
+print the rendering, so ``pytest figures/ -s`` reproduces the
+evaluation section on stdout.
 """
 
 from __future__ import annotations

@@ -220,7 +220,7 @@ def summarize(telemetry: RunTelemetry) -> Dict[str, Any]:
 
 
 def phase_share_fractions(telemetry: RunTelemetry, digits: int = 4) -> Dict[str, float]:
-    """Rounded ``{phase: share}`` map — the shape stored in BENCH_core."""
+    """Rounded ``{phase: share}`` map of a run's worker phases."""
     report = summarize(telemetry)
     return {
         phase: round(entry["share"], digits)

@@ -1,8 +1,7 @@
 """Seeded load generation for the serving subsystem.
 
-One shared driver behind the bench (``benchmarks/perf/bench_core.py``'s
-``serve`` section), the CLI smoke (``python -m repro.serve``), and any
-test that wants a realistic mixed stream: build a seeded random graph,
+One shared driver behind the CLI smoke (``python -m repro.serve``) and
+any test that wants a realistic mixed stream: build a seeded random graph,
 stand a :class:`~repro.serve.service.GraphService` in front of it, and
 replay a deterministic read/write mix through whichever client the
 caller hands in. Everything is driven by one :class:`random.Random`

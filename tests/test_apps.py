@@ -151,6 +151,22 @@ class TestLBP:
             if unary.max() / unary.min() > 50:  # decisive evidence
                 assert labels[v] == int(np.argmax(unary))
 
+    def test_fifo_run_is_deterministic(self):
+        g1, psi = grid_2d(6, 6, num_labels=3, seed=3)
+        g2, _ = grid_2d(6, 6, num_labels=3, seed=3)
+        update = make_lbp_update(psi, epsilon=1e-3)
+        r1, r2 = (
+            SequentialEngine(g, update, scheduler="fifo", max_updates=800).run(
+                initial=g.vertices()
+            )
+            for g in (g1, g2)
+        )
+        assert r1.num_updates == r2.num_updates
+        assert r1.updates_per_vertex == r2.updates_per_vertex
+        for (u, w) in g1.edges():
+            for m1, m2 in zip(g1.edge_data(u, w), g2.edge_data(u, w)):
+                assert np.array_equal(m1, m2)
+
     def test_sync_sweep_matches_message_semantics(self):
         g, psi = grid_2d(3, 3, num_labels=2, seed=13)
         r1 = synchronous_lbp_sweep(g, psi)
