@@ -68,7 +68,10 @@ Counters (sum-merged, see :mod:`repro.obs.metrics`):
 command (ring occupancy when divided by ``plane_rounds`` × capacity),
 ``plane_rounds`` — commands with an attached ring, and
 ``plane_overflow_batches`` — dirty batches that overflowed the ring
-onto the pickled pipe wire.
+onto the pickled pipe wire (worker-side); ``serve_plane_reads`` —
+serving reads the coordinator answered from the data plane without a
+round, and ``serve_rejected`` — requests the service shed
+(coordinator-side).
 
 The reply-pickle ``ser`` span necessarily rides the *next* round's
 batch (it happens after the current reply is drained); the final

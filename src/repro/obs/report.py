@@ -187,9 +187,9 @@ def summarize(telemetry: RunTelemetry) -> Dict[str, Any]:
         serving["requests"] = len(serve_lat["read"]) + len(serve_lat["write"])
         serving["queue_depth_mean"] = sum(serve_depth) / len(serve_depth)
         serving["queue_depth_max"] = max(serve_depth)
-        serving["rejected"] = telemetry.counters.get(
-            COORDINATOR_TRACK, {}
-        ).get("serve_rejected", 0)
+        coord_counters = telemetry.counters.get(COORDINATOR_TRACK, {})
+        serving["rejected"] = coord_counters.get("serve_rejected", 0)
+        serving["plane_reads"] = coord_counters.get("serve_plane_reads", 0)
 
     report = {
         "meta": dict(telemetry.meta),
@@ -295,6 +295,7 @@ def format_report(report: Dict[str, Any]) -> str:
         lines.append(
             f"serving: requests={serving.get('requests', 0)} "
             f"rejected={serving.get('rejected', 0)} "
+            f"plane_reads={serving.get('plane_reads', 0)} "
             f"queue_depth mean={serving.get('queue_depth_mean', 0.0):.2f} "
             f"max={serving.get('queue_depth_max', 0)}"
         )

@@ -43,7 +43,12 @@ from repro.obs.timeline import RunTelemetry, TimelineCollector, drain_telemetry
 from repro.runtime.checkpoint import CheckpointManager, SnapshotCadence
 from repro.runtime.plane import plane_spec_for
 from repro.runtime.program import check_picklable
-from repro.runtime.shard import gather_entries, make_journal, scatter_entries
+from repro.runtime.shard import (
+    PlaneReader,
+    gather_entries,
+    make_journal,
+    scatter_entries,
+)
 from repro.runtime.transport import Transport, WorkerFailure, make_transport
 from repro.runtime.worker import encode_worker
 
@@ -264,6 +269,10 @@ class RuntimeCore:
         self._plane = None
         self._ran = False
         self._serving = False
+        self._plane_reader: Optional[PlaneReader] = None
+        #: Serve reads answered from the data plane without a round
+        #: (see :meth:`service_barrier`).
+        self.plane_reads = 0
         # Fault tolerance (Sec. 4.3): snapshot cadence + bounded
         # respawn/rollback recovery. Disabled unless snapshot_every is
         # set — without a snapshot there is nothing to recover to.
@@ -390,6 +399,11 @@ class RuntimeCore:
             # worker processes or shm segments either.
             self._teardown()
             raise
+        spec = self._plane.spec if self._plane is not None else None
+        if spec is not None and spec.has_v and spec.has_e:
+            # Scope reads need both columns on the plane; a one-column
+            # plane keeps every read on the serve round.
+            self._plane_reader = PlaneReader(self._csr, self._owner_idx)
         self._serving = True
 
     def service_barrier(
@@ -403,20 +417,54 @@ class RuntimeCore:
         the vertex's owner (version bump + dirty mark, so the change
         propagates to ghost holders through the normal routed wire);
         ``reads`` are ``(request_id, vertex, want_scope)`` and return
-        ``{request_id: snapshot}`` from
-        :meth:`~repro.runtime.shard.CSRShardStore.read_snapshot`. Both
-        happen inside one command on every worker — reads observe every
-        write of the same barrier and never a half-applied update.
+        ``{request_id: snapshot}`` in the layout of
+        :meth:`~repro.runtime.shard.CSRShardStore.read_snapshot`.
 
-        Pending data-plane inbox entries are delivered with this
-        barrier (ring descriptors written in command R must be consumed
-        in command R+1 or go stale under the double-buffered ring).
-        Everything else stays queued for the engine's next own round:
-        lock-protocol traffic (safe — data may arrive earlier than a
-        grant, never later) and the chromatic speculation verdict (at
-        sweep quiescence any outstanding verdict is a full commit, so
-        reads here always observe committed state).
+        **A batch of reads only, on an engine with a data plane, takes
+        no round:** each datum is read straight out of whichever
+        worker's segment holds its highest version
+        (:class:`~repro.runtime.shard.PlaneReader`; values are copied,
+        so a reply never aliases shared memory), and the reads are
+        counted in :attr:`plane_reads` and the ``serve_plane_reads``
+        telemetry counter. That is exactly what the owner's ``serve``
+        command would answer, because two conditions hold: this method
+        runs only between commands, on the thread driving the engine
+        (every segment quiescent, every dirty entry of the last command
+        already routed toward its holders), and the chromatic fallback
+        serves only at sweep quiescence, where an outstanding
+        speculation verdict is always a full commit.
+
+        **Everything else is one ``serve`` round:** a batch with
+        writes, a call with no requests at all, and any engine without
+        a plane (tcp, untyped columns, ``REPRO_NO_SHM``,
+        ``use_plane=False``). Writes and reads then happen inside one
+        command on every worker — reads observe every write of the same
+        barrier and never a half-applied update. Pending data-plane
+        inbox entries are delivered with that round (ring descriptors
+        written in command R must be consumed in command R+1 or go stale
+        under the double-buffered ring; a round-free read sends no
+        command, so it leaves them valid). Everything else stays queued
+        for the engine's next own round: lock-protocol traffic (safe —
+        data may arrive earlier than a grant, never later) and the
+        chromatic speculation verdict.
         """
+        writes = list(writes or ())
+        reads = list(reads or ())
+        if reads and not writes and self._plane_reader is not None:
+            results = self._plane_reader.read(self._plane.segments, reads)
+            self.plane_reads += len(reads)
+            rec = self._rec
+            if rec is not None:
+                rec.count("serve_plane_reads", len(reads))
+            return results
+        return self._serve_round(writes, reads)
+
+    def _serve_round(
+        self,
+        writes: List[Tuple[VertexId, Any]],
+        reads: List[Tuple[Any, VertexId, bool]],
+    ) -> Dict[Any, Dict[str, Any]]:
+        """The ``serve`` round of :meth:`service_barrier`."""
         num_workers = self.num_workers
         owner = self.owner
         writes_by: List[List[Tuple[VertexId, Any]]] = [
@@ -425,9 +473,9 @@ class RuntimeCore:
         reads_by: List[List[Tuple[Any, VertexId, bool]]] = [
             [] for _ in range(num_workers)
         ]
-        for vid, value in writes or ():
+        for vid, value in writes:
             writes_by[owner[vid]].append((vid, value))
-        for req_id, vid, want_scope in reads or ():
+        for req_id, vid, want_scope in reads:
             reads_by[owner[vid]].append((req_id, vid, want_scope))
         messages = []
         for w, inbox in enumerate(self._inboxes):

@@ -10,10 +10,12 @@ movement is memory-bandwidth-bound). This module is the Python
 equivalent for graphs with **typed data columns**:
 
 * At launch the coordinator allocates one POSIX shared-memory segment
-  per worker (:class:`ShmDataPlane`). A segment holds the worker's full
-  vertex/edge data columns — the authoritative copy for its *owned*
-  slots — plus a fixed-capacity, **double-buffered dirty-entry ring**
-  (slot index, version, value triplets in parallel arrays).
+  per worker (:class:`ShmDataPlane`). A segment holds the worker's
+  ``int64`` version counters (``vversion`` / ``eversion``, one per
+  vertex and edge slot) and its full vertex/edge data columns — the
+  authoritative copy for its *owned* slots — plus a fixed-capacity,
+  **double-buffered dirty-entry ring** (slot index, version, value
+  triplets in parallel arrays).
 * After a color-step the worker publishes dirty entries by *writing ring
   slots directly* (:class:`RingWriter`), grouped per destination; its
   pipe reply shrinks to control data — per-destination ``(start,
@@ -24,6 +26,14 @@ equivalent for graphs with **typed data columns**:
   (:meth:`~repro.runtime.shard.CSRShardStore.apply_flat`).
 * At collect time the coordinator reads owned slots straight out of
   each segment — no pickled data dictionaries.
+* A read-only serving batch takes no round at all: between commands
+  every segment is quiescent, so the coordinator answers each read
+  from whichever segment holds the datum's highest version
+  (:class:`~repro.runtime.shard.PlaneReader`). The version columns are
+  what make that choice possible — a datum's freshest copy is not
+  always at its owner (an EDGE-consistency update writes in-edges whose
+  journal owner is another worker, a FULL-consistency update writes
+  neighbour data) until the next command delivers the routed entries.
 
 Double buffering is what makes the ring safe without locks: entries
 written during round *r* are read by their destinations during round
@@ -124,8 +134,9 @@ class PlaneSpec:
         return self.e_dtype is not None
 
     def segment_size(self) -> int:
-        """Bytes per worker segment (column blocks + both ring halves)."""
-        size = 0
+        """Bytes per worker segment (version columns + data columns +
+        both ring halves)."""
+        size = 8 * (self.v_count + self.e_count)  # int64 version columns
         if self.has_v:
             _dt, _shape, item = _item_shape(self.v_dtype, self.v_shape)
             size += self.v_count * item
@@ -151,12 +162,25 @@ class RingHalf:
 
 
 class WorkerSegment:
-    """Numpy views over one worker's plane memory."""
+    """Numpy views over one worker's plane memory.
 
-    __slots__ = ("vdata", "edata", "halves")
+    Layout: the ``int64`` version columns ``vversion`` / ``eversion``
+    (one counter per vertex / edge slot — first, so every later block
+    keeps its 8-byte alignment), then the typed data columns, then the
+    two ring halves.
+    """
+
+    __slots__ = ("vversion", "eversion", "vdata", "edata", "halves")
 
     def __init__(self, spec: PlaneSpec, buffer: Any) -> None:
-        offset = 0
+        self.vversion = np.frombuffer(
+            buffer, dtype=np.int64, count=spec.v_count, offset=0
+        )
+        self.eversion = np.frombuffer(
+            buffer, dtype=np.int64, count=spec.e_count,
+            offset=8 * spec.v_count,
+        )
+        offset = 8 * (spec.v_count + spec.e_count)
         self.vdata = None
         self.edata = None
         self.halves = (RingHalf(), RingHalf())

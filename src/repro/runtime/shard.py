@@ -28,7 +28,11 @@ only as a slot-form :class:`FlatEntries` batch (``index``/``value``/
 gathers it, :meth:`CSRShardStore.restore_checkpoint` force-applies it,
 and the journal record built around it (:func:`make_journal`, checked
 by :func:`check_journal`) is what crosses the wire and lands on disk.
-This module is the only one that knows that layout.
+This module is the only one that knows that layout — and likewise the
+serving read-reply layout: a worker's ``serve`` command
+(:meth:`CSRShardStore.read_snapshot`) and the coordinator's round-free
+plane reads (:class:`PlaneReader`) build their replies through the same
+two helpers.
 
 Scope contract: access is expected to come through
 :class:`~repro.core.scope.Scope`, whose adjacency checks confine reads
@@ -56,6 +60,7 @@ import numpy as np
 
 from repro.core.consistency import DataKey, edge_key, vertex_key
 from repro.core.graph import DataGraph, VertexId
+from repro.core.kernels import in_edge_plan
 from repro.distributed.graph_store import ghost_write_targets
 from repro.distributed.models import VERSION_BYTES, DataSizeModel
 from repro.errors import GraphStructureError
@@ -310,6 +315,146 @@ def check_journal(journal: Any) -> None:
             )
 
 
+def _read_slots(
+    csr: Any, vid: VertexId, scope: bool
+) -> Tuple[List[int], Optional[List[int]]]:
+    """The slots one serving read covers.
+
+    ``v_index`` starts with the vertex itself; a scope read appends its
+    in-neighbors in in-CSR order and returns their in-edge slots aligned
+    with them (the kernels' edge-slot plan), so the reply is built from
+    the canonical arrays alone — never the interpreter's ``in_gather``
+    views. ``e_slot`` is ``None`` for a point read.
+    """
+    try:
+        index = csr.index_of[vid]
+    except KeyError:
+        raise GraphStructureError(f"unknown vertex {vid!r}") from None
+    if not scope:
+        return [index], None
+    lo, hi = csr.in_offsets[index], csr.in_offsets[index + 1]
+    return (
+        [index] + csr.in_sources[lo:hi].tolist(),
+        in_edge_plan(csr)[lo:hi].tolist(),
+    )
+
+
+def _read_reply(
+    vertex_ids: Sequence[VertexId],
+    v_index: List[int],
+    v_value: Sequence[Any],
+    v_version: Sequence[Any],
+    e_value: Optional[Sequence[Any]] = None,
+    e_version: Optional[Sequence[Any]] = None,
+) -> Dict[str, Any]:
+    """The one serving read-reply layout: ``vertex`` / ``value`` /
+    ``version``, plus, for a scope read, ``neighbors`` and ``in_edges``
+    mapping each in-neighbor id to ``(value, version)``. Inputs are the
+    values and versions of :func:`_read_slots`' slots, in its order."""
+    out: Dict[str, Any] = {
+        "vertex": vertex_ids[v_index[0]],
+        "value": v_value[0],
+        "version": int(v_version[0]),
+    }
+    if e_version is not None:
+        neighbors: Dict[VertexId, Tuple[Any, int]] = {}
+        in_edges: Dict[VertexId, Tuple[Any, int]] = {}
+        for k, index in enumerate(v_index[1:]):
+            u = vertex_ids[index]
+            neighbors[u] = (v_value[k + 1], int(v_version[k + 1]))
+            in_edges[u] = (e_value[k], int(e_version[k]))
+        out["neighbors"] = neighbors
+        out["in_edges"] = in_edges
+    return out
+
+
+def _freshest(
+    versions: Sequence[np.ndarray],
+    columns: Sequence[np.ndarray],
+    index: List[int],
+    owner: np.ndarray,
+) -> Tuple[List[Any], List[Any]]:
+    """Each slot's value and version from its highest-versioned copy.
+
+    ``versions`` / ``columns`` hold one array per worker segment;
+    ``owner`` maps a slot to its journal owner, whose copy wins a tie
+    (workers that do not hold a slot keep version 0, so they can never
+    displace a holder). Values are copies — never views of shared
+    memory. A scalar loop: a serving read covers a handful of slots, far
+    below where numpy's per-call overhead pays for itself.
+    """
+    values, tags = [], []
+    for i in index:
+        best = owner[i]
+        tag = versions[best][i]
+        for w, version in enumerate(versions):
+            if version[i] > tag:
+                best, tag = w, version[i]
+        values.append(columns[best][i].copy())
+        tags.append(tag)
+    return values, tags
+
+
+class PlaneReader:
+    """Serving reads answered straight out of the data plane — no round.
+
+    The coordinator maps every worker's segment (:mod:`repro.runtime.
+    plane`), data columns and version counters alike. Each datum a read
+    covers — the vertex; for a scope read also every in-neighbor and
+    in-edge — is taken from whichever segment holds its highest version
+    (:func:`_freshest`), and the reply has exactly the layout of
+    :meth:`CSRShardStore.read_snapshot`. Not the owner's segment: an
+    EDGE-consistency update at ``v`` writes in-edges whose journal owner
+    is the source's worker, and a FULL-consistency update writes
+    neighbor data, so until the next command delivers the routed
+    entries the freshest copy sits at the writer.
+
+    That rule is the barrier read exactly, under two conditions the
+    caller must guarantee:
+
+    * **Reads happen between commands**, on the thread that drives the
+      engine (the serving thread). Every segment is then quiescent,
+      updates are atomic within one command, and every dirty entry of
+      the last command has been routed toward every holder — so the
+      highest-versioned copy is what the owner's ``serve`` command
+      would read after applying its pending inbox.
+    * **No speculation can roll back.** The chromatic engine's
+      color-merged rounds leave speculative values in an owner's
+      segment until the next command delivers the commit/abort verdict.
+      The chromatic fallback serves only at sweep quiescence, where an
+      outstanding verdict is always a full commit.
+    """
+
+    def __init__(self, csr: Any, owner_idx: np.ndarray) -> None:
+        self._csr = csr
+        self._v_owner = owner_idx
+        self._e_owner = owner_idx[csr.edge_src_index]
+
+    def read(
+        self, segments: Sequence[Any], reads: Sequence[Tuple[Any, VertexId, bool]]
+    ) -> Dict[Any, Dict[str, Any]]:
+        """``{request_id: snapshot}`` for ``(request_id, vertex,
+        want_scope)`` reads."""
+        csr = self._csr
+        vversion = [segment.vversion for segment in segments]
+        vdata = [segment.vdata for segment in segments]
+        eversion = [segment.eversion for segment in segments]
+        edata = [segment.edata for segment in segments]
+        out: Dict[Any, Dict[str, Any]] = {}
+        for req_id, vid, scope in reads:
+            v_index, e_slot = _read_slots(csr, vid, bool(scope))
+            edges = () if e_slot is None else _freshest(
+                eversion, edata, e_slot, self._e_owner
+            )
+            out[req_id] = _read_reply(
+                csr.vertex_ids,
+                v_index,
+                *_freshest(vversion, vdata, v_index, self._v_owner),
+                *edges,
+            )
+        return out
+
+
 class CSRShardStore:
     """One worker's slice of the graph, slot-addressed end to end."""
 
@@ -457,15 +602,25 @@ class CSRShardStore:
     # ------------------------------------------------------------------
     # Data-plane integration.
     # ------------------------------------------------------------------
-    def adopt_buffers(self, vbuf: Any, ebuf: Any) -> None:
-        """Move the typed data columns into caller-provided buffers.
+    def adopt_buffers(
+        self,
+        vbuf: Any,
+        ebuf: Any,
+        vversion: Optional[np.ndarray] = None,
+        eversion: Optional[np.ndarray] = None,
+    ) -> None:
+        """Move the typed data columns and the version counters into
+        caller-provided buffers.
 
         The runtime data plane (:mod:`repro.runtime.plane`) allocates
         each worker's columns in a shared-memory segment; the store
         seeds the buffers with the current values and uses them as its
         flat columns from then on, so every write lands directly in
         shared memory and the coordinator can read owned slots without
-        any wire round-trip. ``None`` keeps the existing column.
+        any wire round-trip. The version counters move the same way, so
+        the coordinator can also tell which worker holds a datum's
+        freshest copy (:class:`PlaneReader`). ``None`` keeps the
+        existing column.
         """
         if vbuf is not None:
             vbuf[:] = self.vdata_flat
@@ -473,6 +628,12 @@ class CSRShardStore:
         if ebuf is not None:
             ebuf[:] = self.edata_flat
             self.edata_flat = ebuf
+        if vversion is not None:
+            vversion[:] = self._vversion
+            self._vversion = vversion
+        if eversion is not None:
+            eversion[:] = self._eversion
+            self._eversion = eversion
 
     def collect_dirty_plane(
         self, writer: Any
@@ -695,38 +856,32 @@ class CSRShardStore:
     ) -> Dict[str, Any]:
         """Version-tagged read of one vertex (optionally its in-scope).
 
-        The serving read path (``repro.serve``): taken at a command
-        barrier, after every routed delivery and client write of the
-        barrier applied, so the values and version tags form a
+        The serving read path (``repro.serve``) inside a ``serve``
+        command: taken after every routed delivery and client write of
+        the barrier applied, so the values and version tags form a
         consistent cut — a concurrently executing update's writes are
         visible either fully or not at all, never partially (updates run
         atomically within one command on the owner). With ``scope``, the
-        in-gather neighborhood travels too: each in-neighbor's data and
-        each in-edge's data, every entry tagged with its version
-        counter.
+        in-neighborhood travels too: each in-neighbor's data and each
+        in-edge's data, every entry tagged with its version counter.
+        :class:`PlaneReader` answers the same reads, in the same reply
+        layout, without a command.
         """
-        try:
-            index = self._index_of[vid]
-        except KeyError:
-            raise GraphStructureError(f"unknown vertex {vid!r}") from None
-        out: Dict[str, Any] = {
-            "vertex": vid,
-            "value": self.vdata_flat[index],
-            "version": int(self._vversion[index]),
-        }
-        if scope:
-            vdata = self.vdata_flat
-            edata = self.edata_flat
-            vversion = self._vversion
-            eversion = self._eversion
-            neighbors: Dict[VertexId, Tuple[Any, int]] = {}
-            in_edges: Dict[VertexId, Tuple[Any, int]] = {}
-            for (u, slot, ui) in self._csr.in_gather[index]:
-                neighbors[u] = (vdata[ui], int(vversion[ui]))
-                in_edges[u] = (edata[slot], int(eversion[slot]))
-            out["neighbors"] = neighbors
-            out["in_edges"] = in_edges
-        return out
+        v_index, e_slot = _read_slots(self._csr, vid, scope)
+        vdata, vversion = self.vdata_flat, self._vversion
+        edges: Tuple[List[Any], ...] = ()
+        if e_slot is not None:
+            edata, eversion = self.edata_flat, self._eversion
+            edges = (
+                [edata[s] for s in e_slot], [eversion[s] for s in e_slot]
+            )
+        return _read_reply(
+            self._csr.vertex_ids,
+            v_index,
+            [vdata[i] for i in v_index],
+            [vversion[i] for i in v_index],
+            *edges,
+        )
 
     # ------------------------------------------------------------------
     # Coherence protocol (wire-compatible with LocalGraphStore).

@@ -321,11 +321,13 @@ class _PlaneClient:
             self.attach_plane(ShmDataPlane.attach(spec))
 
     def attach_plane(self, plane: DataPlane) -> None:
-        """Adopt shared column buffers and the dirty ring.
+        """Adopt shared column buffers, version counters and the ring.
 
-        From then on every data write lands directly in this worker's
-        segment; ghost application reads peers' segments through routed
-        descriptors; the coordinator reads owned slots at collect time.
+        From then on every data write and version bump lands directly in
+        this worker's segment; ghost application reads peers' segments
+        through routed descriptors; the coordinator reads owned slots at
+        collect time and answers read-only serve batches from the
+        freshest copy across segments without sending a command.
         """
         spec = plane.spec
         self.plane = plane
@@ -333,6 +335,8 @@ class _PlaneClient:
         self.store.adopt_buffers(
             segment.vdata if spec.has_v else None,
             segment.edata if spec.has_e else None,
+            segment.vversion,
+            segment.eversion,
         )
         self._ring = plane.writer_for(self.worker_id)
 
@@ -349,10 +353,12 @@ class _PlaneClient:
             return
         self.plane = None
         self._ring = None
+        store = self.store
         if plane.spec.has_v:
-            self.store.vdata_flat = None
+            store.vdata_flat = None
         if plane.spec.has_e:
-            self.store.edata_flat = None
+            store.edata_flat = None
+        store._vversion = store._eversion = None
         plane.close()
 
     def _apply_entries(self, inbox: Inbox) -> None:
@@ -394,7 +400,9 @@ class _PlaneClient:
         reads — in that order, all inside one command, so every read
         observes a consistent cut (updates execute atomically within a
         single command; their dirty entries travel and apply as one
-        batch).
+        batch). A read-only batch never gets here when there is a data
+        plane: the coordinator answers it from the segments
+        (:class:`~repro.runtime.shard.PlaneReader`), same reply layout.
 
         The reply body reuses the round wire: client writes bump the
         store's version counters and mark slots dirty, so the normal

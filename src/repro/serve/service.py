@@ -8,7 +8,12 @@ service thread alternates three kinds of engine commands on its behalf:
 * **serve barriers** (``engine.service_barrier``): batched client writes
   land at their owners and batched reads return version-tagged
   snapshots, all inside one worker command so a read never observes a
-  half-applied update;
+  half-applied update. A batch of reads only needs no command at all
+  when the engine has a data plane: the coordinator answers it from
+  the shared segments, taking each datum's highest-versioned copy —
+  the same answer the command would give, because this thread is the
+  only one that drives the engine, so reads always fall between
+  commands (``stats()["plane_reads"]`` counts them);
 * **schedule injections** (``engine.service_schedule``): each write's
   touched neighborhood enters the dynamic schedule, so the resident
   update program (an incremental, residual-scheduled PageRank by
@@ -61,7 +66,11 @@ from repro.serve.protocol import (
     WriteRequest,
 )
 
-#: Write-path neighborhood policies: who re-converges after a write.
+#: Write-path neighborhood policies: who re-converges after a write —
+#: the written vertex plus its out-neighbors (``out``), plus all its
+#: neighbors (``all``), the vertex alone (``self``), or nobody
+#: (``none``: the write stands until something else reschedules it).
+#: Every policy but ``none`` heals client noise back to the fixed point.
 TOUCH_POLICIES = ("out", "all", "self", "none")
 
 #: Priority attached to write-touched dynamic updates. Residual-
@@ -108,7 +117,10 @@ class GraphService:
     ``engine`` picks the substrate: ``"locking"`` (default — fine-
     grained rounds interleave best with client traffic, and its priority
     scheduler honors the write path's urgency) or ``"chromatic"`` (the
-    fallback; background work runs in whole-sweep bursts). ``program``
+    fallback; background work runs in whole-sweep bursts, so it serves
+    only at sweep quiescence — where any outstanding speculation verdict
+    is a full commit, which is what lets a read skip the round).
+    ``program``
     defaults to the incremental PageRank
     (:func:`repro.apps.pagerank.make_pagerank_delta_update` via the
     program registry), and ``warm=True`` schedules every vertex once at
@@ -350,6 +362,8 @@ class GraphService:
             "engine": self.engine_name,
             "accepted": accepted,
             "served": served,
+            # Reads answered from the data plane without a serve round.
+            "plane_reads": self._engine.plane_reads,
             "rejected": sum(rejected.values()),
             "rejected_by_code": rejected,
             "queue_depth": depth,
@@ -411,10 +425,13 @@ class GraphService:
                 self._cond.wait()
 
     def _touch_targets(self, vertex: VertexId) -> Iterable[VertexId]:
+        # Every healing policy reschedules the written vertex itself:
+        # without it the write's noise is never recomputed away and the
+        # state cannot return to the program's fixed point.
         if self.touch == "out":
-            return self.graph.out_neighbors(vertex)
+            return (vertex, *self.graph.out_neighbors(vertex))
         if self.touch == "all":
-            return self.graph.neighbors(vertex)
+            return (vertex, *self.graph.neighbors(vertex))
         if self.touch == "self":
             return (vertex,)
         return ()

@@ -2,9 +2,30 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+import multiprocessing
+import os
+from typing import Iterable, Set, Tuple
 
 from repro.core.graph import DataGraph
+
+
+def plane_segments() -> Set[str]:
+    """Names of the data-plane segments currently in ``/dev/shm``."""
+    try:
+        return {
+            name for name in os.listdir("/dev/shm")
+            if name.startswith("repro-plane-")
+        }
+    except FileNotFoundError:  # pragma: no cover - non-Linux
+        return set()
+
+
+def assert_torn_down(before: Set[str]) -> None:
+    """No worker process survives and no plane segment leaked."""
+    for child in multiprocessing.active_children():
+        child.join(timeout=5.0)
+    assert not multiprocessing.active_children()
+    assert plane_segments() <= before
 
 
 def ring_graph(n: int, vdata: float = 1.0, edata: float = 0.5) -> DataGraph:

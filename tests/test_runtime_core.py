@@ -10,8 +10,6 @@ the frozen-signature / one-definition checks at the bottom cover it.
 """
 
 import inspect
-import multiprocessing
-import os
 import pathlib
 import re
 
@@ -36,6 +34,7 @@ from repro.runtime.core import RuntimeCore
 from repro.runtime.transport import ProcessSupervisor
 from repro.serve import GraphService
 
+from tests.helpers import assert_torn_down, plane_segments
 from tests.helpers import typed_ring_graph as typed_graph
 
 ENGINES = [RuntimeChromaticEngine, RuntimeLockingEngine]
@@ -58,24 +57,6 @@ def flood_max(scope):
     if best != scope.data:
         scope.data = best
         return [(u, best) for u in scope.neighbors]
-
-
-def plane_segments():
-    try:
-        return {
-            name for name in os.listdir("/dev/shm")
-            if name.startswith("repro-plane-")
-        }
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
-
-
-def assert_torn_down(before):
-    """No worker process survives and no plane segment leaked."""
-    for child in multiprocessing.active_children():
-        child.join(timeout=5.0)
-    assert not multiprocessing.active_children()
-    assert plane_segments() <= before
 
 
 @both_engines

@@ -119,7 +119,9 @@ class TestServingBasics:
         graph = build_serving_graph(16, seed=3)
         with GraphService(graph, num_workers=2, telemetry=False) as service:
             ack = InprocClient(service).write(7, 0.25)
-            assert ack.scheduled == len(graph.out_neighbors(7))
+            # The default touch="out": the written vertex plus its
+            # out-neighbors.
+            assert ack.scheduled == 1 + len(graph.out_neighbors(7))
 
     def test_unknown_vertex_rejects_400(self):
         graph = build_serving_graph(8, seed=4)
@@ -200,6 +202,10 @@ def _assert_scope_consistent(reply):
 
 
 class TestConsistentReads:
+    #: Read-only batches come off the data plane; the ``...OnTheRound``
+    #: subclasses below rerun the trio with every read in a serve round.
+    use_plane = True
+
     @pytest.mark.parametrize("frontend", ["inproc", "socket"])
     def test_scope_reads_never_half_applied(self, frontend):
         n, seed = 18, 11
@@ -211,6 +217,7 @@ class TestConsistentReads:
             telemetry=False,
             consistency=Consistency.EDGE,
             warm=True,
+            use_plane=self.use_plane,
         )
         service.start()
         sock_front = None
@@ -249,6 +256,8 @@ class TestConsistentReads:
             for t in readers:
                 t.join()
             assert not failures, failures[0]
+            plane_reads = service.stats()["plane_reads"]
+            assert plane_reads == (4 * 40 if self.use_plane else 0)
         finally:
             if sock_front is not None:
                 sock_front.close()
@@ -270,6 +279,7 @@ class TestConsistentReads:
             num_workers=2,
             telemetry=False,
             warm=True,
+            use_plane=self.use_plane,
         )
         service.start()
         client = InprocClient(service)
@@ -279,10 +289,16 @@ class TestConsistentReads:
         assert result.converged
 
 
+class TestConsistentReadsOnTheRound(TestConsistentReads):
+    use_plane = False
+
+
 # ----------------------------------------------------------------------
 # Backpressure: bounded queue, structured shed, nothing lost.
 # ----------------------------------------------------------------------
 class TestBackpressure:
+    use_plane = True
+
     def test_full_queue_sheds_429_style(self):
         graph = build_serving_graph(16, seed=21)
         service = GraphService(
@@ -292,6 +308,7 @@ class TestBackpressure:
             queue_limit=2,
             batch_max=1,
             warm=False,
+            use_plane=self.use_plane,
         )
         service.start()
         tickets, rejections = [], []
@@ -316,11 +333,14 @@ class TestBackpressure:
         assert stats["rejected_by_code"] == {
             REJECT_QUEUE_FULL: len(rejections)
         }
+        assert stats["plane_reads"] == (len(tickets) if self.use_plane else 0)
         service.close()
 
     def test_submit_after_close_sheds_draining(self):
         graph = build_serving_graph(8, seed=22)
-        service = GraphService(graph, num_workers=1, telemetry=False)
+        service = GraphService(
+            graph, num_workers=1, telemetry=False, use_plane=self.use_plane
+        )
         service.start()
         service.close()
         out = service.submit(ReadRequest(0))
@@ -328,18 +348,25 @@ class TestBackpressure:
         assert out.code == REJECT_DRAINING
 
 
+class TestBackpressureOnTheRound(TestBackpressure):
+    use_plane = False
+
+
 # ----------------------------------------------------------------------
 # Graceful drain: every accepted request completes, writes survive into
 # the collected graph, the final snapshot lands.
 # ----------------------------------------------------------------------
 class TestGracefulDrain:
+    use_plane = True
+
     def test_drain_loses_no_accepted_request(self):
         n, seed = 24, 31
         graph = build_serving_graph(n, seed=seed)
         # warm=False + schedule=False: no background program runs, so
         # the accepted write values are the vertices' final state.
         service = GraphService(
-            graph, num_workers=2, telemetry=False, warm=False
+            graph, num_workers=2, telemetry=False, warm=False,
+            use_plane=self.use_plane,
         )
         service.start()
         rng = random.Random(seed)
@@ -370,7 +397,9 @@ class TestGracefulDrain:
     def test_drain_over_socket_answers_every_wire_request(self):
         n, seed = 16, 32
         graph = build_serving_graph(n, seed=seed)
-        service = GraphService(graph, num_workers=2, telemetry=False)
+        service = GraphService(
+            graph, num_workers=2, telemetry=False, use_plane=self.use_plane
+        )
         service.start()
         frontend = SocketFrontend(service)
         outcomes = []
@@ -415,6 +444,7 @@ class TestGracefulDrain:
             telemetry=False,
             snapshot_every=10_000,  # cadence never fires: only the drain
             snapshot_dir=str(tmp_path),
+            use_plane=self.use_plane,
         )
         service.start()
         InprocClient(service).write(0, 0.5)
@@ -423,6 +453,10 @@ class TestGracefulDrain:
         after = list(tmp_path.iterdir())
         assert after, "drain did not write the final checkpoint"
         assert len(after) >= len(before)
+
+
+class TestGracefulDrainOnTheRound(TestGracefulDrain):
+    use_plane = False
 
 
 # ----------------------------------------------------------------------
@@ -500,6 +534,50 @@ class TestDeltaPageRank:
         # neighborhood, so the client noise is fully absorbed and the
         # graph drains back to the unique PageRank fixed point.
         assert l1_error(graph, truth) < 1e-3
+
+    @pytest.mark.parametrize("touch", ["out", "all", "self"])
+    def test_every_healing_touch_policy_heals(self, touch):
+        """Each policy that reschedules anything reschedules the written
+        vertex too — otherwise its noise would stand forever. Source
+        vertices (no in-edges) make that sharp: no residual wave ever
+        comes back to reschedule a written source."""
+        n, sources, seed = 24, 4, 52
+        graph = _graph_with_sources(n, sources, seed)
+        truth = exact_pagerank(graph)
+        service = GraphService(
+            graph,
+            named_program("pagerank_delta", epsilon=1e-6),
+            num_workers=2,
+            telemetry=False,
+            touch=touch,
+        )
+        service.start()
+        client = InprocClient(service)
+        rng = random.Random(seed)
+        size = n + sources
+        written = list(range(n, size)) + [rng.randrange(size) for _ in range(6)]
+        for vertex in written:
+            client.write(vertex, rng.uniform(0.5, 2.0) / size)
+        assert service.close().converged
+        assert l1_error(graph, truth) < 1e-3
+
+
+def _graph_with_sources(n, sources, seed):
+    """A strongly connected PageRank graph on ``0..n-1`` plus ``sources``
+    feed vertices with out-edges only."""
+    rng = random.Random(seed)
+    graph = DataGraph()
+    out = {}
+    for v in range(n):
+        out[v] = {(v + 1) % n} | {rng.randrange(n) for _ in range(2)} - {v}
+    for s in range(n, n + sources):
+        out[s] = {rng.randrange(n) for _ in range(2)}
+    for v in out:
+        graph.add_vertex(v, data=1.0 / len(out))
+    for v, targets in out.items():
+        for w in sorted(targets):
+            graph.add_edge(v, w, data=1.0 / len(targets))
+    return graph.finalize(vertex_dtype=float, edge_dtype=float)
 
 
 # ----------------------------------------------------------------------
