@@ -9,6 +9,11 @@ the neighbors' current factors:
 
     w_v = argmin_w  sum_u (rating_uv - w . w_u)^2 + lam * |w|^2
 
+It reads the neighborhood with two bulk gathers and forms the normal
+equations in one numpy pass whose summation order is the per-neighbor
+loop's, so the factors are exactly the loop's
+(:func:`make_als_update`).
+
 This needs *read* access to neighbor vertex data and nothing more, so
 the edge consistency model suffices — and since the graph is bipartite
 (two-colorable), the chromatic engine runs it serializably (Sec. 5.1).
@@ -39,20 +44,45 @@ def make_als_update(
     With ``dynamic=False`` the update never self-schedules: execution is
     driven by an external static (BSP-style) sweep, the baseline of
     Fig. 9(a).
+
+    One ordered numpy pass per update. The ``(rating, factor)`` rows
+    come from two bulk reads, :meth:`~repro.core.scope.Scope.gather_in`
+    then :meth:`~repro.core.scope.Scope.gather_out`, merged into
+    ``scope.neighbors`` order; a neighbor joined both ways keeps its
+    in-neighbor position and takes the out-edge's rating ``D_{v->u}``.
+    The normal equations ``xtx`` and ``xty`` are summed side by side by
+    one ``np.add.accumulate`` over ``[[reg·n·I | 0], [f0 f0ᵀ | r0 f0],
+    …]``: each partial sum adds one more term, left to right — the
+    association order of a per-neighbor ``+=`` loop, so the factors are
+    exactly the loop's. ``@``, ``einsum`` and ``sum`` may reassociate
+    and must not replace it.
     """
+
+    eye = np.eye(d)
 
     def als_update(scope: Scope):
         neighbors = scope.neighbors
         if not neighbors:
             return None
-        xtx = regularization * len(neighbors) * np.eye(d)
-        xty = np.zeros(d)
-        for u in neighbors:
-            factor = scope.neighbor(u)
-            rating = _rating(scope, u)
-            xtx += np.outer(factor, factor)
-            xty += rating * factor
-        new_factor = np.linalg.solve(xtx, xty)
+        rows = {u: (rating, factor) for u, rating, factor in scope.gather_in()}
+        rows.update(
+            (w, (rating, factor)) for w, rating, factor in scope.gather_out()
+        )
+        ratings, factors = zip(*rows.values())
+        n = len(factors)
+        # Row k of ``augmented`` is [f_k | r_k], so term k+1 = f_k ⊗ row k
+        # is f_k f_kᵀ beside r_k f_k.
+        augmented = np.empty((n, d + 1))
+        augmented[:, :d] = factors
+        augmented[:, d] = ratings
+        terms = np.empty((n + 1, d, d + 1))
+        terms[0, :, :d] = regularization * n * eye
+        terms[0, :, d] = 0.0
+        np.multiply(
+            augmented[:, :d, None], augmented[:, None, :], out=terms[1:]
+        )
+        totals = np.add.accumulate(terms)[-1]
+        new_factor = np.linalg.solve(totals[:, :d], totals[:, d])
         old_factor = scope.data
         scope.data = new_factor
         if not dynamic:
@@ -93,15 +123,6 @@ def als_program(
             "dynamic": dynamic,
         },
     )
-
-
-def _rating(scope: Scope, neighbor: VertexId) -> float:
-    """Rating on the (single) edge between the scope vertex and a
-    neighbor, whichever direction it was stored in."""
-    v = scope.vertex
-    if scope.graph.has_edge(v, neighbor):
-        return scope.edge(v, neighbor)
-    return scope.edge(neighbor, v)
 
 
 def initialize_factors(

@@ -188,6 +188,47 @@ def in_edge_plan(csr: Any) -> np.ndarray:
     return plan
 
 
+def out_edge_plan(csr: Any) -> np.ndarray:
+    """Edge slot of every position of the out-neighbor CSR.
+
+    The twin of :func:`in_edge_plan`, aligned with ``csr.out_targets``:
+    a vertex's out-edges are listed in edge insertion order, so the plan
+    is the edge slots stable-sorted by source index.
+    """
+    plan = csr.plan_cache.get("out_edge_slots")
+    if plan is None:
+        plan = np.argsort(csr.edge_src_index, kind="stable")
+        csr.plan_cache["out_edge_slots"] = plan
+    return plan
+
+
+def out_gather(csr: Any, index: int) -> Tuple[Tuple[Any, int, int], ...]:
+    """``(w, edge slot, w's dense index)`` per out-edge ``v -> w`` of the
+    vertex at dense ``index``, in out-CSR order.
+
+    The interpreter's gather-out plan (``Scope.gather_out``,
+    ``CSRShardStore.gather_out``), resolved from the canonical
+    ``out_offsets`` / ``out_targets`` and :func:`out_edge_plan` once per
+    vertex and memoized per vertex in the shared plan cache, so only the
+    vertices a process actually updates pay for it.
+    """
+    plans = csr.plan_cache.get("out_gather")
+    if plans is None:
+        plans = csr.plan_cache["out_gather"] = {}
+    plan = plans.get(index)
+    if plan is None:
+        lo, hi = int(csr.out_offsets[index]), int(csr.out_offsets[index + 1])
+        vertex_ids = csr.vertex_ids
+        plan = plans[index] = tuple(
+            (vertex_ids[wi], slot, wi)
+            for wi, slot in zip(
+                csr.out_targets[lo:hi].tolist(),
+                out_edge_plan(csr)[lo:hi].tolist(),
+            )
+        )
+    return plan
+
+
 def undirected_plan(csr: Any) -> Tuple[np.ndarray, np.ndarray]:
     """The undirected neighborhood in CSR form, from canonical arrays.
 

@@ -42,6 +42,7 @@ from repro.core.consistency import (
     write_set,
 )
 from repro.core.graph import DataGraph, VertexId
+from repro.core.kernels import out_gather
 from repro.errors import ConsistencyError, GraphStructureError
 
 _EMPTY_GLOBALS: Mapping[str, Any] = {}
@@ -86,7 +87,7 @@ class Scope:
         "_csr_direct",
         "_csr_gather",
         "_flat_store",
-        "_store_gather",
+        "_bulk_store",
         "_vidx",
     )
 
@@ -116,15 +117,15 @@ class Scope:
             csr if (csr is not None and self._store is graph and not record)
             else None
         )
-        # The bulk in-gather fast path is legal even when tracing: the
-        # compiled gather plan enumerates exactly the keys the slow path
+        # The bulk gather fast paths are legal even when tracing: the
+        # compiled gather plans enumerate exactly the keys the slow path
         # reads, so recording is a guarded branch, not a different path.
         self._csr_gather = (
             csr if (csr is not None and self._store is graph) else None
         )
         # Slot-addressed distributed shards (repro.runtime.shard) expose
         # the compiled layout directly: flat data lists aligned to the
-        # CSR indices and a bulk in-gather. Reads then skip the store
+        # CSR indices and bulk in/out gathers. Reads then skip the store
         # method call; writes still go through the store, which owns the
         # version/dirty bookkeeping. Only legal untraced, on a finalized
         # graph (the dense _vidx must be bound).
@@ -133,8 +134,8 @@ class Scope:
             flat if (flat is not None and hasattr(flat, "vdata_flat"))
             else None
         )
-        self._store_gather = (
-            self._store.gather_in
+        self._bulk_store = (
+            self._store
             if (not record and hasattr(self._store, "gather_in"))
             else None
         )
@@ -300,9 +301,9 @@ class Scope:
             return [
                 (u, edata[slot], vdata[ui]) for (u, slot, ui) in plan
             ]
-        bulk = self._store_gather
+        bulk = self._bulk_store
         if bulk is not None:
-            return bulk(vertex)
+            return bulk.gather_in(vertex)
         if self._record:
             reads = self.reads
             out = []
@@ -316,6 +317,50 @@ class Scope:
         return [
             (u, edge_data(u, vertex), vertex_data(u))
             for u in graph.in_neighbors(vertex)
+        ]
+
+    def gather_out(self) -> List[Tuple[VertexId, Any, Any]]:
+        """Bulk read ``[(w, D_{v->w}, D_w)]`` over the out-neighbors of ``v``.
+
+        The mirror of :meth:`gather_in`: semantically identical to
+        ``[(w, self.edge(self.vertex, w), self.neighbor(w)) for w in
+        self.out_neighbors]`` (same order, same recording), resolved in
+        one call. On the compiled graph the reads go through the
+        per-vertex plan :func:`~repro.core.kernels.out_gather` builds
+        from the canonical out-CSR arrays and edge slots; a
+        slot-addressed shard answers with its own ``gather_out``.
+        """
+        vertex = self.vertex
+        store = self._store
+        csr = self._csr_gather
+        if csr is not None:
+            plan = out_gather(csr, self._vidx)
+            if self._record:
+                reads = self.reads
+                for (w, _slot, _wi) in plan:
+                    reads.add(edge_key(vertex, w))
+                    reads.add(vertex_key(w))
+            vdata = csr.vdata
+            edata = csr.edata
+            return [
+                (w, edata[slot], vdata[wi]) for (w, slot, wi) in plan
+            ]
+        bulk = self._bulk_store
+        if bulk is not None:
+            return bulk.gather_out(vertex)
+        if self._record:
+            reads = self.reads
+            out = []
+            for w in self.graph.out_neighbors(vertex):
+                reads.add(edge_key(vertex, w))
+                reads.add(vertex_key(w))
+                out.append((w, store.edge_data(vertex, w), store.vertex_data(w)))
+            return out
+        edge_data = store.edge_data
+        vertex_data = store.vertex_data
+        return [
+            (w, edge_data(vertex, w), vertex_data(w))
+            for w in self.graph.out_neighbors(vertex)
         ]
 
     # ------------------------------------------------------------------

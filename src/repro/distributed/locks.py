@@ -14,7 +14,12 @@ token-based state machine with no simulator dependency: the simulated
 :class:`VertexLockTable` wraps it with kernel futures, and the real
 runtime backend's locking worker (:mod:`repro.runtime.worker`) drives
 the *same* core with its own scope tokens — one implementation of the
-FIFO readers-writer rules, two execution substrates.
+FIFO readers-writer rules, two execution substrates. A key's state is
+one int (``-1`` writer, ``n >= 0`` readers) plus a waiter deque that
+exists only while the key is contended. The simulator and the bench
+probe take single keys (``request`` / ``release``); the runtime worker
+takes whole per-owner groups (``request_group`` / ``release_group``),
+which loop over the single-key calls.
 
 :func:`build_lock_chain` is the other shared half: the per-vertex lock
 plan grouped into per-owner hops in the canonical total order, used
@@ -25,7 +30,18 @@ by the runtime engine's owner-routed lock batches.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Hashable, Iterable, List, Mapping, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.consistency import Consistency, LockKind, lock_plan
 from repro.core.graph import DataGraph, VertexId
@@ -33,15 +49,9 @@ from repro.errors import SimulationError
 from repro.sim.kernel import Future, SimKernel
 
 
-class _RWState:
-    """Lock state for one key: holder counts plus a FIFO queue."""
-
-    __slots__ = ("readers", "writer", "queue")
-
-    def __init__(self) -> None:
-        self.readers = 0
-        self.writer = False
-        self.queue: Deque[Tuple[LockKind, Any]] = deque()
+#: Enum attribute lookups cost ~100 ns each; the single-key fast path
+#: compares against this module constant instead.
+_WRITE = LockKind.WRITE
 
 
 class RWQueueCore:
@@ -54,62 +64,118 @@ class RWQueueCore:
     * a writer is exclusive; consecutive readers at the head of the
       queue are granted together.
 
+    **Representation.** A key's state is one int — ``-1`` while a writer
+    holds it, ``n >= 0`` while ``n`` readers do — and a FIFO deque of
+    ``(is_write, token)`` waiters exists only while the key has waiters,
+    so the uncontended request/release touches one dict entry.
+
     ``request`` returns whether the token was granted immediately;
     ``release`` returns every token the release newly granted, in grant
     order. The caller decides what a token *is* (a simulator future, a
-    runtime scope record) and how to deliver the grant.
+    runtime scope record) and how to deliver the grant. The group
+    operations are the runtime worker's path and are loops over the
+    single-key calls, so the grant rules live only there:
+    :meth:`request_group` enqueues a whole per-owner lock group for one
+    token and returns how many of its locks still wait;
+    :meth:`release_group` releases a group key by key and fires
+    ``on_grant`` for each newly granted token right after that key's
+    release, so a callback that issues new requests interleaves with
+    later releases. A request never grants any token but its own.
     """
 
-    __slots__ = ("_locks",)
+    __slots__ = ("_held", "_waiters")
 
     def __init__(self, keys: Iterable[Hashable]) -> None:
-        self._locks: Dict[Hashable, _RWState] = {k: _RWState() for k in keys}
-
-    def _state(self, key: Hashable) -> _RWState:
-        try:
-            return self._locks[key]
-        except KeyError:
-            raise SimulationError(
-                f"lock request for vertex {key!r} not owned here"
-            ) from None
+        self._held: Dict[Hashable, int] = dict.fromkeys(keys, 0)
+        self._waiters: Dict[Hashable, Deque[Tuple[bool, Any]]] = {}
 
     def request(self, key: Hashable, kind: LockKind, token: Any) -> bool:
         """Queue a request; returns True when granted immediately."""
-        state = self._state(key)
-        state.queue.append((kind, token))
-        granted = self._pump(state)
-        return bool(granted)
+        held = self._held
+        try:
+            state = held[key]
+        except KeyError:
+            raise _not_owned(key) from None
+        write = kind is _WRITE
+        if key not in self._waiters:
+            if write:
+                if state == 0:
+                    held[key] = -1
+                    return True
+            elif state >= 0:
+                held[key] = state + 1
+                return True
+        self._waiters.setdefault(key, deque()).append((write, token))
+        return False
 
     def release(self, key: Hashable, kind: LockKind) -> List[Any]:
         """Release a held lock; returns tokens newly granted by it."""
-        state = self._state(key)
-        if kind is LockKind.WRITE:
-            if not state.writer:
+        held = self._held
+        try:
+            state = held[key]
+        except KeyError:
+            raise _not_owned(key) from None
+        if kind is _WRITE:
+            if state != -1:
                 raise SimulationError(f"write-release without hold on {key!r}")
-            state.writer = False
+            state = 0
         else:
-            if state.readers <= 0:
+            if state <= 0:
                 raise SimulationError(f"read-release without hold on {key!r}")
-            state.readers -= 1
-        return self._pump(state)
+            state -= 1
+        if key not in self._waiters:
+            held[key] = state
+            return []
+        return self._pump(key, state)
 
-    def _pump(self, state: _RWState) -> List[Any]:
-        """Grant queued requests FIFO as far as compatibility allows."""
+    def request_group(
+        self, keys: Sequence[Hashable], kinds: Sequence[LockKind], token: Any
+    ) -> int:
+        """Queue one token for every key of a group; returns how many of
+        its locks were not granted immediately."""
+        request = self.request
+        waiting = 0
+        for key, kind in zip(keys, kinds):
+            if not request(key, kind, token):
+                waiting += 1
+        return waiting
+
+    def release_group(
+        self,
+        keys: Sequence[Hashable],
+        kinds: Sequence[LockKind],
+        on_grant: Callable[[Any], None],
+    ) -> None:
+        """Release a group key by key, calling ``on_grant`` for each
+        token a key's release grants before releasing the next key."""
+        release = self.release
+        for key, kind in zip(keys, kinds):
+            for token in release(key, kind):
+                on_grant(token)
+
+    def _pump(self, key: Hashable, state: int) -> List[Any]:
+        """Grant ``key``'s waiters FIFO after a release left holder state
+        ``state`` (so no writer holds it): the head writer alone if
+        nothing is held, else every reader up to the next writer. Store
+        the resulting state."""
+        queue = self._waiters[key]
         granted: List[Any] = []
-        while state.queue:
-            kind, token = state.queue[0]
-            if kind is LockKind.WRITE:
-                if state.writer or state.readers:
-                    break
-                state.queue.popleft()
-                state.writer = True
-                granted.append(token)
-                break  # a writer is exclusive; nothing else can be granted
-            if state.writer:
+        while queue:
+            write, token = queue[0]
+            if write:
+                if state == 0:
+                    queue.popleft()
+                    state = -1
+                    granted.append(token)
+                # Nothing passes a queued writer, and a granted one is
+                # exclusive.
                 break
-            state.queue.popleft()
-            state.readers += 1
+            queue.popleft()
+            state += 1
             granted.append(token)
+        if not queue:
+            del self._waiters[key]
+        self._held[key] = state
         return granted
 
     # ------------------------------------------------------------------
@@ -117,18 +183,22 @@ class RWQueueCore:
     # ------------------------------------------------------------------
     def holders(self, key: Hashable) -> Tuple[int, bool]:
         """``(reader_count, writer_held)`` for a key."""
-        state = self._state(key)
-        return state.readers, state.writer
+        try:
+            state = self._held[key]
+        except KeyError:
+            raise _not_owned(key) from None
+        return (0, True) if state < 0 else (state, False)
 
     def queue_length(self, key: Hashable) -> int:
         """Pending (ungranted) requests for a key."""
-        return len(self._state(key).queue)
+        if key not in self._held:
+            raise _not_owned(key)
+        queue = self._waiters.get(key)
+        return len(queue) if queue is not None else 0
 
-    def any_held(self) -> bool:
-        """Whether any lock is currently held (drain check in tests)."""
-        return any(
-            s.readers or s.writer or s.queue for s in self._locks.values()
-        )
+
+def _not_owned(key: Hashable) -> SimulationError:
+    return SimulationError(f"lock request for vertex {key!r} not owned here")
 
 
 def build_lock_chain(

@@ -22,7 +22,7 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.metrics import log2_histogram, merge_counters, percentile
-from repro.obs.report import PHASES, format_report, phase_share_fractions, summarize
+from repro.obs.report import PHASES, format_report, summarize
 from repro.obs.timeline import (
     COORDINATOR_TRACK,
     RunTelemetry,
@@ -47,7 +47,6 @@ __all__ = [
     "log2_histogram",
     "merge_counters",
     "percentile",
-    "phase_share_fractions",
     "read_jsonl",
     "summarize",
     "validate_chrome_trace",

@@ -219,15 +219,6 @@ def summarize(telemetry: RunTelemetry) -> Dict[str, Any]:
     return report
 
 
-def phase_share_fractions(telemetry: RunTelemetry, digits: int = 4) -> Dict[str, float]:
-    """Rounded ``{phase: share}`` map of a run's worker phases."""
-    report = summarize(telemetry)
-    return {
-        phase: round(entry["share"], digits)
-        for phase, entry in report["phases"].items()
-    }
-
-
 def _fmt_secs(seconds: float) -> str:
     if seconds >= 1.0:
         return f"{seconds:8.3f}s"
@@ -275,6 +266,16 @@ def format_report(report: Dict[str, Any]) -> str:
         for floor, count in grant["hist_us"]:
             label = f"<1" if floor == 0 else f">={floor:g}"
             lines.append(f"    {label:>10} {count:>8}")
+    executing = meta.get("executing_workers")
+    if executing:
+        # Locking engine: lstep rounds by how many workers executed at
+        # least one update in them — turn-taking shows as no rounds at
+        # the top index.
+        lines.append("")
+        lines.append(
+            "locking: lstep rounds by executing workers "
+            + " ".join(f"{n}={count}" for n, count in enumerate(executing))
+        )
     plane = report.get("plane") or {}
     if plane:
         occ_bits = []

@@ -257,6 +257,12 @@ class RuntimeLockingEngine(RuntimeCore):
         self._token = MisraToken(self.num_workers)
         self._token_hops = 0
         self._trace_entries: List[Tuple] = []
+        #: ``lstep`` rounds tallied by how many workers executed at
+        #: least one update in them (index = that count). Like the
+        #: result's ``rounds`` it counts every round the cluster ran, so
+        #: a recovery does not rewind it: rolled-back rounds still cost
+        #: their wall time.
+        self._executing = [0] * (self.num_workers + 1)
 
     def _new_token(self) -> None:
         """Restart the termination detector, keeping the hop tally."""
@@ -305,14 +311,17 @@ class RuntimeLockingEngine(RuntimeCore):
         )
         self._rounds += 1
         bodies = []
+        executing = 0
         for w, (half, body) in enumerate(replies):
             executed = body["executed"]
             if executed:
+                executing += 1
                 self._total_updates += executed
                 self.updates_per_worker[w] += executed
                 self._black[w] = True
             self._route(w, half, body)
             bodies.append(body)
+        self._executing[executing] += 1
         return bodies
 
     def _advance_token(self, bodies: List[Dict[str, Any]]) -> bool:
@@ -637,10 +646,14 @@ class RuntimeLockingEngine(RuntimeCore):
         extra: Dict[str, Any] = {
             "token_hops": self._token_hops + self._token.hops,
             "pipeline_window": self.pipeline_window,
+            "executing_workers": list(self._executing),
         }
         if self.trace:
             extra["trace"] = self._trace_entries
         return extra
 
     def _telemetry_meta(self) -> Dict[str, Any]:
-        return {"pipeline_window": self.pipeline_window}
+        return {
+            "pipeline_window": self.pipeline_window,
+            "executing_workers": list(self._executing),
+        }

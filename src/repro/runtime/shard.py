@@ -60,7 +60,7 @@ import numpy as np
 
 from repro.core.consistency import DataKey, edge_key, vertex_key
 from repro.core.graph import DataGraph, VertexId
-from repro.core.kernels import in_edge_plan
+from repro.core.kernels import in_edge_plan, out_gather
 from repro.distributed.graph_store import ghost_write_targets
 from repro.distributed.models import VERSION_BYTES, DataSizeModel
 from repro.errors import GraphStructureError
@@ -844,6 +844,17 @@ class CSRShardStore:
         return [
             (u, edata[slot], vdata[ui])
             for (u, slot, ui) in self._csr.in_gather[self._index_of[vertex]]
+        ]
+
+    def gather_out(self, vertex: VertexId) -> List[Tuple[VertexId, Any, Any]]:
+        """Bulk ``[(w, D_{v->w}, D_w)]`` through the compiled out-gather
+        plan (:func:`~repro.core.kernels.out_gather`), indexing straight
+        into the flat shard lists."""
+        vdata = self.vdata_flat
+        edata = self.edata_flat
+        return [
+            (w, edata[slot], vdata[wi])
+            for (w, slot, wi) in out_gather(self._csr, self._index_of[vertex])
         ]
 
     def has_vertex(self, vid: VertexId) -> bool:

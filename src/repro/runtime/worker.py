@@ -900,17 +900,49 @@ class RuntimeWorker(_PlaneClient):
         return {"worker": self.worker_id}
 
 
-#: Wire encoding of lock kinds inside int32 batches.
+#: Lock kinds by their int32 wire code (``0`` read, ``1`` write).
 _KINDS = (LockKind.READ, LockKind.WRITE)
-_KIND_CODE = {LockKind.READ: 0, LockKind.WRITE: 1}
+
+#: One compiled chain hop: ``(owner, keys, kinds, request_ints,
+#: unlock_ints)`` — the group's dense vertex indices and lock kinds (the
+#: lock table's group arguments), then the same group as it crosses the
+#: int32 wire: ``[k, key0, code0, …]`` after the scope id of a lock
+#: request, ``[key0, code0, …]`` in an unlock batch.
+Hop = Tuple[
+    int,
+    Tuple[int, ...],
+    Tuple[LockKind, ...],
+    Tuple[int, ...],
+    Tuple[int, ...],
+]
+
+
+def compile_chain(
+    chain: List[Tuple[int, List[Tuple[VertexId, LockKind]]]],
+    index_of: Mapping[VertexId, int],
+) -> List[Hop]:
+    """Compile a :func:`~repro.distributed.locks.build_lock_chain` result
+    (which stays the one definition of the canonical order) into the
+    locking worker's per-owner hops, once per vertex and model."""
+    hops: List[Hop] = []
+    for owner, group in chain:
+        keys = tuple(index_of[vid] for vid, _kind in group)
+        kinds = tuple(kind for _vid, kind in group)
+        unlock = tuple(
+            x
+            for key, kind in zip(keys, kinds)
+            for x in (key, _KINDS.index(kind))
+        )
+        hops.append((owner, keys, kinds, (len(keys),) + unlock, unlock))
+    return hops
 
 
 class _PendingScope:
     """Requester-side state of one in-flight scope acquisition.
 
-    The chain is the canonical per-owner hop list
-    (:func:`~repro.distributed.locks.build_lock_chain`, dense-index
-    form); ``pos`` is the group currently being acquired and ``waiting``
+    The chain is the canonical per-owner hop list (:func:`compile_chain`
+    of :func:`~repro.distributed.locks.build_lock_chain`); ``pos`` is
+    the group currently being acquired and ``waiting``
     counts its locally-queued, not-yet-granted locks. A scope is used as
     its own grant token in the local lock table. ``snap`` marks a
     Chandy–Lamport snapshot scope (Alg. 5): it rides the same lock
@@ -943,10 +975,11 @@ class _RemoteGroup:
 
     __slots__ = ("src", "scope_id", "remaining")
 
-    def __init__(self, src: int, scope_id: int, remaining: int) -> None:
+    def __init__(self, src: int, scope_id: int) -> None:
         self.src = src
         self.scope_id = scope_id
-        self.remaining = remaining
+        #: Locks of the group still queued at this owner.
+        self.remaining = 0
 
 
 class LockingWorker(_PlaneClient):
@@ -1002,7 +1035,8 @@ class LockingWorker(_PlaneClient):
             self._index_of[v] for v in self.store.owned_vertices
         )
         self._counts = np.zeros(len(csr.vertex_ids), dtype=np.int64)
-        self._chains: Dict[VertexId, List] = {}
+        #: Compiled chains, per consistency model, per vertex.
+        self._chains: Dict[Consistency, Dict[VertexId, List[Hop]]] = {}
         self._inflight: Dict[int, _PendingScope] = {}
         self._ready: Deque[_PendingScope] = deque()
         self._next_scope = 0
@@ -1013,12 +1047,6 @@ class LockingWorker(_PlaneClient):
         #: slots and the growing list of per-scope slot batches. ``None``
         #: when no snapshot is active.
         self._snap: Optional[Dict[str, Any]] = None
-        #: Snapshot scopes need EDGE consistency regardless of the
-        #: engine's model (the snapshot update reads the vertex and all
-        #: adjacent edges); share the memo when the models coincide.
-        self._snap_chains: Dict[VertexId, List] = (
-            self._chains if init.consistency is Consistency.EDGE else {}
-        )
         self._init_plane(init.plane)
         self._scope = Scope(
             init.graph,
@@ -1054,23 +1082,23 @@ class LockingWorker(_PlaneClient):
     # ------------------------------------------------------------------
     # Chain plumbing.
     # ------------------------------------------------------------------
-    def _chain_for(self, vertex: VertexId) -> List:
-        """Canonical per-owner lock chain, dense-index form (memoized)."""
-        chain = self._chains.get(vertex)
+    def _chain_for(self, vertex: VertexId, model: Consistency) -> List[Hop]:
+        """Canonical per-owner lock chain, compiled (memoized per model)."""
+        chains = self._chains.setdefault(model, {})
+        chain = chains.get(vertex)
         if chain is None:
-            index_of = self._index_of
-            chain = self._chains[vertex] = [
-                (owner, [(index_of[vid], kind) for vid, kind in group])
-                for owner, group in build_lock_chain(
-                    self.graph, vertex, self.consistency, self.owner
-                )
-            ]
+            chain = chains[vertex] = compile_chain(
+                build_lock_chain(self.graph, vertex, model, self.owner),
+                self._index_of,
+            )
         return chain
 
     def _start(self, vertex: VertexId) -> None:
         scope_id = self._next_scope
         self._next_scope += 1
-        ps = _PendingScope(scope_id, vertex, self._chain_for(vertex))
+        ps = _PendingScope(
+            scope_id, vertex, self._chain_for(vertex, self.consistency)
+        )
         if self._obs is not None:
             ps.t0 = perf_counter()
         self._inflight[scope_id] = ps
@@ -1086,21 +1114,15 @@ class LockingWorker(_PlaneClient):
         scope for execution.
         """
         me = self.worker_id
-        table = self.table
-        while ps.pos < len(ps.chain):
-            owner, group = ps.chain[ps.pos]
+        chain = ps.chain
+        while ps.pos < len(chain):
+            owner, keys, kinds, request, _unlock = chain[ps.pos]
             if owner != me:
                 out = self._out_lock.setdefault(owner, [])
                 out.append(ps.scope_id)
-                out.append(len(group))
-                for vidx, kind in group:
-                    out.append(vidx)
-                    out.append(_KIND_CODE[kind])
+                out.extend(request)
                 return
-            waiting = 0
-            for vidx, kind in group:
-                if not table.request(vidx, kind, ps):
-                    waiting += 1
+            waiting = self.table.request_group(keys, kinds, ps)
             if waiting:
                 ps.waiting = waiting
                 return
@@ -1138,17 +1160,11 @@ class LockingWorker(_PlaneClient):
         """Drop every lock of an executed scope; pump grants."""
         del self._inflight[ps.scope_id]
         me = self.worker_id
-        table = self.table
-        for owner, group in ps.chain:
+        for owner, keys, kinds, _request, unlock in ps.chain:
             if owner == me:
-                for vidx, kind in group:
-                    for token in table.release(vidx, kind):
-                        self._on_granted(token)
+                self.table.release_group(keys, kinds, self._on_granted)
             else:
-                out = self._out_unlock.setdefault(owner, [])
-                for vidx, kind in group:
-                    out.append(vidx)
-                    out.append(_KIND_CODE[kind])
+                self._out_unlock.setdefault(owner, []).extend(unlock)
 
     # ------------------------------------------------------------------
     # One round.
@@ -1212,27 +1228,26 @@ class LockingWorker(_PlaneClient):
                     for i in np.asarray(arr).tolist():
                         self._snap_enqueue(vertex_ids[i])
             table = self.table
+            kind_of = _KINDS.__getitem__
             for arr in inbox.get("unlock", ()):
                 pairs = np.asarray(arr).tolist()
-                for j in range(0, len(pairs), 2):
-                    for token in table.release(
-                        pairs[j], _KINDS[pairs[j + 1]]
-                    ):
-                        self._on_granted(token)
+                table.release_group(
+                    pairs[0::2], map(kind_of, pairs[1::2]), self._on_granted
+                )
             for src, arr in inbox.get("lock", ()):
                 flat = np.asarray(arr).tolist()
                 j = 0
                 while j < len(flat):
-                    scope_id, k = flat[j], flat[j + 1]
-                    j += 2
-                    group = _RemoteGroup(src, scope_id, k)
-                    for _ in range(k):
-                        vidx, code = flat[j], flat[j + 1]
-                        j += 2
-                        if table.request(vidx, _KINDS[code], group):
-                            group.remaining -= 1
+                    scope_id, end = flat[j], j + 2 + 2 * flat[j + 1]
+                    group = _RemoteGroup(src, scope_id)
+                    group.remaining = table.request_group(
+                        flat[j + 2:end:2],
+                        map(kind_of, flat[j + 3:end:2]),
+                        group,
+                    )
                     if group.remaining == 0:
                         self._out_grant.setdefault(src, []).append(scope_id)
+                    j = end
             inflight = self._inflight
             for arr in inbox.get("grant", ()):
                 for scope_id in np.asarray(arr).tolist():
@@ -1430,26 +1445,15 @@ class LockingWorker(_PlaneClient):
         snap["queued"].add(vertex)
         snap["queue"].append(vertex)
 
-    def _snap_chain_for(self, vertex: VertexId) -> List:
+    def _start_snap(self, vertex: VertexId) -> None:
         """Snapshot scopes lock at EDGE consistency whatever the
         engine's model — Alg. 5 reads the vertex and all adjacent edges,
         and anything weaker could journal a neighbor edge mid-update."""
-        chain = self._snap_chains.get(vertex)
-        if chain is None:
-            index_of = self._index_of
-            chain = self._snap_chains[vertex] = [
-                (owner, [(index_of[vid], kind) for vid, kind in group])
-                for owner, group in build_lock_chain(
-                    self.graph, vertex, Consistency.EDGE, self.owner
-                )
-            ]
-        return chain
-
-    def _start_snap(self, vertex: VertexId) -> None:
         scope_id = self._next_scope
         self._next_scope += 1
         ps = _PendingScope(
-            scope_id, vertex, self._snap_chain_for(vertex), snap=True
+            scope_id, vertex, self._chain_for(vertex, Consistency.EDGE),
+            snap=True,
         )
         self._inflight[scope_id] = ps
         self._advance(ps)

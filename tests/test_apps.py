@@ -1,5 +1,7 @@
 """Tests for the applications: PageRank, ALS, LBP, GMM/CoSeg, CoEM."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,8 @@ from repro.apps import (
     training_rmse,
 )
 from repro.apps.lbp import get_message, init_lbp_data, set_message
-from repro.core import Consistency, Scope, SequentialEngine
+from repro.core import Consistency, DataGraph, Scope, SequentialEngine
+from repro.core.consistency import edge_key
 from repro.datasets import (
     grid_2d,
     mesh_3d,
@@ -40,6 +43,77 @@ from repro.datasets import (
     synthetic_video,
 )
 from repro.errors import ConsistencyError
+from repro.runtime.shard import CSRShardStore
+
+
+def loop_als_update(d, regularization=0.05, epsilon=0.01):
+    """The scalar-loop ALS update: per neighbor, three scope reads, one
+    ``np.outer`` and two ``+=`` — the oracle the one-pass update must
+    equal bit for bit."""
+
+    def rating(scope, u):
+        v = scope.vertex
+        if scope.graph.has_edge(v, u):
+            return scope.edge(v, u)
+        return scope.edge(u, v)
+
+    def update(scope):
+        neighbors = scope.neighbors
+        if not neighbors:
+            return None
+        xtx = regularization * len(neighbors) * np.eye(d)
+        xty = np.zeros(d)
+        for u in neighbors:
+            factor = scope.neighbor(u)
+            xtx += np.outer(factor, factor)
+            xty += rating(scope, u) * factor
+        new_factor = np.linalg.solve(xtx, xty)
+        old_factor = scope.data
+        scope.data = new_factor
+        change = float(np.abs(new_factor - old_factor).mean())
+        if change > epsilon:
+            return [(u, change) for u in neighbors]
+        return None
+
+    return update
+
+
+def random_ratings_graph(seed, d, bipartite):
+    """Random rating graph with isolated vertices: user -> movie edges
+    only when ``bipartite``, else any direction, reciprocal pairs
+    included (each direction with its own rating)."""
+    rng = random.Random(seed)
+    factors = np.random.default_rng(seed)
+    g = DataGraph()
+    n = rng.randrange(4, 16)
+    for i in range(n):
+        g.add_vertex(i, data=0.5 * factors.standard_normal(d))
+    edges = set()
+    for _ in range(rng.randrange(0, 3 * n)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if bipartite:
+            a, b = a - a % 2, b | 1  # even users rate odd movies
+        if a != b and (a, b) not in edges and b < n:
+            edges.add((a, b))
+            g.add_edge(a, b, data=float(rng.randrange(1, 6)))
+    if not bipartite:
+        for a, b in sorted(edges)[: len(edges) // 3]:
+            if (b, a) not in edges:
+                edges.add((b, a))
+                g.add_edge(b, a, data=float(rng.randrange(1, 6)))
+    return g.finalize()
+
+
+def _als_scopes(graph, kind):
+    """``(scope, vertex_data)`` over one path: the compiled graph, a
+    ``CSRShardStore`` holding everything, or the recording path (over
+    the compiled graph or the shard)."""
+    if kind.startswith("shard"):
+        store = CSRShardStore(0, graph, {v: 0 for v in graph.vertices()})
+        scope = Scope(graph, None, store=store, record=kind.endswith("rec"))
+        return scope, store.vertex_data
+    scope = Scope(graph, None, record=kind.endswith("rec"))
+    return scope, graph.vertex_data
 
 
 class TestPageRank:
@@ -102,6 +176,37 @@ class TestALS:
             initial=data.graph.vertices()
         )
         assert result.num_updates == data.graph.num_vertices
+
+    @given(
+        seed=st.integers(0, 10_000),
+        d=st.sampled_from([1, 3, 5]),
+        bipartite=st.booleans(),
+        kind=st.sampled_from(["graph", "graph-rec", "shard", "shard-rec"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_one_pass_equals_scalar_loop(self, seed, d, bipartite, kind):
+        """Same factors bit for bit, same schedules and — where no
+        neighbor is joined both ways — the same read sets as the
+        scalar loop; a reciprocal neighbor adds only its in-edge read."""
+        graph = random_ratings_graph(seed, d, bipartite)
+        oracle_graph = graph.copy()
+        scope, values = _als_scopes(graph, kind)
+        oracle_scope, oracle_values = _als_scopes(oracle_graph, kind)
+        update = make_als_update(d, epsilon=1e-3)
+        oracle = loop_als_update(d, epsilon=1e-3)
+        order = list(graph.vertices())
+        random.Random(seed).shuffle(order)
+        for v in order * 2:
+            assert update(scope.rebind(v)) == oracle(oracle_scope.rebind(v))
+            if kind.endswith("rec"):
+                reciprocal = {
+                    edge_key(u, v)
+                    for u in graph.in_neighbors(v)
+                    if graph.has_edge(v, u)
+                }
+                assert scope.reads == oracle_scope.reads | reciprocal
+        for v in graph.vertices():
+            assert np.array_equal(values(v), oracle_values(v))
 
     def test_bipartite_two_colorable(self):
         from repro.core import bipartite_coloring, num_colors

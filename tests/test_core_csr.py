@@ -19,13 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.consistency import Consistency
+from repro.core.consistency import Consistency, edge_key, vertex_key
 from repro.core.engine import SequentialEngine
 from repro.core.graph import DataGraph
 from repro.core.scheduler import make_scheduler
 from repro.core.scope import Scope
 from repro.core.update import normalize_schedule, run_update
 from repro.apps.pagerank import make_pagerank_update
+from repro.runtime.shard import CSRShardStore
 
 
 @st.composite
@@ -228,6 +229,55 @@ class TestExecutionEquivalence:
         scope.gather_in()
         assert ("v", 1) in scope.reads and ("v", 2) in scope.reads
         assert ("e", 1, 0) in scope.reads and ("e", 2, 0) in scope.reads
+
+
+class TestGathersOnEveryStore:
+    """``Scope.gather_in`` / ``gather_out`` against their per-call reads
+    on the three gather paths — the compiled graph, a ``CSRShardStore``
+    and the recording path — and against the building graph's slow
+    path."""
+
+    @staticmethod
+    def _scopes(graph):
+        """``(scope, recording)`` per gather path."""
+        store = CSRShardStore(0, graph, {v: 0 for v in graph.vertices()})
+        return [
+            (Scope(graph, None), False),
+            (Scope(graph, None, store=store), False),
+            (Scope(graph, None, record=True), True),
+            (Scope(graph, None, store=store, record=True), True),
+        ]
+
+    @given(random_graph_pair())
+    @settings(max_examples=60, deadline=None)
+    def test_gathers_match_per_call_reads(self, pair):
+        compiled, building = pair
+        for scope, recording in self._scopes(compiled):
+            for v in compiled.vertices():
+                scope.rebind(v)
+                ins = scope.gather_in()
+                outs = scope.gather_out()
+                expected_reads = {
+                    key
+                    for u in scope.in_neighbors
+                    for key in (edge_key(u, v), vertex_key(u))
+                } | {
+                    key
+                    for w in scope.out_neighbors
+                    for key in (edge_key(v, w), vertex_key(w))
+                }
+                assert scope.reads == (expected_reads if recording else set())
+                assert ins == [
+                    (u, scope.edge(u, v), scope.neighbor(u))
+                    for u in scope.in_neighbors
+                ]
+                assert outs == [
+                    (w, scope.edge(v, w), scope.neighbor(w))
+                    for w in scope.out_neighbors
+                ]
+                slow = Scope(building, v)
+                assert outs == slow.gather_out()
+                assert ins == slow.gather_in()
 
 
 class TestUnboundScopeFailsLoudly:

@@ -26,6 +26,7 @@ pickled pipe wire instead of the shared-memory plane.
 """
 
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -48,11 +49,14 @@ from repro.datasets.webgraph import power_law_web_graph
 from repro.distributed.consensus import MisraToken, misra_visit
 from repro.distributed.locks import RWQueueCore, build_lock_chain
 from repro.errors import EngineError, SimulationError
+from repro.obs import format_report, summarize, write_jsonl
+from repro.obs.__main__ import main as obs_cli
 from repro.runtime import (
     RuntimeLockingEngine,
     UpdateProgram,
     named_program,
 )
+from repro.runtime.worker import LockingWorker, LockWorkerInit, compile_chain
 
 from tests.helpers import grid_graph, ring_graph
 
@@ -184,6 +188,162 @@ class TestRWQueueCore:
             core.request("other", LockKind.READ, "t")
 
 
+class DequeLockTable:
+    """Reference model: the deque-per-key ``RWQueueCore`` that the
+    int-per-key table replaced — holder counts plus a FIFO queue per
+    key, every request pumped through the queue."""
+
+    class _State:
+        def __init__(self):
+            self.readers = 0
+            self.writer = False
+            self.queue = deque()
+
+    def __init__(self, keys):
+        self._locks = {k: self._State() for k in keys}
+
+    def _state(self, key):
+        try:
+            return self._locks[key]
+        except KeyError:
+            raise SimulationError(
+                f"lock request for vertex {key!r} not owned here"
+            ) from None
+
+    def request(self, key, kind, token):
+        state = self._state(key)
+        state.queue.append((kind, token))
+        return bool(self._pump(state))
+
+    def release(self, key, kind):
+        state = self._state(key)
+        if kind is LockKind.WRITE:
+            if not state.writer:
+                raise SimulationError(f"write-release without hold on {key!r}")
+            state.writer = False
+        else:
+            if state.readers <= 0:
+                raise SimulationError(f"read-release without hold on {key!r}")
+            state.readers -= 1
+        return self._pump(state)
+
+    def _pump(self, state):
+        granted = []
+        while state.queue:
+            kind, token = state.queue[0]
+            if kind is LockKind.WRITE:
+                if state.writer or state.readers:
+                    break
+                state.queue.popleft()
+                state.writer = True
+                granted.append(token)
+                break
+            if state.writer:
+                break
+            state.queue.popleft()
+            state.readers += 1
+            granted.append(token)
+        return granted
+
+    def holders(self, key):
+        state = self._state(key)
+        return state.readers, state.writer
+
+    def queue_length(self, key):
+        return len(self._state(key).queue)
+
+    # A group is its keys' single-key calls in order, callbacks fired
+    # after each key's release.
+    def request_group(self, keys, kinds, token):
+        waiting = 0
+        for key, kind in zip(keys, kinds):
+            if not self.request(key, kind, token):
+                waiting += 1
+        return waiting
+
+    def release_group(self, keys, kinds, on_grant):
+        for key, kind in zip(keys, kinds):
+            for token in self.release(key, kind):
+                on_grant(token)
+
+
+_LOCK_KEYS = (0, 1, 2, 3)
+#: Mostly owned keys, sometimes one this table does not own.
+_lock_key = st.sampled_from(_LOCK_KEYS * 2 + ("elsewhere",))
+_lock_group = st.lists(
+    st.tuples(_lock_key, st.booleans()), min_size=1, max_size=4
+)
+_lock_op = st.one_of(
+    st.tuples(st.just("request"), _lock_key, st.booleans()),
+    st.tuples(st.just("release"), _lock_key, st.booleans()),
+    st.tuples(st.just("request_group"), _lock_group),
+    st.tuples(st.just("release_group"), _lock_group),
+)
+
+
+def _group_kinds(group):
+    """``[(key, write), …]`` -> ``(keys, kinds)``."""
+    keys = tuple(key for key, _write in group)
+    kinds = tuple(
+        LockKind.WRITE if write else LockKind.READ for _key, write in group
+    )
+    return keys, kinds
+
+
+def _drive_lock_table(table, ops):
+    """Apply ``ops`` to ``table``; return everything observable: each
+    op's immediate result or error, every grant in callback order (a
+    grant of every third token re-enters the table with a new request),
+    and the per-key holders / queue lengths after each op."""
+    log = []
+    next_token = [0]
+
+    def token():
+        next_token[0] += 1
+        return next_token[0]
+
+    def on_grant(granted):
+        log.append(("grant", granted))
+        if granted % 3 == 0:
+            key = _LOCK_KEYS[granted % len(_LOCK_KEYS)]
+            kind = LockKind.WRITE if granted % 2 else LockKind.READ
+            log.append(("reentrant", table.request(key, kind, token())))
+
+    for op in ops:
+        try:
+            if op[0] == "request":
+                _tag, key, write = op
+                kind = LockKind.WRITE if write else LockKind.READ
+                log.append(("request", table.request(key, kind, token())))
+            elif op[0] == "release":
+                _tag, key, write = op
+                kind = LockKind.WRITE if write else LockKind.READ
+                for granted in table.release(key, kind):
+                    on_grant(granted)
+            elif op[0] == "request_group":
+                keys, kinds = _group_kinds(op[1])
+                waiting = table.request_group(keys, kinds, token())
+                log.append(("group", waiting))
+            else:
+                keys, kinds = _group_kinds(op[1])
+                table.release_group(keys, kinds, on_grant)
+        except SimulationError as exc:
+            log.append(("error", str(exc)))
+        log.append(
+            [(table.holders(k), table.queue_length(k)) for k in _LOCK_KEYS]
+        )
+    return log
+
+
+class TestLockTableModel:
+    @given(st.lists(_lock_op, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_int_table_matches_deque_reference(self, ops):
+        assert _drive_lock_table(RWQueueCore(_LOCK_KEYS), ops) == (
+            _drive_lock_table(DequeLockTable(_LOCK_KEYS), ops)
+        )
+
+
 class TestMisraToken:
     def test_visit_arithmetic(self):
         assert misra_visit(2, black=True, num_machines=4) == (0, False)
@@ -252,6 +412,61 @@ class TestLockChain:
         assert all(
             kind is LockKind.WRITE for _m, grp in full for (_v, kind) in grp
         )
+
+
+class TestCompiledChains:
+    @given(
+        seed=st.integers(0, 10_000),
+        workers=st.integers(1, 4),
+        model=st.sampled_from(list(Consistency)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_compiled_chains_equal_build_lock_chain(
+        self, seed, workers, model
+    ):
+        """Every compiled hop decodes back to ``build_lock_chain``'s
+        group, and its wire ints are the group's ``[k, key, code, …]``
+        / ``[key, code, …]`` (code ``1`` for a write); the worker's memo
+        keeps the engine model's chains apart from the EDGE snapshot
+        chains."""
+        g = random_graph(12, 24, seed)
+        rng = random.Random(seed)
+        owner = {v: rng.randrange(workers) for v in g.vertices()}
+        csr = g.compiled
+        worker = LockingWorker(
+            LockWorkerInit(
+                worker_id=0,
+                num_workers=workers,
+                graph=g,
+                owner=owner,
+                consistency=model,
+                program=flood_max,
+            )
+        )
+        for v in g.vertices():
+            for chain_model in (model, Consistency.EDGE):
+                chain = build_lock_chain(g, v, chain_model, owner)
+                hops = compile_chain(chain, csr.index_of)
+                assert worker._chain_for(v, chain_model) == hops
+                decoded = [
+                    (
+                        machine,
+                        [
+                            (csr.vertex_ids[key], kind)
+                            for key, kind in zip(keys, kinds)
+                        ],
+                    )
+                    for machine, keys, kinds, _req, _unl in hops
+                ]
+                assert decoded == chain
+                for _machine, keys, kinds, request, unlock in hops:
+                    pairs = [
+                        x
+                        for key, kind in zip(keys, kinds)
+                        for x in (key, int(kind is LockKind.WRITE))
+                    ]
+                    assert list(unlock) == pairs
+                    assert list(request) == [len(keys)] + pairs
 
 
 # ----------------------------------------------------------------------
@@ -610,3 +825,89 @@ class TestPipelineAndAccounting:
         assert result.rounds > 0 and result.bytes_on_pipe > 0
         assert sum(result.updates_per_worker.values()) == result.num_updates
         assert sum(result.updates_per_vertex.values()) == result.num_updates
+
+
+# ----------------------------------------------------------------------
+# Turn-taking: lstep rounds tallied by executing-worker count.
+# ----------------------------------------------------------------------
+class TestExecutingWorkers:
+    @staticmethod
+    def _two_rings():
+        """Two disconnected rings; the assignment puts one on each of
+        two workers, so neither ever waits on the other's locks."""
+        g = DataGraph()
+        for ring in "ab":
+            for i in range(8):
+                g.add_vertex((ring, i), data=float(i))
+            for i in range(8):
+                g.add_edge((ring, i), (ring, (i + 1) % 8), data=1.0)
+        g.finalize()
+        assignment = {v: 0 if v[0] == "a" else 1 for v in g.vertices()}
+        return g, assignment
+
+    def test_disjoint_components_execute_in_the_same_round(
+        self, tmp_path, capsys
+    ):
+        g, assignment = self._two_rings()
+        engine = RuntimeLockingEngine(
+            g,
+            flood_max,
+            num_workers=2,
+            transport="inproc",
+            assignment=assignment,
+            atoms_per_worker=1,
+            round_budget=2,
+            telemetry=True,
+        )
+        assert {engine.owner[("a", 0)], engine.owner[("b", 0)]} == {0, 1}
+        result = engine.run(initial=g.vertices())
+        tally = result.extra["executing_workers"]
+        assert len(tally) == 3 and tally[2] > 0
+        # Every round but the final collect is an lstep round.
+        assert sum(tally) == result.rounds - 1
+        assert result.telemetry.meta["executing_workers"] == tally
+        line = "locking: lstep rounds by executing workers " + " ".join(
+            f"{n}={count}" for n, count in enumerate(tally)
+        )
+        assert line in format_report(summarize(result.telemetry))
+        trace = tmp_path / "run.trace.jsonl"
+        write_jsonl(result.telemetry, trace)
+        assert obs_cli(["report", str(trace)]) == 0
+        assert line in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tally_sums_to_lstep_rounds(self, workers):
+        g = power_law_web_graph(60, out_degree=3, seed=4)
+        result = RuntimeLockingEngine(
+            g,
+            UpdateProgram(make_pagerank_update, kwargs={"epsilon": 1e-4}),
+            num_workers=workers,
+            transport="inproc",
+            round_budget=8,
+        ).run(initial=g.vertices())
+        tally = result.extra["executing_workers"]
+        assert len(tally) == workers + 1
+        assert sum(tally) == result.rounds - 1
+
+    def test_tally_keeps_rolled_back_rounds(self):
+        """A recovery rewinds the coordinator's clock but not the tally:
+        like ``result.rounds`` it counts every round the cluster ran.
+        Async snapshots ride lstep rounds, so the only other rounds are
+        the restore and the final collect."""
+        g = power_law_web_graph(60, out_degree=3, seed=4)
+        engine = RuntimeLockingEngine(
+            g,
+            UpdateProgram(make_pagerank_update, kwargs={"epsilon": 1e-4}),
+            num_workers=2,
+            transport="inproc",
+            round_budget=8,
+            snapshot_every=3,
+            snapshot_mode="async",
+            recovery_backoff=0.0,
+        )
+        engine.transport.schedule_kill(1, 6)
+        result = engine.run(initial=g.vertices())
+        assert result.extra["recoveries"] == 1
+        tally = result.extra["executing_workers"]
+        assert sum(tally) == result.rounds - 1 - 1
+        assert sum(tally) > engine._clock()

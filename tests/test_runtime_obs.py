@@ -42,7 +42,6 @@ from repro.obs import (
     log2_histogram,
     merge_counters,
     percentile,
-    phase_share_fractions,
     read_jsonl,
     summarize,
     validate_chrome_trace,
@@ -235,9 +234,8 @@ class TestReport:
         assert rep["phases"]["idle"]["seconds"] == 12.0
         assert rep["phases"]["ghost"]["seconds"] == 1.0
         assert rep["phases"]["ser"]["seconds"] == 1.0
-        shares = phase_share_fractions(_hand_telemetry())
-        assert set(shares) == set(PHASES)
-        assert shares["compute"] == 0.3
+        assert set(rep["phases"]) == set(PHASES)
+        assert rep["phases"]["compute"]["share"] == pytest.approx(0.3)
         assert rep["dropped"] == 2
 
     def test_grant_latency_section(self):
