@@ -29,8 +29,8 @@ from repro.distributed import (
     degree_cost,
     deploy,
 )
-from repro.distributed.graph_store import LocalGraphStore
 from repro.distributed.ingress import ownership_from_placement
+from repro.runtime.shard import CSRShardStore
 
 
 def _mesh(side=8, epsilon=0.0):
@@ -38,19 +38,18 @@ def _mesh(side=8, epsilon=0.0):
     return graph, make_lbp_update(psi, epsilon=epsilon)
 
 
-class _NaiveStore(LocalGraphStore):
+class _NaiveStore(CSRShardStore):
     """Ablation store: re-ships the *entire* local boundary on every
     flush, as if the versioning system did not exist (Sec. 4.1's
     "eliminating the transmission of unchanged or constant data")."""
 
     def collect_dirty(self):
-        from repro.core.consistency import edge_key, vertex_key
-
-        for v in self.mirrors:
-            self._dirty.add(vertex_key(v))
-            for (a, b) in self.graph.adjacent_edges(v):
-                if self.owner[a] != self.owner[b]:
-                    self._dirty.add(edge_key(a, b))
+        # The routing arrays list every mirrored vertex and every
+        # cross-machine edge: exactly the boundary.
+        for route in self._route_v.values():
+            self._dirty_v[route] = True
+        for route in self._route_e.values():
+            self._dirty_e[route] = True
         return super().collect_dirty()
 
 
@@ -63,7 +62,7 @@ def run_versioning_ablation():
     """
     totals = {}
     for label, store_cls in (
-        ("version_filtered", LocalGraphStore),
+        ("version_filtered", CSRShardStore),
         ("naive_resend", _NaiveStore),
     ):
         graph, update = _mesh(epsilon=1e-3)
@@ -119,7 +118,7 @@ def run_placement_ablation():
             skip_ingress_io=True,
         )
         stores = {
-            m: LocalGraphStore(m, graph, owner, sizes=COSEG_SIZES)
+            m: CSRShardStore(m, graph, owner, sizes=COSEG_SIZES)
             for m in range(4)
         }
         engine = LockingEngine(

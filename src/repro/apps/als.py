@@ -47,7 +47,10 @@ def make_als_update(
 
     One ordered numpy pass per update. The ``(rating, factor)`` rows
     come from two bulk reads, :meth:`~repro.core.scope.Scope.gather_in`
-    then :meth:`~repro.core.scope.Scope.gather_out`, merged into
+    then :meth:`~repro.core.scope.Scope.gather_out` (one mechanism: the
+    per-vertex plans :func:`~repro.core.kernels.in_gather` /
+    :func:`~repro.core.kernels.out_gather`, on the compiled graph and on
+    every shard store alike), merged into
     ``scope.neighbors`` order; a neighbor joined both ways keeps its
     in-neighbor position and takes the out-edge's rating ``D_{v->u}``.
     The normal equations ``xtx`` and ``xty`` are summed side by side by
@@ -137,8 +140,9 @@ def initialize_factors(
 def training_rmse(graph: DataGraph, store=None) -> float:
     """Root-mean-square error over the training edges.
 
-    ``store`` overrides the data provider (pass a
-    :class:`LocalGraphStore`-merged view for distributed runs).
+    ``store`` overrides the data provider: anything with
+    ``vertex_data`` / ``edge_data`` (for a distributed run, a view that
+    merges each vertex's owner store).
     """
     get_v = store.vertex_data if store is not None else graph.vertex_data
     get_e = store.edge_data if store is not None else graph.edge_data

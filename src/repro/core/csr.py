@@ -98,7 +98,7 @@ def _csr_arrays(
 class _Views:
     """Interpreter-facing views, built lazily and shared by copies.
 
-    The pre-materialized Python tuples (neighbor lists, gather plans,
+    The pre-materialized Python tuples (neighbor lists, edge lists,
     frozensets) cost tens of milliseconds to build on non-trivial
     graphs — the dominant share of a runtime worker's launch before
     they went lazy. Batch-kernel workers never touch them (they run on
@@ -116,7 +116,6 @@ class _Views:
         "nbr_ids",
         "nbr_sets",
         "adj_edges",
-        "in_gather",
         "nbr_offsets",
         "nbr_targets",
     )
@@ -234,7 +233,7 @@ class CSRGraph:
         (the runtime backend sends one copy per worker process). Only
         the O(1)-lookup maps (``index_of``, ``edge_slot``) build
         eagerly; the pre-materialized interpreter views (tuples,
-        frozensets, gather plans) are *lazy* — batch-kernel consumers
+        frozensets) are *lazy* — batch-kernel consumers
         run entirely on the canonical arrays and never pay for them
         (see :class:`_Views` and :meth:`_build_views`). ``index_of``
         may be passed when the caller already built it (:meth:`build`
@@ -266,7 +265,6 @@ class CSRGraph:
         views = self._views
         vertex_ids = self.vertex_ids
         index_of = self.index_of
-        edge_slot = self.edge_slot
         out_off, out_tgt = self.out_offsets, self.out_targets
         in_off, in_src = self.in_offsets, self.in_sources
         out_ids: List[Tuple] = []
@@ -274,7 +272,6 @@ class CSRGraph:
         nbr_ids: List[Tuple] = []
         nbr_sets: List[FrozenSet] = []
         adj_edges: List[Tuple[EdgeKey, ...]] = []
-        in_gather: List[Tuple] = []
         for i, v in enumerate(vertex_ids):
             outs = tuple(
                 vertex_ids[j] for j in out_tgt[out_off[i]:out_off[i + 1]]
@@ -294,15 +291,11 @@ class CSRGraph:
             adj_edges.append(
                 tuple([(u, v) for u in ins] + [(v, w) for w in outs])
             )
-            in_gather.append(
-                tuple((u, edge_slot[(u, v)], index_of[u]) for u in ins)
-            )
         views.out_ids = tuple(out_ids)
         views.in_ids = tuple(in_ids)
         views.nbr_ids = tuple(nbr_ids)
         views.nbr_sets = tuple(nbr_sets)
         views.adj_edges = tuple(adj_edges)
-        views.in_gather = tuple(in_gather)
         views.nbr_offsets, views.nbr_targets = _csr_arrays(
             nbr_ids, index_of
         )
@@ -333,10 +326,6 @@ class CSRGraph:
     @property
     def adj_edges(self) -> Tuple[Tuple[EdgeKey, ...], ...]:
         return self._view().adj_edges
-
-    @property
-    def in_gather(self) -> Tuple[Tuple, ...]:
-        return self._view().in_gather
 
     @property
     def nbr_offsets(self) -> np.ndarray:

@@ -202,31 +202,47 @@ def out_edge_plan(csr: Any) -> np.ndarray:
     return plan
 
 
-def out_gather(csr: Any, index: int) -> Tuple[Tuple[Any, int, int], ...]:
-    """``(w, edge slot, w's dense index)`` per out-edge ``v -> w`` of the
-    vertex at dense ``index``, in out-CSR order.
-
-    The interpreter's gather-out plan (``Scope.gather_out``,
-    ``CSRShardStore.gather_out``), resolved from the canonical
-    ``out_offsets`` / ``out_targets`` and :func:`out_edge_plan` once per
-    vertex and memoized per vertex in the shared plan cache, so only the
-    vertices a process actually updates pay for it.
-    """
-    plans = csr.plan_cache.get("out_gather")
+def _gather_plan(
+    csr: Any, name: str, index: int, offsets: Any, ends: Any, slots: Any
+) -> Tuple[Tuple[Any, int, int], ...]:
+    """``(neighbor id, edge slot, neighbor index)`` per position of one
+    directed CSR row, memoized per vertex under ``name`` in the shared
+    plan cache, so only the vertices a process updates pay for it."""
+    plans = csr.plan_cache.get(name)
     if plans is None:
-        plans = csr.plan_cache["out_gather"] = {}
+        plans = csr.plan_cache[name] = {}
     plan = plans.get(index)
     if plan is None:
-        lo, hi = int(csr.out_offsets[index]), int(csr.out_offsets[index + 1])
+        lo, hi = int(offsets[index]), int(offsets[index + 1])
         vertex_ids = csr.vertex_ids
         plan = plans[index] = tuple(
-            (vertex_ids[wi], slot, wi)
-            for wi, slot in zip(
-                csr.out_targets[lo:hi].tolist(),
-                out_edge_plan(csr)[lo:hi].tolist(),
+            (vertex_ids[j], slot, j)
+            for j, slot in zip(
+                ends[lo:hi].tolist(), slots(csr)[lo:hi].tolist()
             )
         )
     return plan
+
+
+def in_gather(csr: Any, index: int) -> Tuple[Tuple[Any, int, int], ...]:
+    """``(u, edge slot, u's dense index)`` per in-edge ``u -> v`` of the
+    vertex at dense ``index``, in in-CSR order: the interpreter's
+    gather-in plan (``Scope.gather_in``, ``CSRShardStore.gather_in``),
+    from ``in_offsets`` / ``in_sources`` and :func:`in_edge_plan`."""
+    return _gather_plan(
+        csr, "in_gather", index, csr.in_offsets, csr.in_sources, in_edge_plan
+    )
+
+
+def out_gather(csr: Any, index: int) -> Tuple[Tuple[Any, int, int], ...]:
+    """``(w, edge slot, w's dense index)`` per out-edge ``v -> w`` of the
+    vertex at dense ``index``, in out-CSR order: the interpreter's
+    gather-out plan (``Scope.gather_out``, ``CSRShardStore.gather_out``),
+    from ``out_offsets`` / ``out_targets`` and :func:`out_edge_plan`."""
+    return _gather_plan(
+        csr, "out_gather", index, csr.out_offsets, csr.out_targets,
+        out_edge_plan,
+    )
 
 
 def undirected_plan(csr: Any) -> Tuple[np.ndarray, np.ndarray]:

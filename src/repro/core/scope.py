@@ -14,8 +14,9 @@ The scope is backed by two collaborators:
   the distributed setting structure is locally known via ghosts;
 * ``store`` answers *data* queries with ``vertex_data / set_vertex_data /
   edge_data / set_edge_data`` methods. :class:`repro.core.graph.DataGraph`
-  itself satisfies this protocol, as does the distributed
-  :class:`repro.distributed.graph_store.LocalGraphStore`.
+  itself satisfies this protocol, as does the per-machine
+  :class:`repro.runtime.shard.CSRShardStore` that every distributed
+  engine — simulated or real — runs against.
 
 Scopes also collect scheduling requests (``scope.schedule(u, prio)``) and
 expose read-only global values maintained by sync operations (Sec. 3.5).
@@ -42,7 +43,7 @@ from repro.core.consistency import (
     write_set,
 )
 from repro.core.graph import DataGraph, VertexId
-from repro.core.kernels import out_gather
+from repro.core.kernels import in_gather, out_gather
 from repro.errors import ConsistencyError, GraphStructureError
 
 _EMPTY_GLOBALS: Mapping[str, Any] = {}
@@ -278,16 +279,18 @@ class Scope:
 
         Semantically identical to ``[(u, self.edge(u, self.vertex),
         self.neighbor(u)) for u in self.in_neighbors]`` (same order, same
-        recording) but resolved in one call; when the store is the
-        compiled graph itself the reads go straight through the
-        finalize-time edge-slot and vertex-index arrays.
+        recording) but resolved in one call. On the compiled graph the
+        reads go through the per-vertex plan
+        :func:`~repro.core.kernels.in_gather` builds from the canonical
+        in-CSR arrays and edge slots; a slot-addressed shard answers with
+        its own ``gather_in``.
         """
         vertex = self.vertex
         store = self._store
         graph = self.graph
         csr = self._csr_gather
         if csr is not None:
-            plan = csr.in_gather[self._vidx]
+            plan = in_gather(csr, self._vidx)
             if self._record:
                 # Tracing-enabled runs must observe the same read set as
                 # the slow path: one edge key and one vertex key per

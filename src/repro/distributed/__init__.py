@@ -13,7 +13,6 @@ from repro.distributed.chromatic import ChromaticEngine
 from repro.distributed.consensus import install_termination
 from repro.distributed.deploy import Deployment, deploy
 from repro.distributed.dfs import DFSFile, DistributedFileSystem
-from repro.distributed.graph_store import LocalGraphStore, build_stores
 from repro.distributed.ingress import (
     IngressReport,
     distributed_load,
@@ -64,7 +63,6 @@ __all__ = [
     "DistributedFileSystem",
     "DistributedRunResult",
     "IngressReport",
-    "LocalGraphStore",
     "LockingEngine",
     "NER_SIZES",
     "SnapshotRecord",
@@ -73,7 +71,6 @@ __all__ = [
     "balance",
     "bfs_assignment",
     "build_atoms",
-    "build_stores",
     "cluster_mtbf",
     "constant_cost",
     "coseg_cost",

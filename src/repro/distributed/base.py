@@ -11,14 +11,23 @@ scheduling logic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Generator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.consistency import Consistency
 from repro.core.graph import DataGraph, VertexId
 from repro.core.scope import Scope
 from repro.core.sync import GlobalValues, SyncOperation
 from repro.core.update import UpdateFunction, UpdateResult, run_update
-from repro.distributed.graph_store import LocalGraphStore
 from repro.distributed.models import (
     SCHEDULE_REQUEST_BYTES,
     DataSizeModel,
@@ -27,6 +36,9 @@ from repro.distributed.models import (
 from repro.errors import EngineError
 from repro.sim.cluster import Cluster
 from repro.sim.kernel import Future
+
+if TYPE_CHECKING:
+    from repro.runtime.shard import CSRShardStore
 
 #: Cycles to evaluate Map(S_v) for one vertex during a sync.
 SYNC_CYCLES_PER_VERTEX = 200.0
@@ -78,7 +90,7 @@ class DistributedEngineBase:
         cluster: Cluster,
         graph: DataGraph,
         update_fn: UpdateFunction,
-        stores: Mapping[int, LocalGraphStore],
+        stores: Mapping[int, "CSRShardStore"],
         owner: Mapping[VertexId, int],
         cost_model: UpdateCostModel,
         sizes: DataSizeModel,
@@ -170,8 +182,9 @@ class DistributedEngineBase:
     ) -> Future:
         """Ship dirty data entries to ``dst``; apply on arrival.
 
-        Returns a future resolving at delivery. Entry format is the
-        output of :meth:`LocalGraphStore.collect_dirty`.
+        Returns a future resolving at delivery. Entries are the per-key
+        modeled wire, ``(key, value, version, bytes)`` from
+        :meth:`~repro.runtime.shard.CSRShardStore.collect_dirty`.
         """
         done = self.kernel.event()
         size = BATCH_HEADER_BYTES + sum(e[3] for e in entries)

@@ -58,13 +58,14 @@ class ChromaticEngine(DistributedEngineBase):
     use_kernel:
         Dispatch each machine's share of a color-step to the update
         program's batch kernel (:mod:`repro.core.kernels`) when one is
-        attached, the graph has compatible typed columns, and the
-        machine stores are slot-addressed
-        (:class:`~repro.runtime.shard.CSRShardStore` — pass such stores
-        instead of the default ``LocalGraphStore``). Values stay
+        attached, the graph has compatible typed columns and the color
+        classes are independent frontiers; the kernel runs directly on
+        each machine's slot-addressed
+        :class:`~repro.runtime.shard.CSRShardStore` columns. Values stay
         bit-identical; modeled cycle costs are still charged per
         update, but dirty ghosts flush once at step end instead of on
-        the mid-step ``flush_batch`` cadence.
+        the mid-step ``flush_batch`` cadence. ``False`` pins the scalar
+        interpreter.
     """
 
     def __init__(
@@ -101,9 +102,6 @@ class ChromaticEngine(DistributedEngineBase):
             m: set() for m in self.stores
         }
         self._updates_at_last_snapshot = 0
-        # Batch-kernel dispatch needs flat numpy columns on every store
-        # (the runtime shard layout); dict-backed LocalGraphStores fall
-        # back to the scalar interpreter silently.
         kernel = kernel_of(self.update_fn) if use_kernel else None
         self._batch_kernel = (
             kernel
@@ -111,11 +109,6 @@ class ChromaticEngine(DistributedEngineBase):
                 kernel is not None
                 and kernel.compatible(self.graph)
                 and independent_classes(self.graph, classes)
-                and all(
-                    isinstance(getattr(s, "vdata_flat", None), np.ndarray)
-                    and hasattr(s, "apply_kernel_result")
-                    for s in self.stores.values()
-                )
             )
             else None
         )

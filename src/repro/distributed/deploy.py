@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 from repro.core.graph import DataGraph, VertexId
 from repro.distributed.atom import Atom, AtomIndex, build_atoms
 from repro.distributed.dfs import DistributedFileSystem
-from repro.distributed.graph_store import LocalGraphStore
 from repro.distributed.ingress import (
     IngressReport,
     distributed_load,
@@ -34,6 +33,9 @@ from repro.errors import PartitionError
 from repro.sim.cluster import CC1_4XLARGE, Cluster, InstanceType
 from repro.sim.kernel import SimKernel
 
+if TYPE_CHECKING:
+    from repro.runtime.shard import CSRShardStore
+
 _PARTITIONERS: Dict[str, Callable[[DataGraph, int], Assignment]] = {
     "hash": random_hash_assignment,
     "bfs": bfs_assignment,
@@ -47,7 +49,7 @@ class Deployment:
 
     cluster: Cluster
     graph: DataGraph
-    stores: Dict[int, LocalGraphStore]
+    stores: Dict[int, "CSRShardStore"]
     owner: Dict[VertexId, int]
     dfs: DistributedFileSystem
     atoms: List[Atom]
@@ -150,6 +152,9 @@ def deploy(
     DFS/journal-playback time — handy for unit tests where load time is
     noise.
     """
+    # Function-local: repro.runtime imports this module at package init.
+    from repro.runtime.shard import CSRShardStore
+
     plan = plan_ownership(
         graph,
         num_machines,
@@ -171,7 +176,7 @@ def deploy(
         placement = plan.placement
         owner = plan.owner
         stores = {
-            m: LocalGraphStore(m, graph, owner, sizes=sizes)
+            m: CSRShardStore(m, graph, owner, sizes=sizes)
             for m in range(num_machines)
         }
         ingress = IngressReport(

@@ -7,22 +7,25 @@ assigned atoms in parallel — replaying each journal to instantiate its
 local partition and the ghosts of the boundary.
 
 :func:`distributed_load` performs that whole dance on the simulated
-cluster and returns per-machine :class:`LocalGraphStore` instances plus
-the vertex ownership map, charging DFS reads and playback CPU.
+cluster and returns per-machine
+:class:`~repro.runtime.shard.CSRShardStore` instances plus the vertex
+ownership map, charging DFS reads and playback CPU.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.graph import DataGraph, VertexId
 from repro.distributed.atom import Atom, AtomIndex
 from repro.distributed.dfs import DistributedFileSystem
-from repro.distributed.graph_store import LocalGraphStore
 from repro.distributed.models import DataSizeModel
 from repro.errors import PartitionError
 from repro.sim.cluster import Cluster
+
+if TYPE_CHECKING:
+    from repro.runtime.shard import CSRShardStore
 
 #: CPU cost of replaying one journal command (decode + insert).
 PLAYBACK_CYCLES_PER_COMMAND = 400.0
@@ -88,7 +91,7 @@ def distributed_load(
     atoms: Sequence[Atom],
     index: AtomIndex,
     sizes: DataSizeModel = DataSizeModel(),
-) -> Tuple[Dict[int, LocalGraphStore], IngressReport]:
+) -> Tuple[Dict[int, "CSRShardStore"], IngressReport]:
     """Load the atom graph onto the cluster (parallel journal playback).
 
     The master (machine 0) computes the placement from the atom index;
@@ -96,6 +99,9 @@ def distributed_load(
     charging :data:`PLAYBACK_CYCLES_PER_COMMAND` per journal command.
     Returns the per-machine stores and an :class:`IngressReport`.
     """
+    # Function-local: repro.runtime imports this package at its init.
+    from repro.runtime.shard import CSRShardStore
+
     kernel = cluster.kernel
     start = kernel.now
     placement = index.place(cluster.num_machines)
@@ -124,7 +130,7 @@ def distributed_load(
 
     kernel.run_process(load_all(), name="distributed-load")
     stores = {
-        m: LocalGraphStore(m, graph, owner, sizes=sizes)
+        m: CSRShardStore(m, graph, owner, sizes=sizes)
         for m in range(cluster.num_machines)
     }
     report = IngressReport(

@@ -29,6 +29,8 @@ import itertools
 from collections import deque
 from typing import Any, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.consistency import Consistency, scope_keys
 from repro.core.graph import VertexId
 from repro.core.scheduler import make_scheduler
@@ -44,6 +46,7 @@ from repro.distributed.dfs import DistributedFileSystem
 from repro.distributed.locks import VertexLockTable, build_lock_chain
 from repro.distributed.models import LOCK_MESSAGE_BYTES
 from repro.errors import EngineError
+from repro.runtime.shard import concat_entries
 from repro.sim.kernel import Future
 from repro.sim.primitives import Semaphore
 
@@ -241,13 +244,13 @@ class LockingEngine(DistributedEngineBase):
             if src_version < 0:
                 continue
             if src_version > dst_store.version(key):
+                value = (
+                    src_store.vertex_data(key[1])
+                    if key[0] == "v"
+                    else src_store.edge_data(key[1], key[2])
+                )
                 entries.append(
-                    (
-                        key,
-                        src_store.value_of(key),
-                        src_version,
-                        src_store.key_bytes(key),
-                    )
+                    (key, value, src_version, src_store.key_bytes(key))
                 )
         if not entries:
             return 0
@@ -521,8 +524,8 @@ class LockingEngine(DistributedEngineBase):
             "start": self.kernel.now,
             "updates_at_start": self.total_updates,
             "marked": set(),
-            "saved_vdata": {},
-            "saved_edata": {},
+            "edges": set(),
+            "batches": {m: [] for m in range(self.cluster.num_machines)},
             "bytes": {m: 0.0 for m in range(self.cluster.num_machines)},
             "progress": [],
         }
@@ -533,21 +536,32 @@ class LockingEngine(DistributedEngineBase):
                 self._notify(m)
 
     def _snapshot_update(self, machine_id: int, vertex: VertexId) -> Generator:
-        """Alg. 5, executed under an edge-consistent locked scope."""
+        """Alg. 5, executed under an edge-consistent locked scope.
+
+        Saves the vertex and every adjacent edge to an unmarked neighbor
+        not saved yet, captured as one slot-form batch of the machine's
+        store while the scope is locked (the runtime's snapshot scopes
+        do the same); the batches pack into the machine's journal when
+        the snapshot completes.
+        """
         snap = self._active_snapshot
         if snap is None or vertex in snap["marked"]:
             return
         store = self.stores[machine_id]
+        csr = self.graph.compiled
         save_bytes = self.sizes.vbytes(vertex)
-        snap["saved_vdata"][vertex] = store.vertex_data(vertex)
+        saved = snap["edges"]
+        slots: List[int] = []
         local_next: List[VertexId] = []
         remote_next: Dict[int, List[VertexId]] = {}
         for u in self.graph.neighbors(vertex):
             if u in snap["marked"]:
                 continue
             for (a, b) in ((u, vertex), (vertex, u)):
-                if self.graph.has_edge(a, b) and (a, b) not in snap["saved_edata"]:
-                    snap["saved_edata"][(a, b)] = store.edge_data(a, b)
+                slot = csr.edge_slot.get((a, b))
+                if slot is not None and slot not in saved:
+                    saved.add(slot)
+                    slots.append(slot)
                     save_bytes += self.sizes.ebytes(a, b)
             target = self.owner[u]
             if target == machine_id:
@@ -563,6 +577,12 @@ class LockingEngine(DistributedEngineBase):
                 LOCK_MESSAGE_BYTES + 8.0 * len(vertices),
                 tuple(vertices),
             )
+        snap["batches"][machine_id].append(
+            store.checkpoint_payload(
+                np.array([csr.index_of[vertex]], dtype=np.int64),
+                np.array(slots, dtype=np.int64),
+            )
+        )
         snap["marked"].add(vertex)
         snap["progress"].append((self.kernel.now, len(snap["marked"])))
         snap["bytes"][machine_id] += save_bytes
@@ -598,25 +618,10 @@ class LockingEngine(DistributedEngineBase):
                         m,
                         f"snapshot/{snap['id']}/machine-{m}",
                         snap["bytes"][m],
-                        payload=self._machine_slice(snap, m),
+                        payload=concat_entries(snap["batches"][m]),
                     ),
                     name=f"snapjournal@{m}",
                 )
-
-    def _machine_slice(self, snap: Dict[str, Any], machine_id: int) -> Dict:
-        store = self.stores[machine_id]
-        owned = set(store.owned_vertices)
-        return {
-            "vdata": {
-                v: val for v, val in snap["saved_vdata"].items() if v in owned
-            },
-            "edata": {
-                (a, b): val
-                for (a, b), val in snap["saved_edata"].items()
-                if self.owner[a] == machine_id
-            },
-            "versions": {},
-        }
 
     def _sync_snapshot_coordinator(self) -> Generator:
         """Stop-the-world checkpoint: suspend, flush, save, resume."""

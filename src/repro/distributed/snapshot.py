@@ -9,18 +9,20 @@ Alg. 5). This module holds what surrounds it:
   checkpoint intervals (~3 h) exceed entire job runtimes, questioning
   Hadoop's always-on fault-tolerance tax;
 * recovery: reading a snapshot's per-machine journals back from the DFS
-  and restoring every machine's owned data, the path exercised by the
-  fault-tolerance tests and example.
+  and restoring every machine's held data, owned and ghost, the path
+  exercised by the fault-tolerance tests and example.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Generator, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Generator, Iterable, Mapping, Optional
 
 from repro.distributed.dfs import DistributedFileSystem
-from repro.distributed.graph_store import LocalGraphStore
 from repro.errors import SnapshotError
+
+if TYPE_CHECKING:
+    from repro.runtime.shard import CSRShardStore
 
 #: Seconds in a (365-day) year, for MTBF conversions.
 SECONDS_PER_YEAR = 365.0 * 24 * 3600
@@ -104,16 +106,20 @@ def list_snapshot_machines(
 def recover_from_snapshot(
     dfs: DistributedFileSystem,
     snapshot_id: int,
-    stores: Mapping[int, LocalGraphStore],
+    stores: Mapping[int, "CSRShardStore"],
     reschedule: Optional[set] = None,
 ) -> Generator:
-    """Process: restore every machine's owned data from a snapshot.
+    """Process: restore every machine's held data from a snapshot.
 
-    Each machine reads its own journal (parallel DFS reads, charged) and
-    applies it with :meth:`LocalGraphStore.restore_checkpoint`. Restores
-    are idempotent. Returns the number of journals applied. If
-    ``reschedule`` is given, all restored vertices are added to it — the
-    caller then re-seeds its engine with that set, since recovery
+    Every machine reads every journal (parallel DFS reads, one per
+    journal per machine, charged) and force-applies each with
+    :meth:`~repro.runtime.shard.CSRShardStore.restore_checkpoint`, as the
+    runtime's restore does: journals partition the graph by ownership,
+    so together they roll each primary *and* each ghost back to the
+    owner's snapshot value and version (a ghost left ahead of its owner
+    would drop the owner's next writes as stale). Returns the number of
+    journals. If ``reschedule`` is given, every journaled vertex is added
+    to it — the caller re-seeds its engine with that set, since recovery
     "restarts the execution at the previous snapshot".
     """
     machines = sorted(list_snapshot_machines(dfs, snapshot_id))
@@ -122,16 +128,20 @@ def recover_from_snapshot(
     kernel = dfs.kernel
 
     def restore_one(machine_id: int) -> Generator:
-        payload = yield kernel.spawn(
-            dfs.read(machine_id, snapshot_file(snapshot_id, machine_id))
-        )
+        journals = yield [
+            kernel.spawn(dfs.read(machine_id, snapshot_file(snapshot_id, j)))
+            for j in machines
+        ]
         store = stores[machine_id]
-        store.restore_checkpoint(payload)
+        for journal in journals:
+            store.restore_checkpoint(journal)
         if reschedule is not None:
-            reschedule.update(payload["vdata"].keys())
+            vertex_ids = store.graph.compiled.vertex_ids
+            for journal in journals:
+                reschedule.update(vertex_ids[i] for i in journal.v_index)
 
     yield [
-        kernel.spawn(restore_one(m), name=f"recover@{m}") for m in machines
+        kernel.spawn(restore_one(m), name=f"recover@{m}") for m in stores
     ]
     return len(machines)
 
@@ -139,7 +149,7 @@ def recover_from_snapshot(
 def run_recovery(
     dfs: DistributedFileSystem,
     snapshot_id: int,
-    stores: Mapping[int, LocalGraphStore],
+    stores: Mapping[int, "CSRShardStore"],
 ) -> Dict[str, object]:
     """Synchronous wrapper: run recovery to completion on the kernel.
 

@@ -4,9 +4,9 @@ This is the execution backend the simulated
 :class:`~repro.distributed.chromatic.ChromaticEngine` models, made real:
 the same color-step schedule (all scheduled vertices of one color run in
 parallel, full communication barrier between colors — Sec. 4.2.1), the
-same per-shard storage (:class:`~repro.distributed.graph_store.
-LocalGraphStore` with version-filtered ghosts), the same partitioning
-pipeline (:func:`~repro.distributed.deploy.plan_ownership`: atoms,
+same per-shard storage (:class:`~repro.runtime.shard.CSRShardStore` with
+version-filtered ghosts: the simulated machines hold the same store),
+the same partitioning pipeline (:func:`~repro.distributed.deploy.plan_ownership`: atoms,
 atom-index placement, vertex ownership — deterministic, so placement is
 reproducible across the simulator and this backend), and the same sync
 aggregation between sweeps (Eq. 2: per-worker partials, master combine,

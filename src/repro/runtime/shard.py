@@ -1,26 +1,32 @@
-"""Slot-addressed shard storage for runtime workers.
+"""Slot-addressed shard storage: the one per-machine store (Sec. 4.1).
 
-:class:`CSRShardStore` is the runtime backend's answer to
-:class:`~repro.distributed.graph_store.LocalGraphStore`: the same
-ghost/version coherence protocol — monotone versions, idempotent
-``apply_remote``, ``collect_dirty`` batched per destination — but laid
-out on the finalize-time compiled form instead of id-keyed dicts. Every
-worker process unpickles the shared :class:`~repro.core.csr.CSRGraph`
-structure once; the shard then keeps its data in **flat columns aligned
-to the compiled slots** (``vdata_flat[index]`` / ``edata_flat[slot]`` —
-numpy arrays when the graph declared typed columns, lists otherwise),
-versions in parallel numpy arrays, and dirty state as boolean masks. The
-ROADMAP's storage contract ("per-machine stores … must treat graph
-structure queries as O(1) array hits") applied to data too: reads on the
-update hot path are a flat index, not a dict probe, batch kernels
+:class:`CSRShardStore` is one machine's slice of the distributed data
+graph: primary copies of the vertices and edges it owns plus *ghosts* of
+the boundary, kept coherent by versioning — monotone versions,
+idempotent ``apply_remote``, dirty data drained in batches per
+destination. Every distributed engine runs against it: the runtime's
+worker processes and the simulated machines of :mod:`repro.distributed`
+alike. It is laid out on the finalize-time compiled form: every store
+shares the :class:`~repro.core.csr.CSRGraph` structure and keeps its
+data in **flat columns aligned to the compiled slots**
+(``vdata_flat[index]`` / ``edata_flat[slot]`` — numpy arrays when the
+graph declared typed columns, lists otherwise), versions in parallel
+numpy arrays, and dirty state as boolean masks. The ROADMAP's storage
+contract ("per-machine stores … must treat graph structure queries as
+O(1) array hits") applied to data too: reads on the update hot path are
+a flat index, not a dict probe, batch kernels
 (:mod:`repro.core.kernels`) execute directly on the columns, and dirty
 collection / remote application run as vectorized mask passes.
 
-Wire compatibility: entries still travel as ``(DataKey, value, version,
-bytes)`` with the same ``("v", vid)`` / ``("e", src, dst)`` keys and the
-same :class:`~repro.distributed.models.DataSizeModel` accounting, so the
-coordinator-side routing and any consumer of the simulated stores' entry
-format work unchanged.
+Two wires drain the same dirty state. The runtime ships slot-form
+:class:`FlatEntries` batches (:meth:`CSRShardStore.collect_dirty_flat` /
+:meth:`~CSRShardStore.apply_flat`, or the data plane's ring). The
+simulator's modeled wire charges bytes per datum, so it moves per-key
+entries ``(DataKey, value, version, bytes)`` with ``("v", vid)`` /
+``("e", src, dst)`` keys and :class:`~repro.distributed.models.
+DataSizeModel` sizes: :meth:`~CSRShardStore.collect_dirty`,
+:meth:`~CSRShardStore.apply_remote`, :meth:`~CSRShardStore.version` and
+:meth:`~CSRShardStore.key_bytes`.
 
 Snapshots use the same layout: owned state leaves and enters a shard
 only as a slot-form :class:`FlatEntries` batch (``index``/``value``/
@@ -37,10 +43,12 @@ two helpers.
 Scope contract: access is expected to come through
 :class:`~repro.core.scope.Scope`, whose adjacency checks confine reads
 to held data (the scope of an owned vertex is always fully held —
-primaries plus ghosts). Unlike ``LocalGraphStore``, reads of a known but
-*unheld* vertex are not detected (the flat lists cover the whole graph;
-unheld slots simply retain their load-time values); ``apply_remote``
-does check heldness, so misrouted deliveries are still dropped.
+primaries plus ghosts). A direct read of a vertex or edge that is in the
+graph but not held by this machine is not detected: the flat columns
+cover the whole graph, and unheld slots keep their load-time values. An
+id outside the graph raises :class:`~repro.errors.GraphStructureError`;
+heldness is reported by ``has_vertex`` and by ``version`` (−1), and
+``apply_remote`` / ``apply_flat`` drop deliveries to unheld slots.
 """
 
 from __future__ import annotations
@@ -60,10 +68,29 @@ import numpy as np
 
 from repro.core.consistency import DataKey, edge_key, vertex_key
 from repro.core.graph import DataGraph, VertexId
-from repro.core.kernels import in_edge_plan, out_gather
-from repro.distributed.graph_store import ghost_write_targets
+from repro.core.kernels import in_edge_plan, in_gather, out_gather
 from repro.distributed.models import VERSION_BYTES, DataSizeModel
 from repro.errors import GraphStructureError
+
+
+def ghost_write_targets(
+    graph: DataGraph,
+    owner: Mapping[VertexId, int],
+    machine_id: int,
+    vid: VertexId,
+) -> FrozenSet[int]:
+    """Remote holders of a ghost vertex, from ``machine_id``'s view.
+
+    The mirror-holder rule: a vertex is held by its owner and by every
+    machine owning one of its neighbors, so a FULL-consistency ghost
+    write must ship to all of those except the writer itself. Computable
+    locally because structure and the owner map are replicated on every
+    machine.
+    """
+    holders = {owner[vid]}
+    holders.update(owner[u] for u in graph.neighbors(vid))
+    holders.discard(machine_id)
+    return frozenset(holders)
 
 
 def _concat_field(a: Any, b: Any) -> Any:
@@ -323,8 +350,9 @@ def _read_slots(
     ``v_index`` starts with the vertex itself; a scope read appends its
     in-neighbors in in-CSR order and returns their in-edge slots aligned
     with them (the kernels' edge-slot plan), so the reply is built from
-    the canonical arrays alone — never the interpreter's ``in_gather``
-    views. ``e_slot`` is ``None`` for a point read.
+    the canonical arrays alone — the slots
+    :func:`~repro.core.kernels.in_gather` yields, without memoizing a
+    plan per served vertex. ``e_slot`` is ``None`` for a point read.
     """
     try:
         index = csr.index_of[vid]
@@ -465,7 +493,6 @@ class CSRShardStore:
         "sizes",
         "owned_vertices",
         "ghost_vertices",
-        "mirrors",
         "vdata_flat",
         "edata_flat",
         "_csr",
@@ -561,7 +588,6 @@ class CSRShardStore:
             np.stack((np.concatenate(pair_v), np.concatenate(pair_m))),
             axis=1,
         )
-        mirrors: Dict[VertexId, FrozenSet[int]] = {}
         #: vertex index -> remote machines holding a copy. Seeded from
         #: the mirror pairs for owned boundary vertices; targets for
         #: *ghosts* (writable only under FULL consistency via
@@ -577,10 +603,6 @@ class CSRShardStore:
         ):
             vtargets.setdefault(index, []).append(holder)
             route_v.setdefault(holder, []).append(index)
-        self.mirrors = {
-            vertex_ids[index]: frozenset(holders)
-            for index, holders in vtargets.items()
-        }
         self._vtargets: Dict[int, Tuple[int, ...]] = {
             index: tuple(holders) for index, holders in vtargets.items()
         }
@@ -833,17 +855,14 @@ class CSRShardStore:
         self._dirty_e[slot] = True
 
     def gather_in(self, vertex: VertexId) -> List[Tuple[VertexId, Any, Any]]:
-        """Bulk ``[(u, D_{u->v}, D_u)]`` through the compiled gather plan.
-
-        Same speed as the reference engine's direct-CSR path: the
-        finalize-time ``in_gather`` triples index straight into the flat
-        shard lists.
-        """
+        """Bulk ``[(u, D_{u->v}, D_u)]`` through the compiled in-gather
+        plan (:func:`~repro.core.kernels.in_gather`), indexing straight
+        into the flat shard lists."""
         vdata = self.vdata_flat
         edata = self.edata_flat
         return [
             (u, edata[slot], vdata[ui])
-            for (u, slot, ui) in self._csr.in_gather[self._index_of[vertex]]
+            for (u, slot, ui) in in_gather(self._csr, self._index_of[vertex])
         ]
 
     def gather_out(self, vertex: VertexId) -> List[Tuple[VertexId, Any, Any]]:
@@ -895,7 +914,7 @@ class CSRShardStore:
         )
 
     # ------------------------------------------------------------------
-    # Coherence protocol (wire-compatible with LocalGraphStore).
+    # Coherence protocol: the per-key modeled wire of the simulator.
     # ------------------------------------------------------------------
     def version(self, key: DataKey) -> int:
         """Current version of a held datum (-1 if not held)."""
@@ -1025,8 +1044,8 @@ class CSRShardStore:
                 batch.extend(extra)
 
     def _ghost_targets_of(self, index: int) -> Tuple[int, ...]:
-        """Remote holders of a dirty ghost (memoized into vtargets);
-        the rule itself is shared with ``LocalGraphStore``."""
+        """Remote holders of a dirty ghost (memoized into vtargets),
+        by :func:`ghost_write_targets`."""
         vid = self._csr.vertex_ids[index]
         targets = self._vtargets[index] = tuple(
             sorted(
@@ -1141,12 +1160,13 @@ class CSRShardStore:
             self._dirty_e[wrote_e] = True
 
     def collect_dirty(self) -> Dict[int, List[Tuple[DataKey, Any, int, float]]]:
-        """Drain dirty data in ``LocalGraphStore.collect_dirty``'s format.
+        """Drain dirty data as ``{machine: [(key, value, version,
+        bytes), ...]}`` — the simulator's per-key modeled wire.
 
         A thin envelope over :meth:`collect_dirty_flat` (single source of
         the routing rules): slot indices become ``DataKey`` tuples and
-        entries regain the modeled byte size, for consumers written
-        against the simulated stores' entry format.
+        entries carry their modeled byte size, which the simulated
+        network charges.
         """
         out: Dict[int, List[Tuple[DataKey, Any, int, float]]] = {}
         vertex_ids = self._csr.vertex_ids

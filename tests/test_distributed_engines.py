@@ -344,6 +344,33 @@ class TestSnapshotsAndRecovery:
         values = engine2.gather_vertex_data()
         assert all(value == 10.0 for value in values.values())
 
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_recovery_rolls_ghosts_back_with_their_owners(self, mode):
+        """Every machine applies every journal, so after recovery each
+        ghost equals its owner's restored copy in value *and* version —
+        a ghost left ahead of its owner would make the stale-version
+        filter drop the owner's next writes."""
+        _result, dep, _engine = self._run_with_snapshot(mode)
+        run_recovery(dep.dfs, 0, dep.stores)
+        stores, owner = dep.stores, dep.owner
+        ghosts = 0
+        for store in stores.values():
+            for v in store.ghost_vertices:
+                key = ("v", v)
+                primary = stores[owner[v]]
+                assert (store.vertex_data(v), store.version(key)) == (
+                    primary.vertex_data(v), primary.version(key)
+                ), (key, store.machine_id)
+                ghosts += 1
+        assert ghosts
+        for (a, b) in dep.graph.edges():
+            if owner[a] != owner[b]:
+                key = ("e", a, b)
+                src, dst = stores[owner[a]], stores[owner[b]]
+                assert (src.edge_data(a, b), src.version(key)) == (
+                    dst.edge_data(a, b), dst.version(key)
+                ), key
+
     def test_recovery_missing_snapshot(self):
         from repro.errors import SnapshotError
 

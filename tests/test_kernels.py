@@ -478,14 +478,11 @@ class TestSimulatedChromaticKernel:
         for use_kernel in (True, False):
             g2 = g0.copy()
             dep = deploy(g2, 3, partitioner="hash", skip_ingress_io=True)
-            stores = {
-                m: CSRShardStore(m, g2, dep.owner) for m in range(3)
-            }
             sim = ChromaticEngine(
                 dep.cluster,
                 g2,
                 fn,
-                stores,
+                dep.stores,
                 dep.owner,
                 constant_cost(1e6),
                 DataSizeModel(16, 8),
@@ -500,46 +497,62 @@ class TestSimulatedChromaticKernel:
         assert gathered[True] == gathered[False] == oracle
 
     def test_sim_snapshot_sizes_slot_journals_like_dict_ones(self):
-        """The simulator charges bytes per key; on slot-addressed stores
-        the modeled size comes from the journal's slot counts and equals
-        what the dict stores report for the same ownership."""
+        """The simulator charges bytes per key; on slot journals the
+        modeled size comes from the slot counts and equals the per-key
+        sum a dict journal of the same ownership reports: every owned
+        vertex and every source-owned edge, plus one version tag each."""
         fn = make_pagerank_update(epsilon=1e-4)
-        coloring = greedy_coloring(typed_pagerank_graph(n=40, seed=5))
-        written = {}
-        for kind in ("dict", "slots"):
-            g = typed_pagerank_graph(n=40, seed=5)
-            dep = deploy(g, 2, partitioner="hash", skip_ingress_io=True)
-            stores = (
-                dep.stores
-                if kind == "dict"
-                else {m: CSRShardStore(m, g, dep.owner) for m in range(2)}
-            )
-            sim = ChromaticEngine(
-                dep.cluster, g, fn, stores, dep.owner,
-                constant_cost(1e6), DataSizeModel(16, 8),
-                coloring=coloring, max_sweeps=3,
-                snapshot_every_updates=1,
-                dfs=DistributedFileSystem(dep.cluster, replication=1),
-            )
-            sim.run(initial=g.vertices())
-            assert sim.snapshots
-            written[kind] = [rec.bytes_written for rec in sim.snapshots]
-        assert written["slots"] == written["dict"]
-
-    def test_dict_stores_fall_back_to_scalar(self):
-        g = typed_pagerank_graph(n=30)
+        g = typed_pagerank_graph(n=40, seed=5)
+        sizes = DataSizeModel(16, 8)
         dep = deploy(g, 2, partitioner="hash", skip_ingress_io=True)
         sim = ChromaticEngine(
-            dep.cluster,
-            g,
-            make_pagerank_update(epsilon=1e-4),
-            dep.stores,
-            dep.owner,
-            constant_cost(1e6),
-            DataSizeModel(16, 8),
-            coloring=greedy_coloring(g),
+            dep.cluster, g, fn, dep.stores, dep.owner,
+            constant_cost(1e6), sizes,
+            coloring=greedy_coloring(g), max_sweeps=3,
+            snapshot_every_updates=1,
+            dfs=DistributedFileSystem(dep.cluster, replication=1),
         )
-        assert sim._batch_kernel is None
+        sim.run(initial=g.vertices())
+        assert sim.snapshots
+        per_key = sum(
+            dep.stores[dep.owner[v]].key_bytes(("v", v)) for v in g.vertices()
+        ) + sum(
+            dep.stores[dep.owner[a]].key_bytes(("e", a, b))
+            for (a, b) in g.edges()
+        )
+        for record in sim.snapshots:
+            assert record.bytes_written == pytest.approx(per_key, rel=1e-12)
+
+    def test_deployed_typed_graph_dispatches_kernel(self):
+        """Every simulated machine holds a slot-addressed store, so a
+        typed graph loaded through ``deploy()``'s ingress path takes the
+        batch kernel by default — bit-identical to ``use_kernel=False``."""
+        psi = potts_potential(3, smoothing=1.5)
+        fn = make_lbp_update_typed(psi, epsilon=1e-3)
+        coloring = greedy_coloring(typed_lbp_grid())
+        journals = {}
+        for use_kernel in (True, False):
+            g = typed_lbp_grid()
+            dep = deploy(g, 3, partitioner="bfs")
+            sim = ChromaticEngine(
+                dep.cluster, g, fn, dep.stores, dep.owner,
+                constant_cost(1e6), DataSizeModel(16, 8),
+                coloring=coloring, use_kernel=use_kernel,
+            )
+            run = sim.run(initial=g.vertices())
+            assert (sim._batch_kernel is not None) == use_kernel
+            assert run.converged
+            journals[use_kernel] = (
+                run.num_updates,
+                [dep.stores[m].checkpoint_payload() for m in range(3)],
+            )
+        (n_kernel, kernel), (n_scalar, scalar) = (
+            journals[True], journals[False]
+        )
+        assert n_kernel == n_scalar
+        for a, b in zip(kernel, scalar):
+            for name in ("v_index", "v_value", "e_slot", "e_value"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 # ----------------------------------------------------------------------
@@ -643,16 +656,21 @@ class TestArrayWireFormat:
 
 def test_in_edge_plan_matches_gather_view():
     """The argsort-derived in-edge slot plan must agree position by
-    position with the interpreter's in_gather view."""
-    from repro.core.kernels import in_edge_plan
+    position with the interpreter's in-gather plans, and those with the
+    edge-slot map over the in-neighbor views."""
+    from repro.core.kernels import in_edge_plan, in_gather
 
     g = typed_pagerank_graph(n=40, seed=9)
     csr = g.compiled
     plan = in_edge_plan(csr)
-    expected = [
-        slot for row in csr.in_gather for (_u, slot, _ui) in row
-    ]
+    rows = [in_gather(csr, i) for i in range(len(csr.vertex_ids))]
+    expected = [slot for row in rows for (_u, slot, _ui) in row]
     assert plan.tolist() == expected
+    for i, v in enumerate(csr.vertex_ids):
+        assert rows[i] == tuple(
+            (u, csr.edge_slot[(u, v)], csr.index_of[u])
+            for u in csr.in_ids[i]
+        )
 
 
 def test_nbr_message_plan_matches_interpreter_views():

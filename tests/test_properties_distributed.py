@@ -18,12 +18,12 @@ from repro.distributed import (
     DataSizeModel,
     LockingEngine,
     build_atoms,
-    build_stores,
     constant_cost,
     deploy,
     random_hash_assignment,
 )
 from repro.distributed.locks import VertexLockTable
+from repro.runtime.shard import CSRShardStore
 from repro.sim import SimKernel
 
 SIZES = DataSizeModel(8, 8)
@@ -93,7 +93,7 @@ class TestVersionMonotonicity:
     @settings(max_examples=30, deadline=None)
     def test_versions_never_decrease_and_pushes_idempotent(self, g, writes):
         owner = random_hash_assignment(g, 2)
-        stores = build_stores(g, owner, 2)
+        stores = [CSRShardStore(m, g, owner) for m in range(2)]
         last = {}
         for (raw, value) in writes:
             v = raw % g.num_vertices
@@ -116,7 +116,7 @@ class TestVersionMonotonicity:
         """After writing everywhere and exchanging all dirty data, every
         ghost equals its primary."""
         owner = random_hash_assignment(g, 3)
-        stores = build_stores(g, owner, 3)
+        stores = [CSRShardStore(m, g, owner) for m in range(3)]
         for v in g.vertices():
             stores[owner[v]].set_vertex_data(v, float(hash(v) % 97))
         for m in range(3):
