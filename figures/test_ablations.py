@@ -43,14 +43,14 @@ class _NaiveStore(CSRShardStore):
     flush, as if the versioning system did not exist (Sec. 4.1's
     "eliminating the transmission of unchanged or constant data")."""
 
-    def collect_dirty(self):
+    def collect_dirty_flat(self):
         # The routing arrays list every mirrored vertex and every
         # cross-machine edge: exactly the boundary.
         for route in self._route_v.values():
             self._dirty_v[route] = True
         for route in self._route_e.values():
             self._dirty_e[route] = True
-        return super().collect_dirty()
+        return super().collect_dirty_flat()
 
 
 def run_versioning_ablation():
@@ -68,8 +68,7 @@ def run_versioning_ablation():
         graph, update = _mesh(epsilon=1e-3)
         dep = deploy(graph, 4, partitioner="grid", skip_ingress_io=True)
         stores = {
-            m: store_cls(m, graph, dep.owner, sizes=COSEG_SIZES)
-            for m in range(4)
+            m: store_cls(m, graph, dep.owner) for m in range(4)
         }
         engine = ChromaticEngine(
             dep.cluster, graph, update, stores, dep.owner,
@@ -118,8 +117,7 @@ def run_placement_ablation():
             skip_ingress_io=True,
         )
         stores = {
-            m: CSRShardStore(m, graph, owner, sizes=COSEG_SIZES)
-            for m in range(4)
+            m: CSRShardStore(m, graph, owner) for m in range(4)
         }
         engine = LockingEngine(
             dep.cluster, graph, update, stores, owner,

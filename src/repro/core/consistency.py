@@ -115,23 +115,11 @@ def read_set(graph: DataGraph, vid: VertexId, model: Consistency) -> FrozenSet[D
 
 
 def scope_keys(graph: DataGraph, vid: VertexId) -> FrozenSet[DataKey]:
-    """All data keys in the scope ``S_v`` regardless of model.
-
-    Memoized on the compiled structure like :func:`write_set` (the
-    locking engine resolves these on every pipelined acquisition).
-    """
-    csr = getattr(graph, "compiled", None)
-    if csr is not None:
-        keys = csr.scope_key_cache.get(vid)
-        if keys is not None:
-            return keys
+    """All data keys in the scope ``S_v`` regardless of model."""
     keys = {vertex_key(vid)}
     keys.update(vertex_key(u) for u in graph.neighbors(vid))
     keys.update(edge_key(u, w) for (u, w) in graph.adjacent_edges(vid))
-    keys = frozenset(keys)
-    if csr is not None:
-        csr.scope_key_cache[vid] = keys
-    return keys
+    return frozenset(keys)
 
 
 def lock_plan(

@@ -28,9 +28,9 @@ frozen — not per update. This module is the Python equivalent: at
 The compiled **structure is immutable and shared** — ``DataGraph.copy()``
 clones only the data lists (see :meth:`CSRGraph.clone_with_data`) — while
 the **data lists stay mutable** for the lifetime of the run. Memoization
-caches that depend only on structure (consistency write sets, sorted
-scope keys) live here so every copy and every machine of a distributed
-run shares them.
+caches that depend only on structure (consistency write sets, scope
+bind plans, kernel plans) live here so every copy and every machine of
+a distributed run shares them.
 
 Neighborhood orderings exactly reproduce the pre-compiled dict-of-lists
 representation (in-neighbors first, then out-neighbors, deduplicated in
@@ -148,7 +148,6 @@ class CSRGraph:
         "edata",
         # structure-derived memo caches (shared across copies)
         "write_set_cache",
-        "scope_key_cache",
         "bind_cache",
         "plan_cache",
     )
@@ -248,7 +247,6 @@ class CSRGraph:
         }
         self._views = _Views()
         self.write_set_cache = {}
-        self.scope_key_cache = {}
         self.bind_cache = {}
         #: Structure-only plans for the batch kernels (in-edge slot
         #: arrays, message direction plans — see repro.core.kernels),

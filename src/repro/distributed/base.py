@@ -38,7 +38,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.kernel import Future
 
 if TYPE_CHECKING:
-    from repro.runtime.shard import CSRShardStore
+    from repro.runtime.shard import CSRShardStore, FlatEntries
 
 #: Cycles to evaluate Map(S_v) for one vertex during a sync.
 SYNC_CYCLES_PER_VERTEX = 200.0
@@ -174,25 +174,24 @@ class DistributedEngineBase:
     # ------------------------------------------------------------------
     # Ghost pushes.
     # ------------------------------------------------------------------
-    def push_batch(
-        self,
-        src: int,
-        dst: int,
-        entries: List[Tuple[Any, Any, int, float]],
-    ) -> Future:
-        """Ship dirty data entries to ``dst``; apply on arrival.
+    def push_batch(self, src: int, dst: int, batch: "FlatEntries") -> Future:
+        """Ship a slot-form batch to ``dst``; apply it on arrival.
 
-        Returns a future resolving at delivery. Entries are the per-key
-        modeled wire, ``(key, value, version, bytes)`` from
-        :meth:`~repro.runtime.shard.CSRShardStore.collect_dirty`.
+        Returns a future resolving at delivery. ``batch`` is the
+        runtime's wire — dirty data from
+        :meth:`~repro.runtime.shard.CSRShardStore.collect_dirty_flat` or
+        a lock holder's scope data — applied with the same
+        version-filtered :meth:`~repro.runtime.shard.CSRShardStore.
+        apply_flat`. The network is charged a header plus this engine's
+        :meth:`~repro.distributed.models.DataSizeModel.entries_bytes`.
         """
         done = self.kernel.event()
-        size = BATCH_HEADER_BYTES + sum(e[3] for e in entries)
+        size = BATCH_HEADER_BYTES + self.sizes.entries_bytes(
+            self.graph.compiled, batch
+        )
 
         def deliver(_payload: Any) -> None:
-            store = self.stores[dst]
-            for key, value, version, _size in entries:
-                store.apply_remote(key, value, version)
+            self.stores[dst].apply_flat(batch)
             done.resolve()
 
         self.cluster.network.send(src, dst, size, deliver)
@@ -201,8 +200,8 @@ class DistributedEngineBase:
     def flush_dirty(self, machine_id: int) -> List[Future]:
         """Push all dirty data of one machine, batched per destination."""
         pending = []
-        for dst, entries in self.stores[machine_id].collect_dirty().items():
-            pending.append(self.push_batch(machine_id, dst, entries))
+        for dst, batch in self.stores[machine_id].collect_dirty_flat().items():
+            pending.append(self.push_batch(machine_id, dst, batch))
         return pending
 
     def send_schedule_requests(

@@ -34,6 +34,7 @@ from repro.distributed.base import (
 )
 from repro.distributed.dfs import DistributedFileSystem
 from repro.errors import EngineError
+from repro.runtime.shard import FlatEntries
 
 #: Wire size of the master's scheduled-count probe and reply.
 COUNT_PROBE_BYTES = 16.0
@@ -195,19 +196,19 @@ class ChromaticEngine(DistributedEngineBase):
         for v in work:
             todo.discard(v)
         cursor = {"i": 0}
-        outbox: Dict[int, List[Tuple]] = {}
+        outbox: Dict[int, FlatEntries] = {}
         pending: List = []
         remote_sched: Dict[int, List[Tuple[VertexId, float]]] = {}
         store = self.stores[machine_id]
 
         def flush(dst: int) -> None:
-            entries = outbox.pop(dst, None)
-            if entries:
-                pending.append(self.push_batch(machine_id, dst, entries))
+            batch = outbox.pop(dst, None)
+            if batch:
+                pending.append(self.push_batch(machine_id, dst, batch))
 
         owner = self.owner
         local_scheduled = self.scheduled[machine_id]
-        collect_dirty = store.collect_dirty
+        collect_dirty = store.collect_dirty_flat
         num_work = len(work)
         flush_batch = self.flush_batch
 
@@ -227,9 +228,10 @@ class ChromaticEngine(DistributedEngineBase):
                         remote_sched.setdefault(target, []).append((u, prio))
                 # Asynchronous change propagation (Sec. 4.2.1): ship dirty
                 # ghosts as they accumulate, overlapping compute.
-                for dst, entries in collect_dirty().items():
-                    outbox.setdefault(dst, []).extend(entries)
-                    if len(outbox[dst]) >= flush_batch:
+                for dst, batch in collect_dirty().items():
+                    held = outbox.setdefault(dst, FlatEntries())
+                    held.extend(batch)
+                    if len(held) >= flush_batch:
                         flush(dst)
 
         def cost_lane(cycles: float) -> Generator:
@@ -266,8 +268,8 @@ class ChromaticEngine(DistributedEngineBase):
                     local_scheduled.add(u)
                 else:
                     remote_sched.setdefault(target, []).append((u, 0.0))
-            for dst, entries in collect_dirty().items():
-                outbox.setdefault(dst, []).extend(entries)
+            for dst, batch in collect_dirty().items():
+                outbox.setdefault(dst, FlatEntries()).extend(batch)
 
         cores = self.cluster.machine(machine_id).num_cores
         batching = self._batch_kernel is not None and bool(work)
@@ -325,7 +327,7 @@ class ChromaticEngine(DistributedEngineBase):
         writers = []
         for m in range(self.cluster.num_machines):
             payload = self.stores[m].checkpoint_payload()
-            size = self.stores[m].checkpoint_bytes(payload)
+            size = self.sizes.entries_bytes(self.graph.compiled, payload)
             total_bytes += size
             writers.append(
                 self.kernel.spawn(

@@ -147,6 +147,8 @@ def deploy(
     count so placements rebalance on any cluster size), the data size
     model of the experiment, instance type and network characteristics,
     and the DFS replication factor (the paper sets 1 for benchmarks).
+    ``sizes`` prices only the atom journals' ingress I/O; an engine
+    prices everything it ships with the model it is given.
 
     ``skip_ingress_io=True`` constructs the stores without charging the
     DFS/journal-playback time — handy for unit tests where load time is
@@ -176,8 +178,7 @@ def deploy(
         placement = plan.placement
         owner = plan.owner
         stores = {
-            m: CSRShardStore(m, graph, owner, sizes=sizes)
-            for m in range(num_machines)
+            m: CSRShardStore(m, graph, owner) for m in range(num_machines)
         }
         ingress = IngressReport(
             placement=placement,
@@ -190,9 +191,7 @@ def deploy(
         )
     else:
         store_atoms(dfs, atoms, writer_machine=0)
-        stores, ingress = distributed_load(
-            cluster, dfs, graph, atoms, index, sizes=sizes
-        )
+        stores, ingress = distributed_load(cluster, dfs, graph, atoms, index)
         owner = ingress.owner
     return Deployment(
         cluster=cluster,

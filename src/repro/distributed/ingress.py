@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 from repro.core.graph import DataGraph, VertexId
 from repro.distributed.atom import Atom, AtomIndex
 from repro.distributed.dfs import DistributedFileSystem
-from repro.distributed.models import DataSizeModel
 from repro.errors import PartitionError
 from repro.sim.cluster import Cluster
 
@@ -90,7 +89,6 @@ def distributed_load(
     graph: DataGraph,
     atoms: Sequence[Atom],
     index: AtomIndex,
-    sizes: DataSizeModel = DataSizeModel(),
 ) -> Tuple[Dict[int, "CSRShardStore"], IngressReport]:
     """Load the atom graph onto the cluster (parallel journal playback).
 
@@ -130,7 +128,7 @@ def distributed_load(
 
     kernel.run_process(load_all(), name="distributed-load")
     stores = {
-        m: CSRShardStore(m, graph, owner, sizes=sizes)
+        m: CSRShardStore(m, graph, owner)
         for m in range(cluster.num_machines)
     }
     report = IngressReport(

@@ -31,8 +31,8 @@ from typing import Any, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.consistency import Consistency, scope_keys
 from repro.core.graph import VertexId
+from repro.core.kernels import in_gather, out_gather
 from repro.core.scheduler import make_scheduler
 from repro.core.tracing import Trace
 from repro.core.update import normalize_schedule
@@ -128,7 +128,7 @@ class LockingEngine(DistributedEngineBase):
         # order (owner(v), index(v)) used by the lock chains.
         self._vertex_index = self.graph.vertex_index()
         self._chains: Dict[VertexId, List[Tuple[int, List]]] = {}
-        self._sorted_scope_keys: Dict[VertexId, List] = {}
+        self._scope_slots: Dict[VertexId, Tuple[np.ndarray, np.ndarray]] = {}
         self._acq_counter = itertools.count()
         self._acquisitions: Dict[int, Dict[str, Any]] = {}
         self._active_snapshot: Optional[Dict[str, Any]] = None
@@ -231,30 +231,12 @@ class LockingEngine(DistributedEngineBase):
         requester's cached versions piggybacking on the lock request."""
         if from_machine == origin:
             return 0
-        src_store = self.stores[from_machine]
-        dst_store = self.stores[origin]
-        entries = []
-        keys = self._sorted_scope_keys.get(vertex)
-        if keys is None:
-            keys = self._sorted_scope_keys[vertex] = sorted(
-                scope_keys(self.graph, vertex), key=repr
-            )
-        for key in keys:
-            src_version = src_store.version(key)
-            if src_version < 0:
-                continue
-            if src_version > dst_store.version(key):
-                value = (
-                    src_store.vertex_data(key[1])
-                    if key[0] == "v"
-                    else src_store.edge_data(key[1], key[2])
-                )
-                entries.append(
-                    (key, value, src_version, src_store.key_bytes(key))
-                )
-        if not entries:
+        batch = self.stores[from_machine].gather_newer(
+            *self._scope_slots_of(vertex), than=self.stores[origin]
+        )
+        if not batch:
             return 0
-        done = self.push_batch(from_machine, origin, entries)
+        done = self.push_batch(from_machine, origin, batch)
 
         def on_delivered(_fut: Future, acq_id=acq_id) -> None:
             ctx = self._acquisitions.get(acq_id)
@@ -266,6 +248,28 @@ class LockingEngine(DistributedEngineBase):
 
         done.add_callback(on_delivered)
         return 1
+
+    def _scope_slots_of(
+        self, vertex: VertexId
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``S_v`` as slot arrays (memoized): the vertex and its
+        neighbours' dense indices, and its adjacent edges' slots. A
+        reciprocal edge makes a neighbour both an in- and an
+        out-neighbour; ``np.unique`` keeps each datum once."""
+        slots = self._scope_slots.get(vertex)
+        if slots is None:
+            csr = self.graph.compiled
+            index = csr.index_of[vertex]
+            plan = in_gather(csr, index) + out_gather(csr, index)
+            slots = self._scope_slots[vertex] = (
+                np.unique(np.array(
+                    [index] + [ui for _u, _s, ui in plan], dtype=np.int64
+                )),
+                np.unique(np.array(
+                    [slot for _u, slot, _ui in plan], dtype=np.int64
+                )),
+            )
+        return slots
 
     # ------------------------------------------------------------------
     # Run loop.
@@ -658,7 +662,7 @@ class LockingEngine(DistributedEngineBase):
 
         for m in range(n):
             payload = self.stores[m].checkpoint_payload()
-            size = self.stores[m].checkpoint_bytes(payload)
+            size = self.sizes.entries_bytes(self.graph.compiled, payload)
             total_bytes += size
             writers.append(
                 self.kernel.spawn(

@@ -268,23 +268,3 @@ class VertexLockTable:
     def queue_length(self, vid: VertexId) -> int:
         """Pending (ungranted) requests for a vertex."""
         return self._core.queue_length(vid)
-
-
-def acquire_plan_locally(
-    table: VertexLockTable, plan: List[Tuple[VertexId, LockKind]]
-):
-    """Process: acquire a machine-local slice of a lock plan *in order*.
-
-    Yields each grant future sequentially — honoring the canonical total
-    order within the machine, as required for deadlock freedom.
-    """
-    for vid, kind in plan:
-        yield table.request(vid, kind)
-
-
-def release_plan_locally(
-    table: VertexLockTable, plan: List[Tuple[VertexId, LockKind]]
-) -> None:
-    """Release a machine-local slice of a lock plan."""
-    for vid, kind in plan:
-        table.release(vid, kind)

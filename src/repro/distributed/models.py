@@ -20,7 +20,7 @@ Reference points from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Any, Callable, Union
 
 from repro.core.graph import DataGraph, VertexId
 
@@ -54,6 +54,21 @@ class DataSizeModel:
         if callable(self.edge_bytes):
             return float(self.edge_bytes(src, dst))
         return float(self.edge_bytes)
+
+    def entries_bytes(self, csr: Any, entries: Any) -> float:
+        """Size of a slot-form batch: each datum plus its version tag.
+
+        ``entries`` is a :class:`~repro.runtime.shard.FlatEntries` over
+        the slots of ``csr`` (the compiled graph) — a ghost push, a lock
+        holder's scope data or a snapshot journal. The simulator prices
+        every one of them here, so one run has one price list.
+        """
+        vertex_ids, edge_keys = csr.vertex_ids, csr.edge_keys
+        return (
+            sum(self.vbytes(vertex_ids[i]) for i in entries.v_index)
+            + sum(self.ebytes(*edge_keys[s]) for s in entries.e_slot)
+            + VERSION_BYTES * len(entries)
+        )
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 :class:`CSRShardStore` is one machine's slice of the distributed data
 graph: primary copies of the vertices and edges it owns plus *ghosts* of
 the boundary, kept coherent by versioning — monotone versions,
-idempotent ``apply_remote``, dirty data drained in batches per
+idempotent ``apply_flat``, dirty data drained in batches per
 destination. Every distributed engine runs against it: the runtime's
 worker processes and the simulated machines of :mod:`repro.distributed`
 alike. It is laid out on the finalize-time compiled form: every store
@@ -18,15 +18,15 @@ a flat index, not a dict probe, batch kernels
 (:mod:`repro.core.kernels`) execute directly on the columns, and dirty
 collection / remote application run as vectorized mask passes.
 
-Two wires drain the same dirty state. The runtime ships slot-form
-:class:`FlatEntries` batches (:meth:`CSRShardStore.collect_dirty_flat` /
+One wire drains the dirty state: slot-form :class:`FlatEntries`
+batches (:meth:`CSRShardStore.collect_dirty_flat` /
 :meth:`~CSRShardStore.apply_flat`, or the data plane's ring). The
-simulator's modeled wire charges bytes per datum, so it moves per-key
-entries ``(DataKey, value, version, bytes)`` with ``("v", vid)`` /
-``("e", src, dst)`` keys and :class:`~repro.distributed.models.
-DataSizeModel` sizes: :meth:`~CSRShardStore.collect_dirty`,
-:meth:`~CSRShardStore.apply_remote`, :meth:`~CSRShardStore.version` and
-:meth:`~CSRShardStore.key_bytes`.
+runtime routes them between worker processes; the simulator ships the
+same batches over its modeled network, and the lock holders of its
+locking engine answer a lock request with one
+:meth:`~CSRShardStore.gather_newer` batch. The store holds no prices:
+the simulator charges each batch's bytes from its own
+:class:`~repro.distributed.models.DataSizeModel`.
 
 Snapshots use the same layout: owned state leaves and enters a shard
 only as a slot-form :class:`FlatEntries` batch (``index``/``value``/
@@ -48,7 +48,7 @@ graph but not held by this machine is not detected: the flat columns
 cover the whole graph, and unheld slots keep their load-time values. An
 id outside the graph raises :class:`~repro.errors.GraphStructureError`;
 heldness is reported by ``has_vertex`` and by ``version`` (−1), and
-``apply_remote`` / ``apply_flat`` drop deliveries to unheld slots.
+``apply_flat`` drops deliveries to unheld slots.
 """
 
 from __future__ import annotations
@@ -66,10 +66,9 @@ from typing import (
 
 import numpy as np
 
-from repro.core.consistency import DataKey, edge_key, vertex_key
+from repro.core.consistency import DataKey
 from repro.core.graph import DataGraph, VertexId
 from repro.core.kernels import in_edge_plan, in_gather, out_gather
-from repro.distributed.models import VERSION_BYTES, DataSizeModel
 from repro.errors import GraphStructureError
 
 
@@ -490,7 +489,6 @@ class CSRShardStore:
         "machine_id",
         "graph",
         "owner",
-        "sizes",
         "owned_vertices",
         "ghost_vertices",
         "vdata_flat",
@@ -515,14 +513,12 @@ class CSRShardStore:
         machine_id: int,
         graph: DataGraph,
         owner: Mapping[VertexId, int],
-        sizes: DataSizeModel = DataSizeModel(),
     ) -> None:
         graph.require_finalized()
         csr = graph.compiled
         self.machine_id = machine_id
         self.graph = graph
         self.owner = owner
-        self.sizes = sizes
         self._csr = csr
         self._index_of = csr.index_of
         self._edge_slot = csr.edge_slot
@@ -914,7 +910,7 @@ class CSRShardStore:
         )
 
     # ------------------------------------------------------------------
-    # Coherence protocol: the per-key modeled wire of the simulator.
+    # Coherence protocol: the slot-form wire.
     # ------------------------------------------------------------------
     def version(self, key: DataKey) -> int:
         """Current version of a held datum (-1 if not held)."""
@@ -928,32 +924,6 @@ class CSRShardStore:
             return -1
         return int(self._eversion[slot])
 
-    def key_bytes(self, key: DataKey) -> float:
-        """Wire size of a datum plus its version tag."""
-        if key[0] == "v":
-            return self.sizes.vbytes(key[1]) + VERSION_BYTES
-        return self.sizes.ebytes(key[1], key[2]) + VERSION_BYTES
-
-    def apply_remote(self, key: DataKey, value: Any, version: int) -> bool:
-        """Apply a pushed datum if held and newer; idempotent."""
-        if key[0] == "v":
-            index = self._index_of.get(key[1])
-            if index is None or not self._held_v_mask[index]:
-                return False
-            if version <= self._vversion[index]:
-                return False
-            self._vversion[index] = version
-            self.vdata_flat[index] = value
-            return True
-        slot = self._edge_slot.get((key[1], key[2]))
-        if slot is None or not self._held_e_mask[slot]:
-            return False
-        if version <= self._eversion[slot]:
-            return False
-        self._eversion[slot] = version
-        self.edata_flat[slot] = value
-        return True
-
     def collect_dirty_flat(self) -> Dict[int, "FlatEntries"]:
         """Drain dirty data in slot form, batched per destination.
 
@@ -963,10 +933,9 @@ class CSRShardStore:
         struct-of-arrays. Routing is a few mask/gather passes over the
         static per-destination routing arrays; on typed data columns the
         gathered fields are numpy arrays, so a whole batch pickles as
-        six raw buffers — no per-entry Python objects on the wire. Same
-        routing semantics as :meth:`collect_dirty`; versions still ride
-        along, so :meth:`apply_flat` keeps the idempotent stale-drop
-        filter.
+        six raw buffers — no per-entry Python objects on the wire.
+        Versions ride along, so :meth:`apply_flat` keeps the idempotent
+        stale-drop filter.
         """
         out: Dict[int, FlatEntries] = {}
         dirty_v = self._dirty_v
@@ -1159,49 +1128,9 @@ class CSRShardStore:
             self._eversion[wrote_e] += 1
             self._dirty_e[wrote_e] = True
 
-    def collect_dirty(self) -> Dict[int, List[Tuple[DataKey, Any, int, float]]]:
-        """Drain dirty data as ``{machine: [(key, value, version,
-        bytes), ...]}`` — the simulator's per-key modeled wire.
-
-        A thin envelope over :meth:`collect_dirty_flat` (single source of
-        the routing rules): slot indices become ``DataKey`` tuples and
-        entries carry their modeled byte size, which the simulated
-        network charges.
-        """
-        out: Dict[int, List[Tuple[DataKey, Any, int, float]]] = {}
-        vertex_ids = self._csr.vertex_ids
-        edge_keys = self._csr.edge_keys
-        for dst, batch in self.collect_dirty_flat().items():
-            entries = out.setdefault(dst, [])
-            for index, value, version in zip(
-                batch.v_index, batch.v_value, batch.v_version
-            ):
-                vid = vertex_ids[index]
-                entries.append(
-                    (
-                        vertex_key(vid),
-                        value,
-                        version,
-                        self.sizes.vbytes(vid) + VERSION_BYTES,
-                    )
-                )
-            for slot, value, version in zip(
-                batch.e_slot, batch.e_value, batch.e_version
-            ):
-                (a, b) = edge_keys[slot]
-                entries.append(
-                    (
-                        edge_key(a, b),
-                        value,
-                        version,
-                        self.sizes.ebytes(a, b) + VERSION_BYTES,
-                    )
-                )
-        return out
-
     @property
     def dirty_count(self) -> int:
-        """Slots changed since the last :meth:`collect_dirty`."""
+        """Slots changed since the last :meth:`collect_dirty_flat`."""
         return int(self._dirty_v.sum()) + int(self._dirty_e.sum())
 
     def checkpoint_payload(
@@ -1229,16 +1158,29 @@ class CSRShardStore:
             self._vversion, self._eversion,
         )
 
-    def checkpoint_bytes(self, payload: FlatEntries) -> float:
-        """Modeled size of a journal (the simulator charges bytes per
-        key): each slot's data plus its version tag."""
-        sizes = self.sizes
-        vertex_ids = self._csr.vertex_ids
-        edge_keys = self._csr.edge_keys
-        return (
-            sum(sizes.vbytes(vertex_ids[i]) for i in payload.v_index)
-            + sum(sizes.ebytes(*edge_keys[s]) for s in payload.e_slot)
-            + VERSION_BYTES * len(payload)
+    def gather_newer(
+        self, v_index: np.ndarray, e_slot: np.ndarray, than: "CSRShardStore"
+    ) -> FlatEntries:
+        """The given slots this shard holds at a newer version than
+        ``than`` does, as one slot-form batch.
+
+        A simulated lock holder's answer to a lock request: the scope
+        data the requester's cache holds stale. The requester owns the
+        scope's vertex, so it holds every slot of the scope and its
+        versions are its cached ones; slots this shard does not hold are
+        never shipped.
+        """
+        v_index = v_index[
+            self._held_v_mask[v_index]
+            & (self._vversion[v_index] > than._vversion[v_index])
+        ]
+        e_slot = e_slot[
+            self._held_e_mask[e_slot]
+            & (self._eversion[e_slot] > than._eversion[e_slot])
+        ]
+        return gather_entries(
+            self.vdata_flat, self.edata_flat, v_index, e_slot,
+            self._vversion, self._eversion,
         )
 
     def restore_checkpoint(self, payload: FlatEntries) -> None:

@@ -9,6 +9,7 @@ from repro.core import Consistency, SequentialEngine, greedy_coloring
 from repro.core.consistency import LockKind
 from repro.core.graph import DataGraph
 from repro.distributed import (
+    COSEG_SIZES,
     ChromaticEngine,
     DataSizeModel,
     LockingEngine,
@@ -18,8 +19,12 @@ from repro.distributed import (
     install_termination,
     run_recovery,
 )
+from repro.distributed.base import BATCH_HEADER_BYTES
+from repro.distributed.models import VERSION_BYTES
+from repro.runtime.shard import CSRShardStore
 from repro.errors import ColoringError, EngineError, SimulationError
 from repro.sim import Cluster, SimKernel
+from repro.sim.network import MESSAGE_OVERHEAD_BYTES
 
 from tests.helpers import grid_graph, ring_graph
 
@@ -378,6 +383,138 @@ class TestSnapshotsAndRecovery:
         dep = deploy(g, 2, partitioner="grid", skip_ingress_io=True)
         with pytest.raises(SnapshotError):
             run_recovery(dep.dfs, 7, dep.stores)
+
+
+def _per_key_bytes(graph, sizes, v_index, e_slot):
+    """What a per-key wire charges for these slots under ``sizes``:
+    each datum plus its version tag."""
+    csr = graph.compiled
+    return sum(
+        sizes.vbytes(csr.vertex_ids[i]) + VERSION_BYTES for i in v_index
+    ) + sum(
+        sizes.ebytes(*csr.edge_keys[s]) + VERSION_BYTES for s in e_slot
+    )
+
+
+class TestOnePriceList:
+    """``deploy()`` builds the stores with its own size model (8 B a
+    datum by default) and the engine is priced with ``COSEG_SIZES``:
+    every byte the engine charges — ghost pushes, lock-chain data, sync
+    snapshots — comes from the engine's model."""
+
+    def _engine(self, engine):
+        g = _grid(5)
+        dep = deploy(g, 2, partitioner="grid", skip_ingress_io=True)
+        if engine == "locking":
+            return g, LockingEngine(
+                dep.cluster, g, flood_max, dep.stores, dep.owner,
+                COST, COSEG_SIZES, dfs=dep.dfs, snapshot_plan=[(10, "sync")],
+            )
+        return g, ChromaticEngine(
+            dep.cluster, g, flood_max, dep.stores, dep.owner,
+            COST, COSEG_SIZES, coloring=greedy_coloring(g),
+            dfs=dep.dfs, snapshot_every_updates=1,
+        )
+
+    @pytest.mark.parametrize("engine", ["locking", "chromatic"])
+    def test_ghost_bytes_follow_the_engine_model(self, engine):
+        g, eng = self._engine(engine)
+        stats = eng.cluster.network.stats
+        pushes = []  # (bytes the network charged, per-key COSEG bytes)
+        push = eng.push_batch
+
+        def recording(src, dst, batch):
+            before = stats[src].bytes_sent
+            done = push(src, dst, batch)
+            pushes.append((
+                stats[src].bytes_sent - before,
+                BATCH_HEADER_BYTES + MESSAGE_OVERHEAD_BYTES + _per_key_bytes(
+                    g, COSEG_SIZES, batch.v_index, batch.e_slot
+                ),
+            ))
+            return done
+
+        eng.push_batch = recording
+        eng.run(initial=g.vertices())
+        assert pushes
+        for charged, per_key in pushes:
+            assert charged == per_key
+
+    @pytest.mark.parametrize("engine", ["locking", "chromatic"])
+    def test_sync_snapshot_bytes_follow_the_engine_model(self, engine):
+        g, eng = self._engine(engine)
+        result = eng.run(initial=g.vertices())
+        csr = g.compiled
+        every_slot = _per_key_bytes(
+            g, COSEG_SIZES, range(len(csr.vertex_ids)),
+            range(len(csr.edge_keys)),
+        )
+        assert result.snapshots
+        for record in result.snapshots:
+            assert record.mode == "sync"
+            assert record.bytes_written == every_slot
+
+
+class TestLockChainData:
+    """A lock holder ships the requester one batch: the scope slots it
+    holds at a newer version than the requester's copy, each once."""
+
+    def _engine(self):
+        # 0 <-> 1 is a reciprocal pair: 1 is both an in- and an
+        # out-neighbour of 0. Machine 1 owns 1 and holds 0 as a ghost;
+        # it does not hold 2 or the edge 0 -> 2.
+        g = DataGraph()
+        for v in range(3):
+            g.add_vertex(v, data=0.0)
+        for (a, b) in ((0, 1), (1, 0), (0, 2)):
+            g.add_edge(a, b, data=0.0)
+        g.finalize()
+        owner = {0: 0, 1: 1, 2: 0}
+        cluster = Cluster(2)
+        stores = {m: CSRShardStore(m, g, owner) for m in range(2)}
+        engine = LockingEngine(
+            cluster, g, flood_max, stores, owner, COST, COSEG_SIZES
+        )
+        return g, engine, stores
+
+    def test_scope_slots_list_each_datum_once(self):
+        g, engine, _stores = self._engine()
+        csr = g.compiled
+        v_index, e_slot = engine._scope_slots_of(0)
+        assert sorted(csr.vertex_ids[i] for i in v_index) == [0, 1, 2]
+        assert sorted(csr.edge_keys[s] for s in e_slot) == [
+            (0, 1), (0, 2), (1, 0)
+        ]
+
+    def test_ships_only_held_and_newer_slots(self):
+        g, engine, stores = self._engine()
+        csr = g.compiled
+        source, requester = stores[1], stores[0]
+        source.set_vertex_data(1, 5.0)      # held and newer: shipped
+        source.set_edge_data(1, 0, 6.0)     # held and newer: shipped
+        source.set_vertex_data(2, 7.0)      # not held: dropped
+        source.set_edge_data(0, 2, 8.0)     # not held: dropped
+        requester.set_edge_data(0, 1, 9.0)  # requester's copy is newer
+        batch = source.gather_newer(
+            *engine._scope_slots_of(0), than=requester
+        )
+        assert [csr.vertex_ids[i] for i in batch.v_index] == [1]
+        assert [csr.edge_keys[s] for s in batch.e_slot] == [(1, 0)]
+        assert list(batch.v_value) == [5.0]
+        assert list(batch.e_value) == [6.0]
+        # Shipped over the network and priced by the engine's model.
+        assert engine._ship_scope_data(1, 0, 0, acq_id=-1) == 1
+        engine.kernel.run()
+        assert requester.vertex_data(1) == 5.0
+        assert requester.edge_data(1, 0) == 6.0
+        assert requester.vertex_data(2) == 0.0
+        assert engine.cluster.network.stats[1].bytes_sent == (
+            BATCH_HEADER_BYTES + MESSAGE_OVERHEAD_BYTES
+            + COSEG_SIZES.vbytes(1) + COSEG_SIZES.ebytes(1, 0)
+            + 2 * VERSION_BYTES
+        )
+        # Nothing is stale any more: the next request ships nothing.
+        assert engine._ship_scope_data(1, 0, 0, acq_id=-1) == 0
 
 
 class TestEngineEquivalenceProperty:

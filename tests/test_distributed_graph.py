@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.consistency import edge_key, vertex_key
+from repro.core.consistency import vertex_key
 from repro.distributed import (
     Atom,
     DataSizeModel,
@@ -20,7 +20,7 @@ from repro.distributed import (
 )
 from repro.distributed.atom import ADD_EDGE, ADD_VERTEX
 from repro.errors import AtomFormatError, GraphStructureError, PartitionError
-from repro.runtime.shard import CSRShardStore
+from repro.runtime.shard import CSRShardStore, FlatEntries
 
 from tests.helpers import grid_graph, ring_graph
 
@@ -161,8 +161,8 @@ def _stores(g, owner, num_machines):
 
 
 class TestShardStoreGhosts:
-    """The per-machine store's ghosts and per-key coherence wire, as the
-    simulated engines use them (slot-level cases live in
+    """The per-machine store's ghosts and its slot-form coherence wire,
+    as the simulated engines use them (more slot-level cases live in
     ``tests/test_runtime_engine.py::TestShardStore``)."""
 
     def _stores(self):
@@ -194,42 +194,53 @@ class TestShardStoreGhosts:
         assert stores[0].has_vertex(3)
         assert not stores[0].has_vertex(4)
         assert stores[0].version(vertex_key(4)) == -1
-        assert not stores[0].apply_remote(vertex_key(4), 7.0, 1)
+        push = FlatEntries()
+        push.v_index, push.v_value, push.v_version = (
+            [g.vertex_index()[4]], [7.0], [1]
+        )
+        stores[0].apply_flat(push)
+        assert stores[0].version(vertex_key(4)) == -1
+        assert stores[0].vertex_data(4) == 1.0
 
     def test_ghost_staleness_until_applied(self):
         g, stores = self._stores()
         stores[1].set_vertex_data(1, 7.0)  # owner writes
         assert stores[0].vertex_data(1) == 1.0  # ghost is stale
-        pushes = stores[1].collect_dirty()
-        for (key, value, version, _size) in pushes[0]:
-            stores[0].apply_remote(key, value, version)
+        pushes = stores[1].collect_dirty_flat()
+        stores[0].apply_flat(pushes[0])
         assert stores[0].vertex_data(1) == 7.0
+        assert stores[0].version(vertex_key(1)) == 1
+        # Applying the same batch again is a no-op.
+        stores[0].apply_flat(pushes[0])
+        assert stores[0].vertex_data(1) == 7.0
+        assert stores[0].version(vertex_key(1)) == 1
 
     def test_collect_dirty_targets_mirrors_only(self):
         g = ring_graph(8)
         owner = {v: v // 4 for v in g.vertices()}  # halves
         stores = _stores(g, owner, 2)
         stores[0].set_vertex_data(1, 3.0)  # interior: no mirrors
-        assert stores[0].collect_dirty() == {}
+        assert stores[0].collect_dirty_flat() == {}
         stores[0].set_vertex_data(0, 3.0)  # boundary: mirrored on 1
-        pushes = stores[0].collect_dirty()
+        pushes = stores[0].collect_dirty_flat()
         assert set(pushes) == {1}
 
     def test_collect_dirty_clears(self):
         g, stores = self._stores()
         stores[0].set_vertex_data(0, 2.0)
-        stores[0].collect_dirty()
+        stores[0].collect_dirty_flat()
         assert stores[0].dirty_count == 0
-        assert stores[0].collect_dirty() == {}
+        assert stores[0].collect_dirty_flat() == {}
 
     def test_edge_dirty_goes_to_other_endpoint_owner(self):
         g, stores = self._stores()
         stores[0].set_edge_data(0, 1, 0.9)
-        pushes = stores[0].collect_dirty()
+        pushes = stores[0].collect_dirty_flat()
         assert set(pushes) == {1}
-        (key, value, _v, _s) = pushes[1][0]
-        assert key == edge_key(0, 1)
-        assert value == 0.9
+        batch = pushes[1]
+        assert len(batch.v_index) == 0
+        assert [g.compiled.edge_keys[s] for s in batch.e_slot] == [(0, 1)]
+        assert list(batch.e_value) == [0.9]
 
 
 class TestDeploy:

@@ -44,6 +44,7 @@ from repro.distributed import (
     deploy,
 )
 from repro.distributed.deploy import plan_ownership
+from repro.distributed.models import VERSION_BYTES
 from repro.errors import GraphStructureError
 from repro.runtime import (
     ColorSweepScheduler,
@@ -497,10 +498,10 @@ class TestSimulatedChromaticKernel:
         assert gathered[True] == gathered[False] == oracle
 
     def test_sim_snapshot_sizes_slot_journals_like_dict_ones(self):
-        """The simulator charges bytes per key; on slot journals the
-        modeled size comes from the slot counts and equals the per-key
-        sum a dict journal of the same ownership reports: every owned
-        vertex and every source-owned edge, plus one version tag each."""
+        """The simulator prices a slot journal with the engine's size
+        model, and the modeled size equals the per-key sum a dict
+        journal of the same ownership reports: every owned vertex and
+        every source-owned edge, plus one version tag each."""
         fn = make_pagerank_update(epsilon=1e-4)
         g = typed_pagerank_graph(n=40, seed=5)
         sizes = DataSizeModel(16, 8)
@@ -515,11 +516,8 @@ class TestSimulatedChromaticKernel:
         sim.run(initial=g.vertices())
         assert sim.snapshots
         per_key = sum(
-            dep.stores[dep.owner[v]].key_bytes(("v", v)) for v in g.vertices()
-        ) + sum(
-            dep.stores[dep.owner[a]].key_bytes(("e", a, b))
-            for (a, b) in g.edges()
-        )
+            sizes.vbytes(v) + VERSION_BYTES for v in g.vertices()
+        ) + sum(sizes.ebytes(a, b) + VERSION_BYTES for (a, b) in g.edges())
         for record in sim.snapshots:
             assert record.bytes_written == pytest.approx(per_key, rel=1e-12)
 

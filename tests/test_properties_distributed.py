@@ -85,6 +85,15 @@ class TestLockOrderingDeadlockFreedom:
             assert table.queue_length(v) == 0
 
 
+def _held_state(store, g):
+    """Value and version of every vertex ``store`` holds."""
+    return {
+        v: (store.vertex_data(v), store.version(vertex_key(v)))
+        for v in g.vertices()
+        if store.has_vertex(v)
+    }
+
+
 class TestVersionMonotonicity:
     @given(
         small_graphs(),
@@ -103,12 +112,21 @@ class TestVersionMonotonicity:
             version = store.version(key)
             assert version > last.get((owner[v], key), 0) - 1
             last[(owner[v], key)] = version
-        # All pushes apply exactly once; re-application is a no-op.
+        # Every pushed entry lands; re-applying a batch is a no-op.
+        vertex_ids = g.compiled.vertex_ids
         for m in (0, 1):
-            for dst, entries in stores[m].collect_dirty().items():
-                for (key, value, version, _b) in entries:
-                    assert stores[dst].apply_remote(key, value, version)
-                    assert not stores[dst].apply_remote(key, value, version)
+            for dst, batch in stores[m].collect_dirty_flat().items():
+                target = stores[dst]
+                target.apply_flat(batch)
+                for index, value, version in zip(
+                    batch.v_index, batch.v_value, batch.v_version
+                ):
+                    vid = vertex_ids[index]
+                    assert target.version(vertex_key(vid)) == version
+                    assert target.vertex_data(vid) == value
+                applied = _held_state(target, g)
+                target.apply_flat(batch)
+                assert _held_state(target, g) == applied
 
     @given(small_graphs())
     @settings(max_examples=20, deadline=None)
@@ -120,9 +138,8 @@ class TestVersionMonotonicity:
         for v in g.vertices():
             stores[owner[v]].set_vertex_data(v, float(hash(v) % 97))
         for m in range(3):
-            for dst, entries in stores[m].collect_dirty().items():
-                for (key, value, version, _b) in entries:
-                    stores[dst].apply_remote(key, value, version)
+            for dst, batch in stores[m].collect_dirty_flat().items():
+                stores[dst].apply_flat(batch)
         for v in g.vertices():
             primary = stores[owner[v]].vertex_data(v)
             for m in range(3):

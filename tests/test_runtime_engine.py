@@ -50,6 +50,7 @@ from repro.runtime import (
     UpdateProgram,
     WorkerFailure,
 )
+from repro.runtime.shard import FlatEntries
 from repro.datasets.webgraph import power_law_web_graph
 
 from tests.helpers import grid_graph, ring_graph
@@ -489,41 +490,43 @@ class TestShardStore:
         assert store.version(("v", v)) == 1
         assert store.dirty_count == 1
 
-    def test_apply_remote_is_version_filtered(self):
+    def test_list_backed_apply_flat_is_version_filtered(self):
+        """The object-column branch of ``apply_flat`` (list-backed
+        batches, as an untyped graph ships them): the highest version
+        wins, the earliest entry among version ties, and stale or
+        duplicate deliveries are dropped — for vertex and edge data."""
         g = ring_graph(6)
         store, plan = self._store(g)
         ghost = next(iter(store.ghost_vertices))
-        key = ("v", ghost)
-        assert store.apply_remote(key, 5.0, version=2)
+        index = g.vertex_index()[ghost]
+        (a, b) = next(
+            (a, b) for (a, b) in g.edges()
+            if plan.owner[a] != 0 and plan.owner[b] == 0
+        )
+        slot = g.compiled.edge_slot[(a, b)]
+        batch = FlatEntries()
+        batch.v_index = [index, index, index]
+        batch.v_value = [4.0, 5.0, -1.0]
+        batch.v_version = [1, 2, 2]
+        batch.e_slot = [slot, slot]
+        batch.e_value = [0.9, -1.0]
+        batch.e_version = [3, 3]
+        store.apply_flat(batch)
         assert store.vertex_data(ghost) == 5.0
+        assert store.version(("v", ghost)) == 2
+        assert store.edge_data(a, b) == 0.9
+        assert store.version(("e", a, b)) == 3
         # Stale and duplicate pushes are dropped.
-        assert not store.apply_remote(key, -1.0, version=2)
-        assert not store.apply_remote(key, -1.0, version=1)
+        stale = FlatEntries()
+        stale.v_index, stale.v_value, stale.v_version = (
+            [index, index], [-1.0, -1.0], [2, 1]
+        )
+        stale.e_slot, stale.e_value, stale.e_version = [slot], [-1.0], [3]
+        store.apply_flat(stale)
         assert store.vertex_data(ghost) == 5.0
-
-    def test_collect_dirty_matches_flat_routing(self):
-        g = ring_graph(8)
-        store, plan = self._store(g, workers=3)
-        for v in store.owned_vertices:
-            store.set_vertex_data(v, 7.0)
-        flat = store.collect_dirty_flat()
-        # Rebuild the same writes and compare against the legacy format.
-        store2 = CSRShardStore(0, g, plan.owner)
-        for v in store2.owned_vertices:
-            store2.set_vertex_data(v, 7.0)
-        legacy = store2.collect_dirty()
-        assert set(flat) == set(legacy)
-        index_of = g.vertex_index()
-        for dst in legacy:
-            legacy_v = [
-                (index_of[key[1]], value, version)
-                for (key, value, version, _b) in legacy[dst]
-                if key[0] == "v"
-            ]
-            flat_v = list(
-                zip(flat[dst].v_index, flat[dst].v_value, flat[dst].v_version)
-            )
-            assert sorted(legacy_v) == sorted(flat_v)
+        assert store.version(("v", ghost)) == 2
+        assert store.edge_data(a, b) == 0.9
+        assert store.version(("e", a, b)) == 3
 
     def test_checkpoint_covers_owned_data(self):
         """Across the shards' journals: every owned vertex and every
