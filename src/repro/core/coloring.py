@@ -20,8 +20,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional
 
-import numpy as np
-
 from repro.core.consistency import Consistency
 from repro.core.graph import DataGraph, VertexId
 from repro.errors import ColoringError
@@ -198,123 +196,6 @@ def color_classes(coloring: Coloring) -> List[List[VertexId]]:
 def num_colors(coloring: Coloring) -> int:
     """Number of distinct colors used."""
     return len(set(coloring.values())) if coloring else 0
-
-
-# ----------------------------------------------------------------------
-# Merge-compatibility analysis (color-merged rounds, runtime backend).
-# ----------------------------------------------------------------------
-def model_distance(model: Consistency) -> int:
-    """Graph distance at which two scopes become order-dependent.
-
-    Under vertex/edge consistency an update writes at most its own
-    vertex datum and adjacent edges, so two updates commute whenever
-    their vertices are non-adjacent (distance 1 apart is enough to
-    conflict). Under full consistency ``set_neighbor`` writes neighbor
-    vertex data, so commuting needs distance > 2 — exactly the
-    second-order-coloring requirement of Sec. 4.2.1.
-    """
-    return 2 if model is Consistency.FULL else 1
-
-
-def merge_compatible_matrix(
-    graph: DataGraph, classes: List[List[VertexId]], model: Consistency
-) -> np.ndarray:
-    """Pairwise static merge compatibility of whole color classes.
-
-    ``compat[a, b]`` is true when *no* pair of vertices drawn from
-    classes ``a`` and ``b`` is within :func:`model_distance` of each
-    other — so the two classes' scheduled frontiers can never touch and
-    a merged round needs no per-sweep adjacency check. Computed in a
-    few vectorized passes over the compiled CSR endpoint arrays: for
-    edge/vertex consistency one scatter of per-edge color pairs; for
-    full consistency a closed-neighborhood color *bitmask* pass (two
-    classes conflict iff some closed neighborhood contains both colors
-    — the exact distance-2 criterion). Colorings wider than 64 colors
-    skip the full-consistency bitmask and report no static
-    compatibility (the dynamic frontier checks still apply).
-
-    The diagonal is always false: merging a class with itself is
-    meaningless.
-    """
-    csr = graph.compiled
-    count = len(classes)
-    compat = np.ones((count, count), dtype=bool)
-    np.fill_diagonal(compat, False)
-    if count < 2 or csr is None:
-        return compat
-    index_of = csr.index_of
-    color = np.zeros(len(csr.vertex_ids), dtype=np.int64)
-    for tag, members in enumerate(classes):
-        for v in members:
-            color[index_of[v]] = tag
-    src, dst = csr.edge_src_index, csr.edge_dst_index
-    if model is not Consistency.FULL:
-        compat[color[src], color[dst]] = False
-        compat[color[dst], color[src]] = False
-        return compat
-    if count > 64:
-        compat[:] = False
-        np.fill_diagonal(compat, False)
-        return compat
-    bit = np.uint64(1) << color.astype(np.uint64)
-    nbr = bit.copy()
-    np.bitwise_or.at(nbr, src, bit[dst])
-    np.bitwise_or.at(nbr, dst, bit[src])
-    one = np.uint64(1)
-    for a in range(count):
-        rows = (nbr >> np.uint64(a)) & one
-        sel = nbr[rows.astype(bool)]
-        if not sel.size:
-            continue
-        present = np.bitwise_or.reduce(sel)
-        for b in range(count):
-            if (present >> np.uint64(b)) & one:
-                compat[a, b] = False
-                compat[b, a] = False
-    return compat
-
-
-def closed_neighborhood_mask(csr, mask: np.ndarray) -> np.ndarray:
-    """Boolean mask of ``N[mask]`` via one pass over the endpoints."""
-    out = mask.copy()
-    src, dst = csr.edge_src_index, csr.edge_dst_index
-    out[dst[mask[src]]] = True
-    out[src[mask[dst]]] = True
-    return out
-
-
-def frontiers_independent(
-    csr,
-    mask_a: np.ndarray,
-    mask_b: np.ndarray,
-    distance: int,
-    edge_mask: Optional[np.ndarray] = None,
-) -> bool:
-    """Whether two frontier masks are mutually ``distance``-independent.
-
-    ``distance == 1``: no edge joins the two sets (one vectorized pass
-    over the endpoint arrays). ``distance == 2``: the closed
-    neighborhoods must be disjoint — ``dist(u, w) <= 2`` iff some vertex
-    lies in both ``N[u]`` and ``N[w]``.
-
-    ``edge_mask`` (distance 1 only) restricts which edges count as
-    conflicts. The runtime engine passes its cross-worker edge mask:
-    within one worker the merged colors execute *in color order* with
-    late frontier snapshots, exactly like the sequential oracle, so
-    same-worker adjacency between merged frontiers cannot diverge —
-    only an edge whose endpoints execute on different workers (where
-    neither side sees the other's intra-round writes) breaks the merge.
-    """
-    if distance <= 1:
-        src, dst = csr.edge_src_index, csr.edge_dst_index
-        conflicts = (mask_a[src] & mask_b[dst]) | (mask_b[src] & mask_a[dst])
-        if edge_mask is not None:
-            conflicts = conflicts & edge_mask
-        return not conflicts.any()
-    return not (
-        closed_neighborhood_mask(csr, mask_a)
-        & closed_neighborhood_mask(csr, mask_b)
-    ).any()
 
 
 def _sort_token(v: VertexId):

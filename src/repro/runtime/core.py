@@ -66,10 +66,9 @@ class RuntimeRunResult:
     Mirrors :class:`~repro.core.engine.EngineResult` (same first four
     fields, so assertions port over) plus wall-clock and per-worker
     accounting — real seconds here, not simulated ones — and the
-    communication counters the data plane and color-merged rounds exist
-    to shrink: ``rounds`` (transport barriers), ``rounds_saved``
-    (barriers elided by committed merges), ``bytes_on_pipe`` (pickled
-    bytes crossing coordinator pipes, both directions).
+    communication counters the data plane exists to shrink: ``rounds``
+    (transport barriers) and ``bytes_on_pipe`` (pickled bytes crossing
+    coordinator pipes, both directions).
     """
 
     num_updates: int
@@ -83,7 +82,6 @@ class RuntimeRunResult:
     backend: str = "inproc"
     updates_per_worker: Dict[int, int] = field(default_factory=dict)
     rounds: int = 0
-    rounds_saved: int = 0
     bytes_on_pipe: int = 0
     data_plane: Optional[str] = None
     #: Assembled run timeline (:class:`repro.obs.timeline.RunTelemetry`)
@@ -208,8 +206,7 @@ class RuntimeCore:
     Optional hooks with defaults are at the bottom of the class.
     """
 
-    #: Chromatic-only result fields; the locking engine reports zeros.
-    rounds_saved = 0
+    #: Chromatic-only result field; the locking engine reports zero.
     _sweeps = 0
 
     def __init__(
@@ -427,12 +424,10 @@ class RuntimeCore:
         so a reply never aliases shared memory), and the reads are
         counted in :attr:`plane_reads` and the ``serve_plane_reads``
         telemetry counter. That is exactly what the owner's ``serve``
-        command would answer, because two conditions hold: this method
-        runs only between commands, on the thread driving the engine
-        (every segment quiescent, every dirty entry of the last command
-        already routed toward its holders), and the chromatic fallback
-        serves only at sweep quiescence, where an outstanding
-        speculation verdict is always a full commit.
+        command would answer, because this method runs only between
+        commands, on the thread driving the engine: every segment is
+        quiescent and every dirty entry of the last command is already
+        routed toward its holders.
 
         **Everything else is one ``serve`` round:** a batch with
         writes, a call with no requests at all, and any engine without
@@ -445,8 +440,7 @@ class RuntimeCore:
         under the double-buffered ring; a round-free read sends no
         command, so it leaves them valid). Everything else stays queued
         for the engine's next own round: lock-protocol traffic (safe —
-        data may arrive earlier than a grant, never later) and the
-        chromatic speculation verdict.
+        data may arrive earlier than a grant, never later).
         """
         writes = list(writes or ())
         reads = list(reads or ())
@@ -645,7 +639,6 @@ class RuntimeCore:
         """One full barrier: send every worker its routed inbox (leaving
         fresh inboxes behind for the replies' routing), collect all."""
         inboxes, self._inboxes = self._inboxes, self._fresh_inboxes()
-        self._attach_pending(inboxes)
         messages = []
         for inbox in inboxes:
             # Empty inbox fields are stripped from the wire (the common
@@ -656,9 +649,9 @@ class RuntimeCore:
             }
             messages.append((tag, payload))
         # The single reply funnel: piggybacked telemetry batches are
-        # stripped here, so no downstream consumer (speculation
-        # validation, checkpoint journaling, sync combine, collect
-        # write-back) ever sees the extra field.
+        # stripped here, so no downstream consumer (step routing,
+        # checkpoint journaling, sync combine, collect write-back) ever
+        # sees the extra field.
         return drain_telemetry(self.transport.round(messages), self._collector)
 
     def _collect_and_write_back(self) -> np.ndarray:
@@ -748,7 +741,6 @@ class RuntimeCore:
             backend=transport.name,
             updates_per_worker=dict(self.updates_per_worker),
             rounds=transport.rounds_completed,
-            rounds_saved=self.rounds_saved,
             bytes_on_pipe=transport.bytes_sent + transport.bytes_received,
             data_plane=spec.kind if spec is not None else None,
             telemetry=telemetry,
@@ -838,9 +830,6 @@ class RuntimeCore:
 
     def _check_servable(self) -> None:
         """Reject configurations that cannot serve (default: none)."""
-
-    def _attach_pending(self, inboxes: List[Dict[str, Any]]) -> None:
-        """Last-moment additions to a round's outgoing inboxes."""
 
     def _absorb_collect(self, replies: List[Dict[str, Any]]) -> None:
         """Engine-specific fields of the collect replies."""

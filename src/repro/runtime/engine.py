@@ -14,46 +14,29 @@ broadcast). What changes is only *where* updates run: on worker OS
 processes via a :class:`~repro.runtime.transport.Transport`, instead of
 simulated machines on a discrete-event kernel.
 
-Two mechanisms keep the communication cost near zero (the intra-node
-story of Sec. 4.2.1, where ghost propagation is a memory write, not a
-message):
+Communication cost stays near zero (the intra-node story of Sec. 4.2.1,
+where ghost propagation is a memory write, not a message) through the
+**shared-memory data plane** (:mod:`repro.runtime.plane`). On
+typed-column graphs each worker's data columns live in a shared segment
+with a double-buffered dirty-entry ring; ghost exchange is a ring write
+on one side and a version-filtered slice application on the other, and
+the pipes carry only control messages — descriptors, scheduling
+indices, counts, sync partials. ``InprocTransport`` emulates the plane
+with in-process arrays over the identical code path; untyped graphs
+(and ``REPRO_NO_SHM=1``) keep the pickled wire.
 
-* **Shared-memory data plane** (:mod:`repro.runtime.plane`). On
-  typed-column graphs each worker's data columns live in a shared
-  segment with a double-buffered dirty-entry ring; ghost exchange is a
-  ring write on one side and a version-filtered slice application on
-  the other, and the pipes carry only control messages — descriptors,
-  scheduling indices, counts, sync partials. ``InprocTransport``
-  emulates the plane with in-process arrays over the identical code
-  path; untyped graphs (and ``REPRO_NO_SHM=1``) keep the pickled wire.
-* **Color-merged rounds.** The coordinator maintains the *exact* global
-  task set as a dense mask (it routes every scheduling request and
-  workers report fresh local schedules as index arrays), so before each
-  barrier it can merge the scheduled frontiers of consecutive colors
-  whose members are mutually independent under the active consistency
-  model — distance-2 for full consistency — into one round.
-  Statically compatible class pairs (precomputed at deploy time over
-  the compiled CSR endpoint arrays —
-  :func:`~repro.core.coloring.merge_compatible_matrix`) skip the
-  per-sweep frontier check. Because an update may *schedule* mid-round
-  work that the sequential chromatic order would have executed between
-  the merged colors, every color after a group's first executes
-  **speculatively**: workers keep undo logs, and after the barrier the
-  coordinator inspects the round's fresh schedules and commits the
-  longest prefix of the group the oracle would have executed
-  identically, rolling the rest back (the verdict rides the next
-  round's inbox, so aborts cost no extra barrier). Bit-identity to the
-  :class:`~repro.runtime.oracle.ColorSweepScheduler` oracle therefore
-  holds **by construction**, for arbitrary update functions.
-
-Execution per sweep costs ``merged_rounds + 1`` message rounds, where
-``merged_rounds <= num_nonempty_colors`` — on high-color graphs with
-sparse frontiers the per-color barrier collapses toward one round per
-sweep.
+The coordinator keeps the *exact* global task set as a dense mask (it
+routes every scheduling request, and workers report fresh local
+schedules as index arrays), so a color nobody holds work of is elided
+without a round. Every other color is **one barrier**: a sweep costs
+one round per nonempty color, plus the sync preamble round when syncs
+are configured, and a run ends with one ``collect`` round.
 
 Determinism: with a coloring proper for the consistency model, scopes
 of same-color vertices never read each other's writes, so a color-step's
-outcome is independent of intra-step ordering. Results are then
+outcome is independent of intra-step ordering, and since each color is
+its own barrier, every step sees exactly the writes the sequential
+color order would have made before it. Results are then
 bit-identical across ``InprocTransport``, ``MpTransport`` (any worker
 count), the simulated chromatic engine, and a
 :class:`~repro.core.engine.SequentialEngine` driven by the
@@ -67,14 +50,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.coloring import (
-    Coloring,
-    color_classes,
-    coloring_for,
-    frontiers_independent,
-    merge_compatible_matrix,
-    model_distance,
-)
+from repro.core.coloring import Coloring, color_classes, coloring_for
 from repro.core.consistency import Consistency
 from repro.core.graph import DataGraph, VertexId
 from repro.core.sync import SyncOperation
@@ -89,11 +65,6 @@ from repro.runtime.core import (  # noqa: F401 — re-exported names
 )
 from repro.runtime.transport import Transport
 from repro.runtime.worker import WorkerInit, empty_inbox
-
-#: Ceiling on how many colors one merged round may span. Groups larger
-#: than this see diminishing returns (one barrier already amortized) and
-#: raise the cost of an abort.
-_MAX_MERGE_GROUP = 8
 
 
 class RuntimeChromaticEngine(RuntimeCore):
@@ -140,11 +111,6 @@ class RuntimeChromaticEngine(RuntimeCore):
         has one and the graph carries compatible typed data columns —
         bit-identical by the kernel contract. ``False`` pins the scalar
         interpreter (the oracle the kernels are tested against).
-    merge_rounds:
-        When true (the default) consecutive mutually-independent
-        scheduled frontiers execute in one merged round (speculative
-        tail, commit/abort validated — see the module docstring).
-        ``False`` pins one barrier per nonempty color.
     use_plane:
         When true (the default) typed-column graphs get the
         shared-memory data plane (or its in-process emulation);
@@ -185,7 +151,6 @@ class RuntimeChromaticEngine(RuntimeCore):
         max_updates: Optional[int] = None,
         reply_timeout: Optional[float] = None,
         use_kernel: bool = True,
-        merge_rounds: bool = True,
         use_plane: bool = True,
         plane_ring_cap: Optional[int] = None,
         snapshot_every: Optional[Union[int, str]] = None,
@@ -220,7 +185,6 @@ class RuntimeChromaticEngine(RuntimeCore):
         self.syncs = tuple(syncs)
         self.max_sweeps = max_sweeps
         self.use_kernel = use_kernel
-        self.merge_rounds = merge_rounds
         # Color membership in the compiled (dense) numbering.
         csr = self._csr
         self._num_vertices = len(csr.vertex_ids)
@@ -233,30 +197,6 @@ class RuntimeChromaticEngine(RuntimeCore):
             )
             for members in self.classes
         ]
-        self._color_of_idx = np.zeros(self._num_vertices, dtype=np.int64)
-        for color, members in enumerate(self._class_idx):
-            self._color_of_idx[members] = color
-        # Deploy-time merge precompute: class pairs that can never touch
-        # under the model skip the per-sweep frontier independence
-        # check, and the cross-worker edge mask restricts the dynamic
-        # check to edges whose endpoints execute on different workers
-        # (same-worker merged colors run in color order with late
-        # snapshots — literally the oracle's order — so only remote
-        # adjacency can diverge; distance-1 models only).
-        self._distance = model_distance(consistency)
-        self._merge_static = (
-            merge_compatible_matrix(graph, self.classes, consistency)
-            if merge_rounds and self.num_colors > 1
-            else None
-        )
-        self._cross_edge = (
-            self._owner_idx[csr.edge_src_index]
-            != self._owner_idx[csr.edge_dst_index]
-        )
-        #: Pending speculation verdict (count of committed parts of the
-        #: last merged round), attached to every worker's next inbox.
-        self._pending_spec: Optional[int] = None
-        self.rounds_saved = 0
 
     # ------------------------------------------------------------------
     # Scheduling policy: the exact global task mask, swept by color.
@@ -325,39 +265,22 @@ class RuntimeChromaticEngine(RuntimeCore):
                 self._sweeps, time.perf_counter()
             ):
                 self._take_snapshot()
-            merge_enabled = self.merge_rounds and self.num_colors > 1
-            pos = 0
-            while pos < self.num_colors:
-                frontier = self._frontier(pos, mask)
+            for color in range(self.num_colors):
+                frontier = self._frontier(color, mask)
                 if frontier.size == 0:
                     # Nobody holds (or is being sent) work of this
                     # color: the step would be a global no-op, so it
                     # is elided. Undelivered inbox entries persist to
                     # the next executed round.
-                    pos += 1
                     continue
-                group = self._plan_group(pos, frontier, mask, merge_enabled)
                 if self._published:
                     for inbox in self._inboxes:
                         inbox["globals"] = self._published
                     self._published = []  # globals ship once per sweep
-                colors = [color for color, _frontier in group]
-                replies = self._send_round("step", {"colors": colors})
-                committed, aborted = self._process_replies(
-                    replies, group, mask, self._inboxes
+                replies = self._send_round("step", {"color": color})
+                self._total_updates += self._process_replies(
+                    replies, frontier
                 )
-                self._total_updates += committed
-                if aborted:
-                    # The oracle would have run freshly scheduled
-                    # intervening work inside the span: resume the
-                    # scan right after the group's first color, with
-                    # the rolled-back frontiers still scheduled.
-                    # (An abort costs no extra barrier — the
-                    # rolled-back colors run in the rounds the
-                    # unmerged schedule would have used anyway.)
-                    pos = group[0][0] + 1
-                else:
-                    pos = group[-1][0] + 1
             self._sweeps += 1
 
     # ------------------------------------------------------------------
@@ -396,10 +319,13 @@ class RuntimeChromaticEngine(RuntimeCore):
         The chromatic engine has no notion of a single background round
         — its unit of progress is the color-step sweep — so one pump
         call runs :meth:`_run_loop` to convergence and returns ``True``.
-        With an empty task set this is free: no round is sent, so any
-        residual routed entries stay valid for the next barrier (the
-        ring's consumption window counts commands, not method calls).
+        With an empty task set this is free: no round is sent — not even
+        the sync preamble — so any residual routed entries stay valid for
+        the next barrier (the ring's consumption window counts commands,
+        not method calls).
         """
+        if not self._mask.any():
+            return True
         self._converged = False
         self._run_loop()
         return True
@@ -416,18 +342,16 @@ class RuntimeChromaticEngine(RuntimeCore):
             "total_updates": self._total_updates,
             "updates_per_worker": dict(self.updates_per_worker),
             "globals": self.globals.snapshot(),
-            "rounds_saved": self.rounds_saved,
             "mask": np.nonzero(self._mask)[0],
         }
 
     def _take_snapshot(self) -> None:
         """Synchronous snapshot at a sweep barrier.
 
-        The checkpoint round delivers each worker's residual inbox
-        (including any pending speculation verdict, so journals are
-        post-verdict) and replies with its journal; scheduling state is
-        not journaled per worker — the coordinator's global mask is
-        exact and rides the meta record.
+        The checkpoint round delivers each worker's residual inbox and
+        replies with its journal; scheduling state is not journaled per
+        worker — the coordinator's global mask is exact and rides the
+        meta record.
         """
         with Stopwatch(self._rec, "snap") as sw:
             snapshot_id = self._ckpt.next_id()
@@ -439,7 +363,9 @@ class RuntimeChromaticEngine(RuntimeCore):
         self, meta: Dict[str, Any], journals: List[Dict[str, Any]]
     ) -> List[np.ndarray]:
         """Progress counters and the task mask reset from the meta
-        record; each worker re-seeds its share of the snapshot's mask."""
+        record; each worker re-seeds its share of the snapshot's mask.
+        Other meta keys are ignored, so a directory whose meta records
+        extra progress fields still resumes."""
         mask = np.zeros(self._num_vertices, dtype=bool)
         mask_idx = np.asarray(meta["mask"], dtype=np.int64)
         if mask_idx.size:
@@ -448,8 +374,6 @@ class RuntimeChromaticEngine(RuntimeCore):
         self._sweeps = meta["sweeps"]
         self._total_updates = meta["total_updates"]
         self.updates_per_worker = dict(meta["updates_per_worker"])
-        self.rounds_saved = meta.get("rounds_saved", 0)
-        self._pending_spec = None
         self._published = []
         mask_owner = self._owner_idx[mask_idx]
         return [
@@ -460,214 +384,41 @@ class RuntimeChromaticEngine(RuntimeCore):
     # ------------------------------------------------------------------
     # Rounds.
     # ------------------------------------------------------------------
-    def _attach_pending(self, inboxes: List[Dict[str, Any]]) -> None:
-        """The speculation verdict rides the next round of any kind
-        (it is >= 1, so the empty-field strip keeps it)."""
-        if self._pending_spec is not None:
-            for inbox in inboxes:
-                inbox["spec"] = self._pending_spec
-            self._pending_spec = None
-
     def _frontier(self, color: int, mask: np.ndarray) -> np.ndarray:
         members = self._class_idx[color]
         return members[mask[members]]
 
-    def _plan_group(
-        self,
-        pos: int,
-        frontier: np.ndarray,
-        mask: np.ndarray,
-        merge_enabled: bool,
-    ) -> List[Tuple[int, np.ndarray]]:
-        """Greedily extend one round across merge-compatible colors.
-
-        A later color joins the group when its scheduled frontier is
-        :func:`~repro.core.coloring.frontiers_independent` of the
-        group's union under the model distance (statically compatible
-        class pairs skip the check). The scan stops at the first
-        incompatible nonempty color — it must get its own barrier.
-        """
-        group = [(pos, frontier)]
-        if not merge_enabled:
-            return group
-        csr = self._csr
-        static = self._merge_static
-        distance = self._distance
-        cross = self._cross_edge if distance == 1 else None
-        union = np.zeros(self._num_vertices, dtype=bool)
-        union[frontier] = True
-        color = pos + 1
-        while color < self.num_colors and len(group) < _MAX_MERGE_GROUP:
-            nxt = self._frontier(color, mask)
-            if nxt.size == 0:
-                color += 1
-                continue
-            if all(static[c, color] for c, _f in group):
-                ok = True
-            else:
-                fmask = np.zeros(self._num_vertices, dtype=bool)
-                fmask[nxt] = True
-                ok = frontiers_independent(
-                    csr, union, fmask, distance, edge_mask=cross
-                )
-            if not ok:
-                break
-            group.append((color, nxt))
-            union[nxt] = True
-            color += 1
-        return group
-
     def _process_replies(
-        self,
-        replies: List[Dict],
-        group: List[Tuple[int, np.ndarray]],
-        mask: np.ndarray,
-        inboxes: List[Dict],
-    ) -> Tuple[int, bool]:
-        """Validate speculation, commit the safe prefix, route exchange.
-
-        Returns ``(committed_updates, aborted)``. Acceptance follows the
-        oracle's order exactly: a fresh schedule (not in the pre-round
-        task set) with a color inside the group's remaining span would,
-        in chromatic order, have executed before — or joined the
-        snapshot of — a later merged color, so the first part the oracle
-        would have diverged at (and everything after it) is rolled back;
-        the verdict (count of committed parts) rides the next round's
-        inboxes. Exception, under distance-1 models: a *local* fresh
-        schedule targeting a later merged color is executed by its own
-        worker at exactly that part (late snapshots, color order — the
-        oracle's interleaving), so it aborts nothing; instead the
-        post-round conflict scan checks that no cross-worker edge joins
-        vertices executed in different parts (each side would have
-        missed the other's intra-round writes), aborting from the later
-        conflicting part on.
-
-        Routing of a committed part: dirty ring descriptors and pickled
-        overflow batches to their destination inboxes, remote schedule
-        requests to their owners, fresh schedules into the global mask
-        (after clearing the part's executed frontier — including fresh
-        vertices a committed earlier part locally scheduled into it).
-        Within one round at most one worker writes any given slot (the
-        merged frontiers are mutually independent where it matters), so
-        merge order cannot change outcomes.
-        """
-        k = len(group)
-        colors = [color for color, _f in group]
-        committed = k
-        #: part index -> fresh locally-scheduled vertices that executed
-        #: there (cleared from the mask when the part commits).
-        exec_at: Dict[int, List[np.ndarray]] = {}
-        if k > 1:
-            colors_arr = np.asarray(colors, dtype=np.int64)
-            color_of = self._color_of_idx
-            dk = colors[-1]
-            cross_mode = self._distance == 1
-            for i in range(k):
-                di = colors[i]
-                for reply in replies:
-                    part = reply[1][i]
-                    _n, _dirty, _plane, local, remote = part
-                    arrays = [] if local is None else [(local, True)]
-                    if remote is not None:
-                        arrays.extend(
-                            (arr, False) for arr in remote.values()
-                        )
-                    for arr, is_local in arrays:
-                        arr = np.asarray(arr, dtype=np.int64)
-                        fresh = arr[~mask[arr]]
-                        if not fresh.size:
-                            continue
-                        cols = color_of[fresh]
-                        window = (cols > di) & (cols <= dk)
-                        if not window.any():
-                            continue
-                        if is_local and cross_mode:
-                            # Locals into later merged colors execute
-                            # at that part on their own worker — record
-                            # for mask clearing, exempt from abort.
-                            in_group = window & np.isin(cols, colors_arr)
-                            for c in np.unique(cols[in_group]):
-                                m = int(np.searchsorted(colors_arr, c))
-                                exec_at.setdefault(m, []).append(
-                                    fresh[in_group & (cols == c)]
-                                )
-                            window = window & ~in_group
-                            if not window.any():
-                                continue
-                        first = int(
-                            np.searchsorted(
-                                colors_arr, cols[window], side="left"
-                            ).min()
-                        )
-                        committed = min(committed, max(first, 1))
-            if cross_mode and committed > 1:
-                committed = min(
-                    committed, self._conflict_point(group, exec_at)
-                )
-        updates = 0
-        for i in range(committed):
-            _color, frontier = group[i]
-            mask[frontier] = False
-            for executed in exec_at.pop(i, ()):
-                mask[executed] = False
-            for w, reply in enumerate(replies):
-                half, parts = reply
-                n, dirty, plane, local, remote = parts[i]
-                if local is not None:
-                    mask[local] = True
-                if remote is not None:
-                    for dst, arr in remote.items():
-                        mask[arr] = True
-                        inboxes[dst]["sched"].append(arr)
-                route_ghost_entries(inboxes, w, half, plane, dirty)
-                if n:
-                    updates += n
-                    self.updates_per_worker[w] += n
-        if k > 1:
-            self._pending_spec = committed
-            # Every committed part beyond the first is a barrier the
-            # unmerged schedule would have paid — counted even when the
-            # tail aborted (a partial commit still elided barriers).
-            self.rounds_saved += committed - 1
-        return updates, committed < k
-
-    def _conflict_point(
-        self,
-        group: List[Tuple[int, np.ndarray]],
-        exec_at: Dict[int, List[np.ndarray]],
+        self, replies: List[Tuple[int, Tuple]], frontier: np.ndarray
     ) -> int:
-        """First part invalidated by a cross-worker execution conflict.
+        """Commit one color-step and route its exchange; returns the
+        step's update count.
 
-        Builds the round's actual per-vertex execution map — planned
-        frontiers plus fresh locals executed at later parts — and scans
-        the endpoint arrays once: an edge whose ends executed in
-        *different* parts on *different* workers means the later end
-        missed the earlier end's intra-round writes (or the earlier end
-        missed serving the later one), which the oracle would have
-        delivered; the later part (and everything after) must roll
-        back. Planned frontiers were vetted at planning time, so real
-        conflicts always involve a fresh locally-scheduled vertex.
+        The executed frontier leaves the mask first, then each reply's
+        fresh schedules join it — so a vertex that rescheduled itself
+        stays scheduled for the color's next visit. Remote schedule
+        requests go to their owners' inboxes, dirty ring descriptors and
+        pickled overflow batches to their destinations. A proper
+        coloring means at most one worker writes any given slot in one
+        step, so reply order cannot change outcomes.
         """
-        exec_part = np.full(self._num_vertices, -1, dtype=np.int64)
-        for i, (_color, frontier) in enumerate(group):
-            exec_part[frontier] = i
-        for part, arrays in exec_at.items():
-            for arr in arrays:
-                exec_part[arr] = part
-        csr = self._csr
-        src_part = exec_part[csr.edge_src_index]
-        dst_part = exec_part[csr.edge_dst_index]
-        conflicts = (
-            (src_part >= 0)
-            & (dst_part >= 0)
-            & (src_part != dst_part)
-            & self._cross_edge
-        )
-        if not conflicts.any():
-            return len(group)
-        return int(
-            np.maximum(src_part[conflicts], dst_part[conflicts]).min()
-        )
+        mask = self._mask
+        inboxes = self._inboxes
+        mask[frontier] = False
+        updates = 0
+        for w, (half, part) in enumerate(replies):
+            n, dirty, plane, local, remote = part
+            if local is not None:
+                mask[local] = True
+            if remote is not None:
+                for dst, arr in remote.items():
+                    mask[arr] = True
+                    inboxes[dst]["sched"].append(arr)
+            route_ghost_entries(inboxes, w, half, plane, dirty)
+            if n:
+                updates += n
+                self.updates_per_worker[w] += n
+        return updates
 
     # ------------------------------------------------------------------
     # Launch plumbing.

@@ -162,30 +162,6 @@ class FlatEntries:
         ) = state
 
 
-class UndoLog:
-    """Snapshot of a conservative write set, for speculative steps.
-
-    Color-merged rounds execute later colors *speculatively*
-    (:mod:`repro.runtime.engine`); if the coordinator aborts, the store
-    must return to its pre-step state exactly — values, versions, dirty
-    bits. The captured set is the union of the frontier's consistency
-    write sets (own vertex data — plus neighbor data under FULL
-    consistency, where ``set_neighbor`` is legal — and all adjacent edge
-    slots), which :class:`~repro.core.scope.Scope` enforces as the only
-    writable keys and which bounds every kernel's writes too.
-    """
-
-    __slots__ = ("v_idx", "v_vals", "v_vers", "e_slots", "e_vals", "e_vers")
-
-    def __init__(self, v_idx, v_vals, v_vers, e_slots, e_vals, e_vers):
-        self.v_idx = v_idx
-        self.v_vals = v_vals
-        self.v_vers = v_vers
-        self.e_slots = e_slots
-        self.e_vals = e_vals
-        self.e_vers = e_vers
-
-
 def _gather(column: Any, index: np.ndarray) -> Any:
     """Copy ``column[index]``: an array off a typed column, a parallel
     list off the object fallback."""
@@ -436,20 +412,13 @@ class PlaneReader:
     neighbor data, so until the next command delivers the routed
     entries the freshest copy sits at the writer.
 
-    That rule is the barrier read exactly, under two conditions the
-    caller must guarantee:
-
-    * **Reads happen between commands**, on the thread that drives the
-      engine (the serving thread). Every segment is then quiescent,
-      updates are atomic within one command, and every dirty entry of
-      the last command has been routed toward every holder — so the
-      highest-versioned copy is what the owner's ``serve`` command
-      would read after applying its pending inbox.
-    * **No speculation can roll back.** The chromatic engine's
-      color-merged rounds leave speculative values in an owner's
-      segment until the next command delivers the commit/abort verdict.
-      The chromatic fallback serves only at sweep quiescence, where an
-      outstanding verdict is always a full commit.
+    That rule is the barrier read exactly, under one condition the
+    caller must guarantee: **reads happen between commands**, on the
+    thread that drives the engine (the serving thread). Every segment is
+    then quiescent, updates are atomic within one command, and every
+    dirty entry of the last command has been routed toward every holder
+    — so the highest-versioned copy is what the owner's ``serve``
+    command would read after applying its pending inbox.
     """
 
     def __init__(self, csr: Any, owner_idx: np.ndarray) -> None:
@@ -768,50 +737,6 @@ class CSRShardStore:
             if sel.size:
                 stored[sel] = e_version[ok]
                 self.edata_flat[sel] = e_value[ok]
-
-    # ------------------------------------------------------------------
-    # Speculative execution (color-merged rounds).
-    # ------------------------------------------------------------------
-    def capture_scope(
-        self, active: np.ndarray, include_neighbors: bool
-    ) -> UndoLog:
-        """Snapshot every slot a frontier's execution may write.
-
-        ``active`` are dense vertex indices; ``include_neighbors`` is
-        true under FULL consistency (whose write set covers neighbor
-        vertex data). The snapshot is conservative — restoring slots the
-        step never wrote is a no-op by value equality.
-        """
-        csr = self._csr
-        src, dst = csr.edge_src_index, csr.edge_dst_index
-        amask = np.zeros(len(csr.vertex_ids), dtype=bool)
-        amask[active] = True
-        emask = amask[src] | amask[dst]
-        e_slots = np.nonzero(emask)[0]
-        if include_neighbors:
-            vmask = amask
-            vmask[src[emask]] = True
-            vmask[dst[emask]] = True
-            v_idx = np.nonzero(vmask)[0]
-        else:
-            v_idx = np.unique(np.asarray(active, dtype=np.int64))
-        return UndoLog(
-            v_idx,
-            _gather(self.vdata_flat, v_idx),
-            self._vversion[v_idx].copy(),
-            e_slots,
-            _gather(self.edata_flat, e_slots),
-            self._eversion[e_slots].copy(),
-        )
-
-    def restore_scope(self, undo: UndoLog) -> None:
-        """Revert an aborted speculative step (values, versions, dirty)."""
-        _scatter(self.vdata_flat, undo.v_idx, undo.v_vals)
-        self._vversion[undo.v_idx] = undo.v_vers
-        self._dirty_v[undo.v_idx] = False
-        _scatter(self.edata_flat, undo.e_slots, undo.e_vals)
-        self._eversion[undo.e_slots] = undo.e_vers
-        self._dirty_e[undo.e_slots] = False
 
     # ------------------------------------------------------------------
     # Scope data-provider protocol (+ the flat fast path Scope uses).

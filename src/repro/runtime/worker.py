@@ -17,20 +17,10 @@ pickled ``FlatEntries`` wire.
 
 The message protocol is a tagged request/reply pair per phase:
 
-* ``("step", {colors, inbox})`` — apply the inbox (commit/abort marker,
-  ring descriptors, pickled ghost batches, remote scheduling requests,
-  new globals), then execute the worker's share of one **round**: one or
-  more color-steps. The first color executes normally; any further
-  colors are **speculative** — the coordinator merged mutually
-  independent scheduled frontiers into one barrier, and whether the
-  merged execution equals the sequential chromatic order depends on
-  what got scheduled *during* the round, which only the coordinator can
-  see. The worker therefore snapshots a conservative undo log per
-  speculative color (:meth:`~repro.runtime.shard.CSRShardStore.
-  capture_scope`) and holds it until the next command delivers the
-  verdict: the committed-part count drops the confirmed logs, and
-  everything after it restores data, versions, counts, and task-set
-  state exactly as if those colors had never run.
+* ``("step", {color, inbox})`` — apply the inbox (ring descriptors,
+  pickled ghost batches, remote scheduling requests, new globals), then
+  execute the worker's share of one color-step and reply with its
+  update count, dirty entries and fresh schedules;
 * ``("sync_count", {inbox})`` — apply the inbox, evaluate each sync's
   partial over owned vertices (Eq. 2), reply with the partials;
 * ``("collect", {inbox})`` — reply with owned data (only the columns
@@ -124,17 +114,14 @@ def empty_inbox() -> Inbox:
     routed; see :class:`~repro.runtime.shard.FlatEntries`), ``plane``
     ring descriptors ``(src_worker, half, v_start, v_count, e_start,
     e_count)`` in delivery order, ``sched`` int32 arrays of dense vertex
-    indices, ``globals`` newly published ``(key, value)`` pairs, and
-    ``spec`` the commit/abort verdict for a preceding speculative round
-    (``None`` when no speculation is pending; empty fields are stripped
-    from the wire at send time).
+    indices, and ``globals`` newly published ``(key, value)`` pairs
+    (empty fields are stripped from the wire at send time).
     """
     return {
         "data": None,
         "plane": [],
         "sched": [],
         "globals": [],
-        "spec": None,
     }
 
 
@@ -488,10 +475,6 @@ class RuntimeWorker(_PlaneClient):
         #: The local task set T_w. Scalar mode tracks vertex ids; kernel
         #: mode a boolean mask in dense index space.
         self.scheduled: Set[VertexId] = set()
-        #: Undo logs of the last round's speculative color-steps, held
-        #: until the coordinator's commit/abort verdict arrives with the
-        #: next command's inbox.
-        self._spec_pending: Optional[List[Tuple]] = None
         self._obs = SpanRecorder() if init.telemetry else None
         # Data plane (shared columns + dirty ring).
         self._init_plane(init.plane)
@@ -540,7 +523,7 @@ class RuntimeWorker(_PlaneClient):
     # ------------------------------------------------------------------
     def _handle(self, tag: str, payload: Mapping[str, Any]) -> Any:
         if tag == "step":
-            return self._step(payload["colors"], payload.get("inbox"))
+            return self._step(payload["color"], payload.get("inbox"))
         if tag == "sync_count":
             return self._sync_count(payload.get("inbox"))
         if tag == "collect":
@@ -557,13 +540,11 @@ class RuntimeWorker(_PlaneClient):
     def _apply_inbox(self, inbox: Optional[Inbox]) -> None:
         """Apply routed state before any local work of the phase runs.
 
-        The speculation verdict resolves first (an abort must restore
-        the shard before fresh ghost entries land); ghost entries —
-        ring descriptors and pickled batches alike — go through the
-        store's version filter (stale and duplicate deliveries are
-        dropped — the idempotence the version scheme exists for); remote
-        scheduling requests join the local task set; newly published
-        globals become visible to scopes.
+        Ghost entries — ring descriptors and pickled batches alike — go
+        through the store's version filter (stale and duplicate
+        deliveries are dropped — the idempotence the version scheme
+        exists for); remote scheduling requests join the local task set;
+        newly published globals become visible to scopes.
         """
         rec = self._obs
         if rec is None:
@@ -574,20 +555,6 @@ class RuntimeWorker(_PlaneClient):
         rec.span("ghost", t0, perf_counter())
 
     def _apply_inbox_inner(self, inbox: Optional[Inbox]) -> None:
-        marker = inbox.get("spec") if inbox else None
-        if self._spec_pending is not None:
-            # The verdict counts committed parts of the last merged
-            # round; log j belongs to (speculative) part j + 1, so logs
-            # from index ``marker - 1`` on roll back.
-            if not isinstance(marker, int):
-                raise EngineError(
-                    f"worker {self.worker_id}: speculative step awaiting "
-                    f"a commit/abort verdict, got {marker!r}"
-                )
-            keep = marker - 1
-            if keep < len(self._spec_pending):
-                self._rollback_speculation(self._spec_pending[keep:])
-            self._spec_pending = None
         if not inbox:
             return
         self._apply_entries(inbox)
@@ -615,7 +582,7 @@ class RuntimeWorker(_PlaneClient):
 
         No dedup pass: kernels already emit unique schedule sets, and a
         duplicate "fresh" index is harmless everywhere it flows (mask
-        writes and rollback clears are idempotent)."""
+        writes are idempotent)."""
         mask = self._sched_mask
         fresh = indices[~mask[indices]]
         if fresh.size:
@@ -623,52 +590,33 @@ class RuntimeWorker(_PlaneClient):
         return fresh
 
     # ------------------------------------------------------------------
-    # Color-steps (possibly several per round, tail ones speculative).
+    # Color-steps.
     # ------------------------------------------------------------------
-    def _step(self, colors: List[int], inbox: Optional[Inbox]) -> Tuple:
-        """One round: snapshot and run each listed color in order.
+    def _step(self, color: int, inbox: Optional[Inbox]) -> Tuple:
+        """One color-step: apply the inbox, then run this worker's
+        scheduled members of ``color``.
 
-        Per color the work list is fixed when its part starts — *after*
-        earlier parts of the same round ran locally, so fresh local
-        schedules into a later merged color execute exactly where the
-        oracle would run them; vertices of a color scheduled during or
-        after its own part wait for the color's next visit, matching
-        the simulated chromatic engine, and each part's result is
+        The work list is fixed when the step starts; members of the
+        color scheduled during the step wait for the color's next visit,
+        matching the simulated chromatic engine, and the result is
         independent of intra-color execution order — the property the
-        coloring guarantees (Sec. 4.2.1). Colors after the first are
-        speculative: executed against an undo log and confirmed (or
-        rolled back) by the coordinator's verdict in the next round's
-        inbox. The reply is ``(ring_half, [parts])`` where a part is
-        ``(updates, pipe_batches, ring_meta, fresh_local_idx,
-        remote_idx_by_dst)`` with empty fields as ``None``.
+        coloring guarantees (Sec. 4.2.1). The reply is ``(ring_half,
+        part)`` where ``part`` is ``(updates, pipe_batches, ring_meta,
+        fresh_local_idx, remote_idx_by_dst)`` with empty fields as
+        ``None``.
         """
         self._apply_inbox(inbox)
-        parts: List[Tuple] = []
-        spec_logs: List[Tuple] = []
-        run_color = (
-            self._run_color_kernel
-            if self.kernel is not None
-            else self._run_color_scalar
-        )
-        for i, color in enumerate(colors):
-            part, log = run_color(color, speculative=i > 0)
-            parts.append(part)
-            if i > 0:
-                spec_logs.append(log)
-        if spec_logs:
-            self._spec_pending = spec_logs
-        return (
-            self._ring.half if self._ring is not None else 0,
-            parts,
-        )
+        if self.kernel is not None:
+            part = self._run_color_kernel(color)
+        else:
+            part = self._run_color_scalar(color)
+        return (self._ring.half if self._ring is not None else 0, part)
 
-    def _run_color_scalar(
-        self, color: int, speculative: bool
-    ) -> Tuple[Tuple, Optional[Tuple]]:
+    def _run_color_scalar(self, color: int) -> Tuple:
         scheduled = self.scheduled
         work = [v for v in self.by_color[color] if v in scheduled]
         if not work:
-            return (0, None, None, None, None), (None, work, [])
+            return (0, None, None, None, None)
         rec = self._obs
         t0 = perf_counter() if rec is not None else 0.0
         scheduled.difference_update(work)
@@ -676,12 +624,6 @@ class RuntimeWorker(_PlaneClient):
         work_idx = np.fromiter(
             (index_of[v] for v in work), dtype=np.int64, count=len(work)
         )
-        undo = None
-        if speculative:
-            undo = self.store.capture_scope(
-                work_idx,
-                include_neighbors=self.consistency is Consistency.FULL,
-            )
         owner = self.owner
         me = self.worker_id
         graph = self.graph
@@ -691,7 +633,7 @@ class RuntimeWorker(_PlaneClient):
         rebind = scope.rebind
         drain = scope.drain_scheduled
         #: Freshly scheduled local vertices (reported for the
-        #: coordinator's frontier mask and speculation validation).
+        #: coordinator's task mask).
         local_new: List[VertexId] = []
         #: dst -> deduplicated remote scheduling requests, send order.
         sched_out: Dict[int, List[VertexId]] = {}
@@ -722,7 +664,7 @@ class RuntimeWorker(_PlaneClient):
         meta, overflow = self._collect_dirty_part()
         if rec is not None:
             rec.span("ser", t1, perf_counter())
-        part = (
+        return (
             len(work),
             overflow or None,
             meta or None,
@@ -743,31 +685,21 @@ class RuntimeWorker(_PlaneClient):
             }
             or None,
         )
-        log = (undo, work, local_new) if speculative else None
-        return part, log
 
-    def _run_color_kernel(
-        self, color: int, speculative: bool
-    ) -> Tuple[Tuple, Optional[Tuple]]:
+    def _run_color_kernel(self, color: int) -> Tuple:
         members = self._by_color_idx[color]
         mask = self._sched_mask
         work = members[mask[members]]
         if not work.size:
             # This worker holds none of the frontier: no writes, no
-            # dirty state, nothing to capture or collect.
-            return (0, None, None, None, None), (None, work, _EMPTY_I32)
+            # dirty state, nothing to collect.
+            return (0, None, None, None, None)
         rec = self._obs
         t0 = perf_counter() if rec is not None else 0.0
         sched_out: Dict[int, np.ndarray] = {}
         local_new = _EMPTY_I32
-        undo = None
         mask[work] = False
         store = self.store
-        if speculative:
-            undo = store.capture_scope(
-                work,
-                include_neighbors=self.consistency is Consistency.FULL,
-            )
         result = self.kernel.step(
             self.graph,
             work,
@@ -797,37 +729,13 @@ class RuntimeWorker(_PlaneClient):
         meta, overflow = self._collect_dirty_part()
         if rec is not None:
             rec.span("ser", t1, perf_counter())
-        part = (
+        return (
             int(work.size),
             overflow or None,
             meta or None,
             local_new if local_new.size else None,
             sched_out or None,
         )
-        log = (undo, work, local_new) if speculative else None
-        return part, log
-
-    def _rollback_speculation(self, logs: List[Tuple]) -> None:
-        """Abort: restore shard, counts, and task set, newest first."""
-        for undo, work, added in reversed(logs):
-            if undo is not None:
-                self.store.restore_scope(undo)
-            # Order matters: clear this part's fresh schedules *before*
-            # restoring its frontier — a vertex that rescheduled itself
-            # during the rolled-back execution is in both sets, and must
-            # end scheduled (its pre-round frontier state; the
-            # self-reschedule never happened).
-            if self.kernel is not None:
-                if len(added):
-                    self._sched_mask[np.asarray(added, dtype=np.int64)] = False
-                if len(work):
-                    self._counts[work] -= 1
-                    self._sched_mask[work] = True
-            else:
-                index_of = self._index_of
-                self._counts[[index_of[v] for v in work]] -= 1
-                self.scheduled.difference_update(added)
-                self.scheduled.update(work)
 
     # ------------------------------------------------------------------
     def _sync_count(self, inbox: Optional[Inbox]) -> Dict[str, Any]:
@@ -857,10 +765,8 @@ class RuntimeWorker(_PlaneClient):
     def _checkpoint(self, inbox: Optional[Inbox]) -> Dict[str, Any]:
         """Barrier snapshot: journal this shard's owned slots + counts.
 
-        Runs at a sweep boundary; the residual inbox applies first —
-        including any pending speculation verdict, so the journal always
-        reflects post-verdict state — and the reply is this worker's
-        slot-form journal. The task set is *not* journaled here: the
+        Runs at a sweep boundary; the residual inbox applies first, and
+        the reply is this worker's slot-form journal. The task set is *not* journaled here: the
         chromatic coordinator's global mask is exact and rides the meta
         record.
         """
@@ -879,14 +785,10 @@ class RuntimeWorker(_PlaneClient):
         filters to its held ones — ghosts roll back to their owner's
         snapshot values), ``counts`` the worker's journaled update
         counts, ``sched`` the dense indices of its share of the snapshot
-        task set, ``globals`` the snapshot-time published values. Any
-        pending speculation is dropped first: the round it belonged to
-        was aborted by the failure, and the restore overwrites its state
-        anyway.
+        task set, ``globals`` the snapshot-time published values.
         """
         rec = self._obs
         t0 = perf_counter() if rec is not None else 0.0
-        self._spec_pending = None
         self._restore_store(payload)
         sched = np.asarray(payload["sched"], dtype=np.int64)
         if self.kernel is not None:

@@ -118,14 +118,11 @@ class GraphService:
     grained rounds interleave best with client traffic, and its priority
     scheduler honors the write path's urgency) or ``"chromatic"`` (the
     fallback; background work runs in whole-sweep bursts, so it serves
-    only at sweep quiescence — where any outstanding speculation verdict
-    is a full commit, which is what lets a read skip the round).
-    ``program``
-    defaults to the incremental PageRank
-    (:func:`repro.apps.pagerank.make_pagerank_delta_update` via the
-    program registry), and ``warm=True`` schedules every vertex once at
-    start so the resident results are converged before the first client
-    arrives.
+    only at sweep quiescence). ``program`` defaults to the incremental
+    PageRank (:func:`repro.apps.pagerank.make_pagerank_delta_update` via
+    the program registry), and ``warm=True`` schedules every vertex once
+    at start so the resident results are converged before the first
+    client arrives.
 
     Lifecycle: :meth:`start` (or ``with service:``) launches and parks
     the cluster; :meth:`submit` / :meth:`request` serve traffic from any

@@ -590,6 +590,26 @@ class TestResumeFromDisk:
         assert result.extra["snapshots_rejected"] == 1
         assert ranks(g) == clean
 
+    def test_chromatic_resume_ignores_unread_meta_keys(self, tmp_path):
+        """A newest snapshot whose meta carries a progress field the
+        engine does not read (``rounds_saved``, as older chromatic
+        snapshots recorded) still restores."""
+        clean, _ = clean_chromatic()
+        self._crashed_run(tmp_path)
+        manager = CheckpointManager(str(tmp_path), 2)
+        _newest, meta, journals = manager.latest_state()
+        manager.write(
+            manager.next_id(), journals, {**meta, "rounds_saved": 3}
+        )
+        g = web()
+        result = RuntimeChromaticEngine(
+            g, PAGERANK, num_workers=2, transport="inproc",
+            max_sweeps=100, snapshot_every=1,
+        ).run(initial=g.vertices(), resume_from=str(tmp_path))
+        assert result.converged
+        assert result.extra["snapshots_rejected"] == 0
+        assert ranks(g) == clean
+
     def test_locking_resume_fixed_point(self, tmp_path):
         g_clean = web()
         RuntimeLockingEngine(

@@ -190,7 +190,7 @@ FROZEN = {
         "self", "graph", "program", "num_workers", "transport",
         "consistency", "coloring", "partitioner", "assignment",
         "atoms_per_worker", "syncs", "initial_globals", "max_sweeps",
-        "max_updates", "reply_timeout", "use_kernel", "merge_rounds",
+        "max_updates", "reply_timeout", "use_kernel",
         "use_plane", "plane_ring_cap", "snapshot_every", "snapshot_dir",
         "max_recoveries", "recovery_backoff", "telemetry",
     ],

@@ -1,26 +1,21 @@
-"""Shared-memory data plane + color-merged rounds (ISSUE 4).
+"""Shared-memory data plane and the chromatic barrier schedule.
 
-The two halves of the runtime's near-zero-communication story, tested
-against the one property that matters: **bit-identity to the sequential
-oracle by construction** —
+Tested against the one property that matters: **bit-identity to the
+``SequentialEngine`` + ``ColorSweepScheduler`` oracle** —
 
 * the data plane (shared columns + double-buffered dirty rings, or the
   inproc in-process emulation) must be semantically indistinguishable
   from the pickled ``FlatEntries`` wire, including ring overflow and
   the ``REPRO_NO_SHM`` fallback;
-* merged rounds must commit only executions the
-  ``SequentialEngine`` + ``ColorSweepScheduler`` oracle would have
-  performed identically — speculative tails roll back whenever
-  mid-round scheduling or a cross-worker conflict would have diverged,
-  and a merge-incompatible configuration must refuse to merge, not
-  diverge;
+* the chromatic engine runs one barrier per nonempty color, so the
+  round count is pinned exactly, and frontiers that touch across
+  workers, skip colors or reschedule themselves stay bit-identical;
 * shared segments must never leak into ``/dev/shm``, on any exit path.
 """
 
 import os
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,13 +25,9 @@ from repro.core import (
     SequentialEngine,
     greedy_coloring,
     second_order_coloring,
+    sum_sync,
 )
-from repro.core.coloring import (
-    color_classes,
-    frontiers_independent,
-    merge_compatible_matrix,
-    model_distance,
-)
+from repro.apps.pagerank import total_rank_sync_map
 from repro.core.graph import DataGraph
 from repro.errors import EngineError
 from repro.runtime import (
@@ -106,8 +97,8 @@ def push_to_neighbors(scope):
 
 
 def decay_and_spread(scope):
-    """Schedules neighbors only while energy remains — produces the
-    shrinking, wandering frontiers merged rounds feed on."""
+    """Schedules neighbors only while energy remains — produces
+    shrinking, wandering frontiers that leave colors empty."""
     value = scope.data
     if value >= 1.0:
         scope.data = value - 1.0
@@ -119,12 +110,11 @@ def broken_factory():
     raise RuntimeError("factory exploded on purpose")
 
 
-def spec_abort_self_resched(scope):
-    """Regression shape for the rollback-ordering bug: vertex 0 forces
-    an abort of the speculative color-1 part (fresh *remote* schedule
-    into the span) exactly while vertex 1 — executing speculatively —
-    reschedules itself, landing in both the part's executed frontier
-    and its fresh-schedule log."""
+def remote_then_self_resched(scope):
+    """Vertex 0 schedules remote vertex 2 (color 1) in the same sweep
+    in which vertex 1 (color 1) reschedules itself: the self-scheduled
+    vertex is both in its step's executed frontier and in its fresh
+    schedules, and must stay scheduled for the color's next visit."""
     value = scope.data
     scope.data = value + 1.0
     if scope.vertex == 0 and value == 0.0:
@@ -152,6 +142,35 @@ def typed_random_graph(num_vertices, num_edges, seed):
     return g.finalize(vertex_dtype=float, edge_dtype=float)
 
 
+def smooth_and_stay(scope):
+    """Average with the neighbors, stamp every adjacent edge, and always
+    reschedule itself: every color is nonempty in every sweep."""
+    total = scope.data
+    for u in scope.neighbors:
+        total += scope.neighbor(u)
+    value = total / (1 + len(scope.neighbors))
+    scope.data = value
+    for (a, b) in scope.adjacent_edges():
+        scope.set_edge(a, b, value)
+    return [scope.vertex]
+
+
+def typed_grid_graph(rows, cols):
+    """4-connected grid on ``r * cols + c`` ids, float64 columns."""
+    g = DataGraph()
+    for r in range(rows):
+        for c in range(cols):
+            g.add_vertex(r * cols + c, data=float((7 * r + 3 * c) % 11))
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if r + 1 < rows:
+                g.add_edge(v, v + cols, data=0.0)
+            if c + 1 < cols:
+                g.add_edge(v, v + 1, data=0.0)
+    return g.finalize(vertex_dtype=float, edge_dtype=float)
+
+
 def graph_values(graph):
     vdata = {v: graph.vertex_data(v) for v in graph.vertices()}
     edata = {key: graph.edge_data(*key) for key in graph.edges()}
@@ -172,69 +191,7 @@ def run_oracle(graph, fn, coloring, consistency=Consistency.EDGE,
 
 
 # ----------------------------------------------------------------------
-# Static merge analysis.
-# ----------------------------------------------------------------------
-class TestMergeAnalysis:
-    def test_static_matrix_edge_consistency(self):
-        # Path 0-1-2-3 with colors [0, 1, 0, 2]: classes 1 and 2 touch
-        # (edge 1-2? no: 1 has color 1, 2 has color 0). Conflicts: 0-1
-        # (colors 0,1), 1-2 (1,0), 2-3 (0,2). Pair (1,2) never touches.
-        g = DataGraph()
-        for i in range(4):
-            g.add_vertex(i, data=0.0)
-        for i in range(3):
-            g.add_edge(i, i + 1)
-        g.finalize()
-        coloring = {0: 0, 1: 1, 2: 0, 3: 2}
-        classes = color_classes(coloring)
-        compat = merge_compatible_matrix(g, classes, Consistency.EDGE)
-        assert not compat[0, 1] and not compat[0, 2]
-        assert compat[1, 2] and compat[2, 1]
-        assert not compat.diagonal().any()
-
-    def test_static_matrix_full_needs_distance_two(self):
-        # Same path: colors 1 and 2 are distance 2 apart (1 - 2 - 3), so
-        # full consistency must reject the pair edge consistency allows.
-        g = DataGraph()
-        for i in range(4):
-            g.add_vertex(i, data=0.0)
-        for i in range(3):
-            g.add_edge(i, i + 1)
-        g.finalize()
-        coloring = {0: 0, 1: 1, 2: 0, 3: 2}
-        classes = color_classes(coloring)
-        compat = merge_compatible_matrix(g, classes, Consistency.FULL)
-        assert not compat[1, 2]
-
-    def test_frontier_independence_distances(self):
-        g = DataGraph()
-        for i in range(5):
-            g.add_vertex(i, data=0.0)
-        for i in range(4):
-            g.add_edge(i, i + 1)
-        g.finalize()
-        csr = g.compiled
-        a = np.zeros(5, dtype=bool)
-        b = np.zeros(5, dtype=bool)
-        a[0] = True
-        b[2] = True  # distance 2 from vertex 0
-        assert frontiers_independent(csr, a, b, 1)
-        assert not frontiers_independent(csr, a, b, 2)
-        # A cross-worker mask that exempts every edge kills the conflict.
-        b[:] = False
-        b[1] = True  # adjacent to 0
-        same_worker = np.zeros(csr.edge_src_index.size, dtype=bool)
-        assert not frontiers_independent(csr, a, b, 1)
-        assert frontiers_independent(csr, a, b, 1, edge_mask=same_worker)
-
-    def test_model_distance(self):
-        assert model_distance(Consistency.VERTEX) == 1
-        assert model_distance(Consistency.EDGE) == 1
-        assert model_distance(Consistency.FULL) == 2
-
-
-# ----------------------------------------------------------------------
-# Bit-identity of the plane + merged rounds (the load-bearing property).
+# Bit-identity of the plane (the load-bearing property).
 # ----------------------------------------------------------------------
 class TestPlaneEquivalence:
     @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -277,12 +234,12 @@ class TestPlaneEquivalence:
     )
     @settings(max_examples=15, deadline=None)
     def test_bit_identical_across_models(self, seed, num_workers, model):
-        """Plane + merged rounds vs the oracle, across every model.
+        """Plane vs the oracle, across every model.
 
-        Mirrors the PR 2 property test but on typed columns (plane
-        active) with merging on — the exact configurations the tentpole
-        changes. Caps may bind mid-sweep on the runtime side, in which
-        case the oracle replayed to the same executed count must agree.
+        Mirrors the runtime engine's property test but on typed columns
+        (plane active). Caps may bind mid-sweep on the runtime side, in
+        which case the oracle replayed to the same executed count must
+        agree.
         """
         rng = random.Random(seed)
         n = rng.randrange(5, 16)
@@ -360,7 +317,7 @@ class TestPlaneEquivalence:
             copy = g.copy()
             run = RuntimeChromaticEngine(
                 copy, flood_max, num_workers=3, transport="inproc",
-                coloring=coloring, use_plane=use_plane, merge_rounds=False,
+                coloring=coloring, use_plane=use_plane,
             ).run(initial=copy.vertices())
             byte_counts[use_plane] = run.bytes_on_pipe
         assert byte_counts[True] < byte_counts[False]
@@ -397,132 +354,87 @@ class TestPlaneEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Merged rounds: refusal, commits, and the speculative abort path.
+# One barrier per nonempty color.
 # ----------------------------------------------------------------------
-class TestColorMergedRounds:
-    def test_merge_refuses_on_touching_frontiers(self):
-        """Merge-incompatible configuration: alternating ring ownership
-        makes every edge cross-worker, and the 2-coloring's frontiers
-        are the two alternating classes — always adjacent. The planner
-        must refuse every merge (and stay bit-identical), not diverge.
-        """
-        g = ring_graph(8)
-        g.set_vertex_data(0, 9.0)
-        coloring = {v: i % 2 for i, v in enumerate(g.vertices())}
-        assignment = {v: i % 2 for i, v in enumerate(g.vertices())}
+def _alternating_ring():
+    """Every edge crosses workers and the two colors always touch."""
+    g = ring_graph(8)
+    g.set_vertex_data(0, 9.0)
+    alternate = {v: i % 2 for i, v in enumerate(g.vertices())}
+    kwargs = {"num_workers": 2, "assignment": alternate}
+    return g, flood_max, alternate, list(g.vertices()), kwargs
+
+
+def _one_worker_random():
+    """One worker: nothing is cross-worker."""
+    g = typed_random_graph(20, 50, seed=13)
+    return g, flood_max, greedy_coloring(g), list(g.vertices()), {
+        "num_workers": 1
+    }
+
+
+def _path_colors_0_and_2():
+    """Only colors 0 and 2 of a 3-colored path start scheduled; the
+    updates schedule the color-1 vertices between them mid-sweep."""
+    g = DataGraph()
+    for i in range(9):
+        g.add_vertex(i, data=float(9 - i))
+    for i in range(8):
+        g.add_edge(i, i + 1)
+    g.finalize()
+    coloring = {i: i % 3 for i in range(9)}
+    initial = [i for i in range(9) if i % 3 != 1]
+    return g, flood_max, coloring, initial, {"num_workers": 1}
+
+
+def _no_edge_self_resched():
+    """No edges; vertex 2 is remote to vertex 0's worker."""
+    g = DataGraph()
+    for i in range(3):
+        g.add_vertex(i, data=0.0)
+    g.finalize()
+    coloring = {0: 0, 1: 1, 2: 1}
+    kwargs = {"num_workers": 2, "assignment": {0: 0, 1: 1, 2: 1}}
+    return g, remote_then_self_resched, coloring, [0, 1], kwargs
+
+
+FIXED_CASES = {
+    "alternating_ring": _alternating_ring,
+    "one_worker_random": _one_worker_random,
+    "path_colors_0_and_2": _path_colors_0_and_2,
+    "no_edge_self_resched": _no_edge_self_resched,
+}
+
+
+class TestOneBarrierPerColor:
+    @pytest.mark.parametrize("transport", ["inproc", "mp"])
+    def test_round_count_is_one_per_nonempty_color(self, transport):
+        """A 4-colored grid whose every vertex reschedules itself: each
+        sweep runs all four colors, each in its own barrier, and the run
+        ends with one collect round."""
+        g = typed_grid_graph(6, 6)
+        coloring = {v: 2 * ((v // 6) % 2) + v % 2 for v in g.vertices()}
+        sweeps = 3
         g1, g2 = g.copy(), g.copy()
-        r1 = run_oracle(g1, flood_max, coloring)
-        r2 = RuntimeChromaticEngine(
-            g2, flood_max, num_workers=2, transport="inproc",
-            coloring=coloring, assignment=assignment,
+        run_oracle(g1, smooth_and_stay, coloring, max_updates=sweeps * 36)
+        result = RuntimeChromaticEngine(
+            g2, smooth_and_stay, num_workers=2, transport=transport,
+            coloring=coloring, max_sweeps=sweeps,
         ).run(initial=g2.vertices())
-        assert r2.rounds_saved == 0  # refused, every color got a barrier
-        assert r1.updates_per_vertex == r2.updates_per_vertex
+        assert result.sweeps == sweeps
+        assert result.rounds == sweeps * 4 + 1
         assert graph_values(g1) == graph_values(g2)
 
-    def test_single_worker_merges_whole_sweeps(self):
-        """With one worker nothing is cross-worker: merged rounds run
-        each sweep's nonempty colors in one barrier, in oracle order."""
-        g = typed_random_graph(20, 50, seed=13)
-        coloring = greedy_coloring(g)
-        g1, g2 = g.copy(), g.copy()
-        r1 = run_oracle(g1, flood_max, coloring)
-        r2 = RuntimeChromaticEngine(
-            g2, flood_max, num_workers=1, transport="inproc",
-            coloring=coloring,
-        ).run(initial=g2.vertices())
-        assert r2.rounds_saved > 0
-        assert r1.updates_per_vertex == r2.updates_per_vertex
-        assert graph_values(g1) == graph_values(g2)
-
-    def test_merged_vs_unmerged_identical(self):
-        """Merging is a pure round-count optimization: every observable
-        output matches a merge-disabled run of the same configuration."""
-        g = typed_random_graph(24, 60, seed=17)
-        g.set_vertex_data(0, 50.0)
-        coloring = greedy_coloring(g)
-        outcomes = {}
-        for merge in (False, True):
-            copy = g.copy()
-            run = RuntimeChromaticEngine(
-                copy, decay_and_spread, num_workers=2, transport="inproc",
-                coloring=coloring, merge_rounds=merge,
-            ).run(initial=copy.vertices())
-            outcomes[merge] = (
-                run.num_updates, run.updates_per_vertex, graph_values(copy)
-            )
-            if not merge:
-                assert run.rounds_saved == 0
-        assert outcomes[False] == outcomes[True]
-
-    def test_abort_path_restores_oracle_order(self):
-        """Force the speculative abort: schedule only colors 0 and 2 of
-        a 3-colored path, so the planner merges them, then let the
-        updates schedule the intervening color-1 vertices mid-round.
-        The abort must roll the color-2 step back and re-run it after
-        color 1 — i.e. results must still equal the oracle's.
-        """
-        g = DataGraph()
-        for i in range(9):
-            g.add_vertex(i, data=float(9 - i))
-        for i in range(8):
-            g.add_edge(i, i + 1)
-        g.finalize()
-        coloring = {i: i % 3 for i in range(9)}
-        initial = [i for i in range(9) if i % 3 != 1]  # colors 0 and 2
+    @pytest.mark.parametrize("case", sorted(FIXED_CASES))
+    def test_fixed_frontiers_match_oracle(self, case):
+        g, fn, coloring, initial, kwargs = FIXED_CASES[case]()
         g1, g2 = g.copy(), g.copy()
         r1 = SequentialEngine(
-            g1, flood_max, scheduler=ColorSweepScheduler(coloring),
+            g1, fn, scheduler=ColorSweepScheduler(coloring), use_kernel=False,
         ).run(initial=list(initial))
-        aborts = []
-        engine = RuntimeChromaticEngine(
-            g2, flood_max, num_workers=1, transport="inproc",
-            coloring=coloring,
-        )
-        original = engine._process_replies
-
-        def counting(replies, group, mask, inboxes):
-            updates, aborted = original(replies, group, mask, inboxes)
-            if aborted:
-                aborts.append(len(group))
-            return updates, aborted
-
-        engine._process_replies = counting
-        r2 = engine.run(initial=list(initial))
-        assert aborts, "expected at least one speculative abort"
-        assert r1.updates_per_vertex == r2.updates_per_vertex
-        assert graph_values(g1) == graph_values(g2)
-
-    @pytest.mark.parametrize("use_kernel", [False])
-    def test_abort_keeps_self_rescheduled_vertex(self, use_kernel):
-        """A vertex that reschedules itself during a rolled-back
-        speculative part sits in both the part's frontier and its
-        fresh-schedule log; rollback must leave it *scheduled* (the
-        frontier state — the self-reschedule never happened). Regression
-        for the rollback ordering that silently dropped its updates.
-        """
-        g = DataGraph()
-        for i in range(3):
-            g.add_vertex(i, data=0.0)
-        g.finalize()  # no edges: every frontier pair is independent
-        coloring = {0: 0, 1: 1, 2: 1}
-        assignment = {0: 0, 1: 1, 2: 1}  # vertex 2 is remote to worker 0
-        g1, g2 = g.copy(), g.copy()
-        r1 = SequentialEngine(
-            g1,
-            spec_abort_self_resched,
-            scheduler=ColorSweepScheduler(coloring),
-            use_kernel=use_kernel,
-        ).run(initial=[0, 1])
         r2 = RuntimeChromaticEngine(
-            g2,
-            spec_abort_self_resched,
-            num_workers=2,
-            transport="inproc",
-            coloring=coloring,
-            assignment=assignment,
-            use_kernel=use_kernel,
-        ).run(initial=[0, 1])
+            g2, fn, transport="inproc", coloring=coloring, **kwargs
+        ).run(initial=list(initial))
         assert r1.num_updates == r2.num_updates
         assert r1.updates_per_vertex == r2.updates_per_vertex
         assert graph_values(g1) == graph_values(g2)
@@ -530,8 +442,8 @@ class TestColorMergedRounds:
     @given(seed=st.integers(0, 10_000), num_workers=st.integers(1, 4))
     @settings(max_examples=10, deadline=None)
     def test_dynamic_frontiers_bit_identical(self, seed, num_workers):
-        """Shrinking/wandering frontiers (the merge-friendly regime)
-        stay bit-identical through commits and aborts alike."""
+        """Shrinking, wandering frontiers leave colors empty mid-run;
+        eliding their steps must not change any result."""
         rng = random.Random(seed)
         n = rng.randrange(6, 20)
         g = typed_random_graph(n, num_edges=2 * n, seed=seed)
@@ -546,6 +458,28 @@ class TestColorMergedRounds:
         assert r1.num_updates == r2.num_updates
         assert r1.updates_per_vertex == r2.updates_per_vertex
         assert graph_values(g1) == graph_values(g2)
+
+    def test_idle_pump_sends_no_round(self):
+        """An empty task set is free to pump, even with a sync
+        configured; the first scheduled task brings rounds back."""
+        g = typed_random_graph(12, 24, seed=4)
+        engine = RuntimeChromaticEngine(
+            g, flood_max, num_workers=2, transport="inproc",
+            coloring=greedy_coloring(g),
+            syncs=[sum_sync("total", map_fn=total_rank_sync_map)],
+        )
+        engine.open_service(initial=())
+        try:
+            before = engine.transport.rounds_completed
+            for _ in range(5):
+                assert engine.service_pump_round()
+            assert engine.transport.rounds_completed == before
+            engine.service_schedule([0])
+            assert engine.service_pump_round()
+            assert engine.transport.rounds_completed > before
+        finally:
+            result = engine.close_service()
+        assert result.converged
 
 
 # ----------------------------------------------------------------------

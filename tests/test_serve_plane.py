@@ -8,11 +8,8 @@ seeded write storm with heal rounds in between, every vertex's point
 read and scope read from the plane equals the barrier read — values,
 versions, neighbors and in-edges — on the locking engine under EDGE and
 FULL consistency (FULL makes ghost writes at non-owners) and on the
-chromatic fallback with merged color groups, at 2 and 3 workers. They
-also pin the two conditions the rule rests on: reads happen between
-commands on the driving thread (every call here is one), and the
-chromatic fallback is only read at sweep quiescence, where an
-outstanding speculation verdict is always a full commit.
+chromatic fallback, at 2 and 3 workers. Every read here happens between
+commands on the driving thread — the condition the rule rests on.
 """
 
 import random
@@ -151,15 +148,9 @@ def test_chromatic_plane_reads_equal_barrier_reads(seed, workers, consistency):
         consistency=consistency,
     )
     engine.open_service(range(n))
-    workers_of = engine.transport._workers
 
     def to_quiescence(_rng):
         engine.service_pump_round()
-        # Sweep quiescence: an undo log still held awaits a verdict
-        # that commits every speculative part — never a rollback.
-        for worker in workers_of:
-            if worker._spec_pending is not None:
-                assert engine._pending_spec == len(worker._spec_pending) + 1
 
     try:
         to_quiescence(None)
@@ -168,25 +159,6 @@ def test_chromatic_plane_reads_equal_barrier_reads(seed, workers, consistency):
     finally:
         result = engine.close_service()
     assert result.converged
-
-
-def test_chromatic_storm_merges_color_groups():
-    """The chromatic storm above really exercises speculation."""
-    saved = 0
-    for seed in range(4):
-        n = 16
-        engine = RuntimeChromaticEngine(
-            churn_graph(n, seed), churn_update, num_workers=2,
-            transport="inproc",
-        )
-        engine.open_service(range(n))
-        try:
-            engine.service_pump_round()
-            storm(engine, n, seed, lambda _rng: engine.service_pump_round())
-        finally:
-            engine.close_service()
-        saved += engine.rounds_saved
-    assert saved > 0
 
 
 # ----------------------------------------------------------------------
