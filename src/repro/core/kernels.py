@@ -15,9 +15,11 @@ the scalar update function — it is the same function, evaluated in
 batch. Engines treat the scalar interpreter as the oracle, so every
 kernel must produce *bit-identical* float results: gathers accumulate in
 the same neighbor order as the scalar loop (see
-:func:`ordered_segment_add` — plain ``np.add.reduceat`` is **not**
-order-stable across numpy versions and must not be used), elementwise
-expressions keep the scalar code's association order, and reductions
+:func:`ordered_segment_add`: one ``ufunc.at`` scatter, which applies
+its updates one index at a time in index order; plain
+``np.add.reduceat`` is **not** order-stable across numpy versions and
+must not be used), elementwise expressions keep the scalar code's
+association order, and reductions
 over small trailing axes match ``array.sum()``. The property tests in
 ``tests/test_kernels.py`` compare kernel and interpreter executions
 exactly, value for value.
@@ -35,6 +37,7 @@ bits.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -388,16 +391,6 @@ def segment_positions(
     return pos, counts, ends
 
 
-#: Segments still "live" at a stripe depth below which the remaining
-#: long tails switch to per-segment ``ufunc.accumulate``. Striping costs
-#: ~3 numpy calls per pass regardless of how few segments remain, so a
-#: power-law hub must not be striped to its full degree; but a
-#: per-segment ``accumulate`` costs ~4 calls per segment, so the switch
-#: only pays once few segments are left (Poisson-degree frontiers keep
-#: many segments live well past any fixed depth).
-_TAIL_SEGMENTS = 4
-
-
 def _ordered_segment_reduce(
     ufunc: np.ufunc,
     base: np.ndarray,
@@ -410,45 +403,31 @@ def _ordered_segment_reduce(
     ``base[i] = op(...op(op(base[i], v0), v1)..., vn)`` over segment
     ``i``'s values, left to right — bit-identical to the scalar
     interpreter's ``for u in neighbors: acc = op(acc, term)`` loop,
-    including the seed in ``base``. ``np.ufunc.reduceat`` is
-    deliberately avoided: its accumulation order is an implementation
-    detail of the running numpy (observed non-sequential for ``add`` on
-    numpy 2.4), which would break the kernels' bit-identity contract.
-    ``ufunc.accumulate`` *is* order-guaranteed (documented as
-    ``r[i] = op(r[i-1], a[i])``), so short segments run as stripe
-    passes (``k``-th element of every live segment per pass) and
-    long-tail segments — power-law hubs, where striping would cost one
-    pass per neighbor — finish with one ``accumulate`` each.
+    including the seed in ``base``. It is one unbuffered ``ufunc.at``
+    scatter: ``ufunc.at`` applies the operation once per index, in
+    index order, with no buffering or pairwise regrouping, so
+    segment-major target ids give the scalar loop's association order
+    whatever the segment lengths (a power-law hub costs its entries,
+    not a numpy pass per neighbour). Rows ``(n, L)`` scatter flat: each
+    segment id widens to its row's ``L`` cells, which keeps every
+    cell's updates in neighbour order. ``np.ufunc.reduceat`` stays
+    banned: its accumulation order is an implementation detail of the
+    running numpy (observed non-sequential for ``add`` on numpy 2.4).
+    ``tests/test_kernels.py::TestOrderedReduceExactness`` pins the
+    ``ufunc.at`` order on the running numpy.
     """
     if values.shape[0] == 0:
         return base
-    seg_starts = ends - counts
-    kmax = int(counts.max())
-    # Stripe while more than _TAIL_SEGMENTS segments still have a k-th
-    # element: that depth is the (_TAIL_SEGMENTS+1)-th largest count.
-    if counts.size > _TAIL_SEGMENTS:
-        stripe_until = min(
-            kmax,
-            int(
-                np.partition(counts, -_TAIL_SEGMENTS - 1)[
-                    -_TAIL_SEGMENTS - 1
-                ]
-            ),
-        )
-    else:
-        stripe_until = 0
-    for k in range(stripe_until):
-        sel = counts > k
-        base[sel] = ufunc(base[sel], values[seg_starts[sel] + k])
-    if stripe_until < kmax:
-        trailing = np.nonzero(counts > stripe_until)[0]
-        for i in trailing:
-            lo = int(seg_starts[i]) + stripe_until
-            hi = int(ends[i])
-            segment = np.concatenate(
-                (np.asarray(base[i])[None], values[lo:hi]), axis=0
-            )
-            base[i] = ufunc.accumulate(segment, axis=0)[-1]
+    width = math.prod(base.shape[1:])
+    ids = np.repeat(np.arange(counts.size, dtype=np.int64) * width, counts)
+    if width > 1:
+        ids = (ids[:, None] + np.arange(width, dtype=np.int64)).reshape(-1)
+    # reshape(-1) of a non-contiguous base would be a copy, so the
+    # scatter targets a contiguous twin that is copied back.
+    target = np.ascontiguousarray(base)
+    ufunc.at(target.reshape(-1), ids, values.reshape(-1))
+    if target is not base:
+        base[...] = target
     return base
 
 

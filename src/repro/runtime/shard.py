@@ -541,17 +541,17 @@ class CSRShardStore:
         )
         # Mirror pairs (owned boundary vertex index, remote holder):
         # every held edge contributes its owned endpoint(s) paired with
-        # the other endpoint's owner when remote.
-        pair_v: List[np.ndarray] = []
-        pair_m: List[np.ndarray] = []
+        # the other endpoint's owner when remote. Deduped as one int64
+        # key ``index * span + holder`` (the same ascending (index,
+        # holder) order as a 2-D unique, without its void-view sort).
+        pair_keys: List[np.ndarray] = []
+        span = int(owner_idx.max()) + 1 if num_vertices else 1
         he_src, he_dst = src[held_e_mask], dst[held_e_mask]
         for mine, other in ((he_src, he_dst), (he_dst, he_src)):
             remote = owned_mask[mine] & (owner_idx[other] != machine_id)
-            pair_v.append(mine[remote])
-            pair_m.append(owner_idx[other][remote])
-        pairs = np.unique(
-            np.stack((np.concatenate(pair_v), np.concatenate(pair_m))),
-            axis=1,
+            pair_keys.append(mine[remote] * span + owner_idx[other][remote])
+        pair_index, pair_holder = np.divmod(
+            np.unique(np.concatenate(pair_keys)), span
         )
         #: vertex index -> remote machines holding a copy. Seeded from
         #: the mirror pairs for owned boundary vertices; targets for
@@ -563,9 +563,7 @@ class CSRShardStore:
         #: Static per-destination routing arrays (ascending order), so
         #: draining dirty state is a handful of mask/gather passes.
         route_v: Dict[int, List[int]] = {}
-        for index, holder in zip(
-            pairs[0].tolist(), pairs[1].tolist()
-        ):
+        for index, holder in zip(pair_index.tolist(), pair_holder.tolist()):
             vtargets.setdefault(index, []).append(holder)
             route_v.setdefault(holder, []).append(index)
         self._vtargets: Dict[int, Tuple[int, ...]] = {

@@ -1,10 +1,12 @@
 """Tests for atoms, partitioning, ingress, and the ghosted graph store."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.consistency import vertex_key
+from repro.core.graph import DataGraph
 from repro.distributed import (
     Atom,
     DataSizeModel,
@@ -241,6 +243,39 @@ class TestShardStoreGhosts:
         assert len(batch.v_index) == 0
         assert [g.compiled.edge_keys[s] for s in batch.e_slot] == [(0, 1)]
         assert list(batch.e_value) == [0.9]
+
+    def test_mirror_routing_matches_2d_unique(self):
+        # The store dedupes (owned index, remote holder) pairs as one
+        # int64 key; the routing must equal the 2-D unique of the same
+        # pairs, on a random ownership whose machine ids have a gap.
+        rng = np.random.default_rng(4)
+        n = 300
+        edges = {
+            (int(a), int(b))
+            for a, b in rng.integers(0, n, (1200, 2))
+            if a != b
+        }
+        g = DataGraph(vertices=range(n), edges=sorted(edges)).finalize()
+        owner = {v: int(rng.choice([0, 1, 2, 4])) for v in range(n)}
+        csr = g.compiled
+        owner_idx = np.array([owner[v] for v in csr.vertex_ids])
+        src, dst = csr.edge_src_index, csr.edge_dst_index
+        mine = np.concatenate((src, dst))
+        holder = owner_idx[np.concatenate((dst, src))]
+        for machine in (0, 1, 2, 4):
+            keep = (owner_idx[mine] == machine) & (holder != machine)
+            pairs = np.unique(np.stack((mine[keep], holder[keep])), axis=1)
+            vtargets, route_v = {}, {}
+            for index, m in zip(pairs[0].tolist(), pairs[1].tolist()):
+                vtargets.setdefault(index, []).append(m)
+                route_v.setdefault(m, []).append(index)
+            store = CSRShardStore(machine, g, owner)
+            assert store._vtargets == {
+                index: tuple(ms) for index, ms in vtargets.items()
+            }
+            assert set(store._route_v) == set(route_v)
+            for m, members in route_v.items():
+                assert store._route_v[m].tolist() == members
 
 
 class TestDeploy:

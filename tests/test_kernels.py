@@ -11,6 +11,7 @@ scalar interpreter, which remains the oracle. Every comparison here is
 exact equality, never approx.
 """
 
+import operator
 import pickle
 import random
 
@@ -225,6 +226,101 @@ class TestSegmentPrimitives:
         assert pos.tolist() == [3, 4, 5, 6, 0, 1, 2]
         assert counts.tolist() == [4, 3]
         assert ends.tolist() == [4, 7]
+
+
+def _left_fold(op, base, counts, values):
+    """The scalar loop in pure Python: per segment (and per row cell),
+    ``acc = op(acc, v)`` left to right from the seed in ``base``."""
+    out = base.copy()
+    flat_out = out.reshape(counts.size, -1)
+    flat_values = values.reshape(values.shape[0], -1)
+    lo = 0
+    for i, count in enumerate(counts.tolist()):
+        for cell in range(flat_out.shape[1]):
+            acc = float(flat_out[i, cell])
+            for v in flat_values[lo:lo + count, cell].tolist():
+                acc = op(acc, v)
+            flat_out[i, cell] = acc
+        lo += count
+    return out
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).view(np.int64)
+
+
+def _power_law_case(seed, row_width=None):
+    """~600 segments shaped like a power-law frontier: many short or
+    empty ones, three hubs of 1000+ entries; values log-uniform over
+    1e-8..1e8 with both signs, plus -0.0, +-inf and NaN in short
+    segments (a NaN in a hub would hide every later bit of it)."""
+    rng = np.random.default_rng(seed)
+    counts = np.minimum(rng.zipf(2.0, 600) - 1, 40).astype(np.int64)
+    counts[rng.choice(600, 40, replace=False)] = 0
+    hubs = rng.choice(np.nonzero(counts == 0)[0], 3, replace=False)
+    counts[hubs] = rng.integers(1000, 1600, 3)
+    ends = np.cumsum(counts)
+    shape = (int(ends[-1]),) + (() if row_width is None else (row_width,))
+    values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    in_hub = np.zeros(shape[0], dtype=bool)
+    for h in hubs:
+        in_hub[ends[h] - counts[h]:ends[h]] = True
+    short = np.nonzero(~in_hub)[0]
+    flat = values.reshape(shape[0], -1)
+    for special in (-0.0, np.inf, -np.inf, np.nan):
+        flat[rng.choice(short, 6, replace=False), 0] = special
+    base_shape = (counts.size,) + shape[1:]
+    base = rng.choice([-1.0, 1.0], base_shape) * rng.random(base_shape)
+    base.reshape(counts.size, -1)[rng.choice(counts.size, 30), 0] = -0.0
+    return base, counts, ends, values
+
+
+class TestOrderedReduceExactness:
+    """The reduction is one ``ufunc.at`` scatter; these pin its order
+    rule bit for bit (signed zeros and NaN payloads included) at the
+    shape the chromatic engines hit: power-law frontiers with hubs."""
+
+    @pytest.mark.parametrize("row_width", [None, 3])
+    @pytest.mark.parametrize(
+        "reduce, op",
+        [(ordered_segment_add, operator.add), (ordered_segment_mul, operator.mul)],
+        ids=["add", "mul"],
+    )
+    def test_power_law_matches_left_fold(self, reduce, op, row_width):
+        base, counts, ends, values = _power_law_case(11, row_width)
+        expected = _left_fold(op, base, counts, values)
+        with np.errstate(all="ignore"):
+            out = reduce(base, counts, ends, values)
+        assert out is base
+        assert np.array_equal(_bits(base), _bits(expected))
+
+    @pytest.mark.parametrize("row_width", [None, 3])
+    def test_non_contiguous_base_updated_in_place(self, row_width):
+        base, counts, ends, values = _power_law_case(5, row_width)
+        expected = _left_fold(operator.add, base, counts, values)
+        storage = np.zeros(base.shape[:1] + (2,) + base.shape[1:])
+        view = storage[:, 1]
+        view[...] = base
+        assert not view.flags.c_contiguous
+        with np.errstate(all="ignore"):
+            ordered_segment_add(view, counts, ends, values)
+        assert np.array_equal(_bits(storage[:, 1]), _bits(expected))
+        assert not storage[:, 0].any()
+
+    def test_add_at_applies_repeated_indices_in_order(self):
+        # Canary for the numpy release: if ufunc.at ever buffers or
+        # regroups repeated indices, this fails before any engine test.
+        rng = np.random.default_rng(3)
+        values = rng.choice([-1.0, 1.0], 5000) * 10.0 ** rng.uniform(
+            -8, 8, 5000
+        )
+        fold = 0.0
+        for v in values.tolist():
+            fold = fold + v
+        assert fold != float(np.sum(values))  # pairwise order differs
+        target = np.zeros(1)
+        np.add.at(target, np.zeros(values.size, dtype=np.int64), values)
+        assert _bits(target)[0] == _bits(np.array([fold]))[0]
 
 
 # ----------------------------------------------------------------------
