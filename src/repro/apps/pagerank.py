@@ -18,6 +18,7 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
+from repro.core.csr import undirected_plan
 from repro.core.graph import DataGraph, VertexId
 from repro.core.kernels import (
     KernelResult,
@@ -25,7 +26,6 @@ from repro.core.kernels import (
     in_edge_plan,
     ordered_segment_add,
     segment_positions,
-    undirected_plan,
 )
 from repro.core.scope import Scope
 

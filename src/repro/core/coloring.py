@@ -13,18 +13,51 @@ Optimal coloring is NP-hard; the paper uses greedy heuristics and notes
 that many MLDM graphs color trivially (bipartite graphs are 2-colorable,
 grids 2-colorable, template models color by template). All of those are
 provided here.
+
+The heuristics and :func:`validate_coloring` read the compiled
+undirected CSR (:func:`repro.core.csr.undirected_plan`) in dense
+indices instead of per-id neighbor tuples, so coloring a graph builds
+none of its interpreter views; they therefore need a finalized graph.
+Outputs are those of the per-id loops they replace: the same colors,
+in the same dict order, and validation names the same offending pair.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.consistency import Consistency
+from repro.core.csr import CSRGraph, undirected_plan
 from repro.core.graph import DataGraph, VertexId
 from repro.errors import ColoringError
 
 Coloring = Dict[VertexId, int]
+
+
+def _neighborhoods(graph: DataGraph) -> Tuple[CSRGraph, List[int], List[int]]:
+    """``(csr, offsets, targets)``: ``N[v]`` as plain int lists.
+
+    Every structure read below goes through the compiled undirected CSR
+    (:func:`~repro.core.csr.undirected_plan`), in dense indices, so no
+    interpreter view is built; an unfinalized graph has no CSR and
+    raises :class:`~repro.errors.GraphNotFinalizedError`.
+    """
+    graph.require_finalized()
+    csr = graph.compiled
+    offsets, targets = undirected_plan(csr)
+    return csr, offsets.tolist(), targets.tolist()
+
+
+def _degree_order(csr: CSRGraph, offsets: List[int]) -> List[int]:
+    """Dense indices by descending degree, ties by :func:`_sort_token`."""
+    vertex_ids = csr.vertex_ids
+    return sorted(
+        range(len(vertex_ids)),
+        key=lambda i: (offsets[i] - offsets[i + 1], _sort_token(vertex_ids[i])),
+    )
 
 
 def greedy_coloring(
@@ -37,21 +70,23 @@ def greedy_coloring(
     degree first — the classic Welsh-Powell heuristic, usually fewest
     colors) or ``"natural"`` (insertion order — deterministic and cheap).
     """
-    if order == "degree":
-        vertices = sorted(
-            graph.vertices(), key=lambda v: (-graph.degree(v), _sort_token(v))
-        )
-    elif order == "natural":
-        vertices = list(graph.vertices())
-    else:
+    if order not in ("degree", "natural"):
         raise ColoringError(f"unknown coloring order {order!r}")
+    csr, offsets, targets = _neighborhoods(graph)
+    vertex_ids = csr.vertex_ids
+    visit = (
+        _degree_order(csr, offsets)
+        if order == "degree"
+        else range(len(vertex_ids))
+    )
+    color = [-1] * len(vertex_ids)
     colors: Coloring = {}
-    for v in vertices:
-        taken = {colors[u] for u in graph.neighbors(v) if u in colors}
-        color = 0
-        while color in taken:
-            color += 1
-        colors[v] = color
+    for i in visit:
+        taken = {color[j] for j in targets[offsets[i]:offsets[i + 1]]}
+        c = 0
+        while c in taken:
+            c += 1
+        color[i] = colors[vertex_ids[i]] = c
     return colors
 
 
@@ -61,22 +96,21 @@ def second_order_coloring(graph: DataGraph) -> Coloring:
     No vertex shares a color with any vertex within two hops, so scopes of
     same-color vertices never overlap at all (Fig. 2c, top row).
     """
-    vertices = sorted(
-        graph.vertices(), key=lambda v: (-graph.degree(v), _sort_token(v))
-    )
+    csr, offsets, targets = _neighborhoods(graph)
+    vertex_ids = csr.vertex_ids
+    color = [-1] * len(vertex_ids)
     colors: Coloring = {}
-    for v in vertices:
+    for i in _degree_order(csr, offsets):
         taken = set()
-        for u in graph.neighbors(v):
-            if u in colors:
-                taken.add(colors[u])
-            for w in graph.neighbors(u):
-                if w != v and w in colors:
-                    taken.add(colors[w])
-        color = 0
-        while color in taken:
-            color += 1
-        colors[v] = color
+        for j in targets[offsets[i]:offsets[i + 1]]:
+            taken.add(color[j])
+            for k in targets[offsets[j]:offsets[j + 1]]:
+                if k != i:
+                    taken.add(color[k])
+        c = 0
+        while c in taken:
+            c += 1
+        color[i] = colors[vertex_ids[i]] = c
     return colors
 
 
@@ -101,22 +135,25 @@ def bipartite_coloring(
             colors[v] = side
         validate_coloring(graph, colors, Consistency.EDGE)
         return colors
-    colors: Coloring = {}
-    for root in graph.vertices():
-        if root in colors:
+    csr, offsets, targets = _neighborhoods(graph)
+    vertex_ids = csr.vertex_ids
+    side = [-1] * len(vertex_ids)
+    colors = {}
+    for root in range(len(vertex_ids)):
+        if side[root] >= 0:
             continue
-        colors[root] = 0
+        side[root] = colors[vertex_ids[root]] = 0
         queue = deque([root])
         while queue:
-            v = queue.popleft()
-            for u in graph.neighbors(v):
-                if u not in colors:
-                    colors[u] = 1 - colors[v]
-                    queue.append(u)
-                elif colors[u] == colors[v]:
+            i = queue.popleft()
+            for j in targets[offsets[i]:offsets[i + 1]]:
+                if side[j] < 0:
+                    side[j] = colors[vertex_ids[j]] = 1 - side[i]
+                    queue.append(j)
+                elif side[j] == side[i]:
                     raise ColoringError(
                         "graph is not bipartite: odd cycle through "
-                        f"{v!r} - {u!r}"
+                        f"{vertex_ids[i]!r} - {vertex_ids[j]!r}"
                     )
     return colors
 
@@ -154,7 +191,9 @@ def validate_coloring(
 
     Edge consistency requires a proper coloring; full consistency a
     second-order coloring; vertex consistency accepts anything covering
-    all vertices.
+    all vertices. A violation names the first offending pair in vertex
+    order, then ``N[v]`` order (for full consistency, ``N[v]`` and then
+    each neighbor's ``N[u]``, adjacent pairs checked first).
     """
     missing = [v for v in graph.vertices() if v not in coloring]
     if missing:
@@ -163,21 +202,50 @@ def validate_coloring(
         )
     if model is Consistency.VERTEX:
         return
-    for v in graph.vertices():
-        for u in graph.neighbors(v):
-            if coloring[u] == coloring[v]:
-                raise ColoringError(
-                    f"adjacent vertices {v!r}, {u!r} share color "
-                    f"{coloring[v]}"
-                )
-            if model is Consistency.FULL:
-                for w in graph.neighbors(u):
-                    if w != v and coloring[w] == coloring[v]:
-                        raise ColoringError(
-                            f"distance-2 vertices {v!r}, {w!r} share color "
-                            f"{coloring[v]} (full consistency needs a "
-                            "second-order coloring)"
-                        )
+    csr, offsets, targets = _neighborhoods(graph)
+    vertex_ids = csr.vertex_ids
+    # Colors as dense codes: equal colors share a code.
+    codes: Dict = {}
+    color = np.fromiter(
+        (codes.setdefault(coloring[v], len(codes)) for v in vertex_ids),
+        dtype=np.int64,
+        count=len(vertex_ids),
+    )
+    if model is Consistency.EDGE:
+        src, dst = csr.edge_src_index, csr.edge_dst_index
+        clash = color[src] == color[dst]
+        if not clash.any():
+            return
+        # The first clashing vertex in vertex order is the smallest
+        # endpoint of a clashing edge; name its first clashing neighbor.
+        i = int(min(src[clash].min(), dst[clash].min()))
+        j = next(
+            j for j in targets[offsets[i]:offsets[i + 1]]
+            if color[j] == color[i]
+        )
+        raise _adjacent_clash(vertex_ids, coloring, i, j)
+    color = color.tolist()
+    for i, same in enumerate(color):
+        for j in targets[offsets[i]:offsets[i + 1]]:
+            if color[j] == same:
+                raise _adjacent_clash(vertex_ids, coloring, i, j)
+            for k in targets[offsets[j]:offsets[j + 1]]:
+                if k != i and color[k] == same:
+                    raise ColoringError(
+                        f"distance-2 vertices {vertex_ids[i]!r}, "
+                        f"{vertex_ids[k]!r} share color "
+                        f"{coloring[vertex_ids[i]]} (full consistency "
+                        "needs a second-order coloring)"
+                    )
+
+
+def _adjacent_clash(
+    vertex_ids: Tuple, coloring: Coloring, i: int, j: int
+) -> ColoringError:
+    v, u = vertex_ids[i], vertex_ids[j]
+    return ColoringError(
+        f"adjacent vertices {v!r}, {u!r} share color {coloring[v]}"
+    )
 
 
 def color_classes(coloring: Coloring) -> List[List[VertexId]]:

@@ -8,8 +8,10 @@ frozen — not per update. This module is the Python equivalent: at
 
 * a dense ``vertex id -> index`` mapping (``index_of`` / ``vertex_ids``);
 * numpy index/offset arrays in CSR form for the out-, in-, and
-  undirected neighborhoods (``out_offsets``/``out_targets`` etc.) plus
-  per-edge endpoint arrays, for vectorized consumers;
+  undirected neighborhoods (``out_offsets``/``out_targets`` etc.; the
+  undirected one, :func:`undirected_plan`, is derived from the other
+  two on first use and memoized) plus per-edge endpoint arrays, for
+  vectorized consumers;
 * per-vertex *pre-materialized* Python tuples (``out_ids``, ``in_ids``,
   ``nbr_ids``, ``adj_edges``) and neighbor frozensets (``nbr_sets``) so
   the interpreter hot path answers structure queries with a single
@@ -95,6 +97,46 @@ def _csr_arrays(
     return offsets, values
 
 
+def undirected_plan(csr: "CSRGraph") -> Tuple[np.ndarray, np.ndarray]:
+    """The undirected neighborhood ``N[v]`` in CSR form: the one definition.
+
+    ``(offsets, targets)`` in dense indices: each vertex's in-neighbors
+    then its out-neighbors, deduplicated with the first occurrence
+    kept — the order the pre-compiled dict-of-lists representation
+    produced. Built from the canonical in/out arrays alone and memoized
+    in the plan cache, so colorings, partitioners and batch kernels read
+    ``N[v]`` without materializing the interpreter views; ``nbr_ids``
+    and friends are derived from it.
+
+    Two numpy order rules carry the result: a stable argsort keeps each
+    vertex's candidates in in-then-out order, and ``np.unique(...,
+    return_index=True)`` returns each pair's *first* occurrence
+    (pinned by a canary in ``tests/test_coloring_arrays.py``).
+    """
+    plan = csr.plan_cache.get("nbr_csr")
+    if plan is None:
+        num_vertices = len(csr.vertex_ids)
+        rows = np.arange(num_vertices, dtype=np.int64)
+        vert = np.concatenate((
+            np.repeat(rows, np.diff(csr.in_offsets)),
+            np.repeat(rows, np.diff(csr.out_offsets)),
+        ))
+        nbrs = np.concatenate((csr.in_sources, csr.out_targets))
+        order = np.argsort(vert, kind="stable")
+        vert, nbrs = vert[order], nbrs[order]
+        _codes, first = np.unique(
+            vert * num_vertices + nbrs, return_index=True
+        )
+        keep = np.sort(first)
+        offsets = np.zeros(num_vertices + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(vert[keep], minlength=num_vertices),
+            out=offsets[1:],
+        )
+        plan = csr.plan_cache["nbr_csr"] = (offsets, nbrs[keep])
+    return plan
+
+
 class _Views:
     """Interpreter-facing views, built lazily and shared by copies.
 
@@ -116,8 +158,6 @@ class _Views:
         "nbr_ids",
         "nbr_sets",
         "adj_edges",
-        "nbr_offsets",
-        "nbr_targets",
     )
 
     def __init__(self) -> None:
@@ -258,44 +298,27 @@ class CSRGraph:
 
         Orderings reproduce the builder-dict insertion orders the
         canonical arrays were compiled from, exactly as when the views
-        were built eagerly.
+        were built eagerly; ``nbr_ids`` is :func:`undirected_plan`
+        spelled in vertex ids.
         """
         views = self._views
         vertex_ids = self.vertex_ids
-        index_of = self.index_of
-        out_off, out_tgt = self.out_offsets, self.out_targets
-        in_off, in_src = self.in_offsets, self.in_sources
-        out_ids: List[Tuple] = []
-        in_ids: List[Tuple] = []
-        nbr_ids: List[Tuple] = []
-        nbr_sets: List[FrozenSet] = []
-        adj_edges: List[Tuple[EdgeKey, ...]] = []
-        for i, v in enumerate(vertex_ids):
-            outs = tuple(
-                vertex_ids[j] for j in out_tgt[out_off[i]:out_off[i + 1]]
+
+        def id_lists(offsets, targets):
+            ids = [vertex_ids[j] for j in targets.tolist()]
+            bounds = offsets.tolist()
+            return tuple(
+                tuple(ids[bounds[i]:bounds[i + 1]])
+                for i in range(len(vertex_ids))
             )
-            ins = tuple(
-                vertex_ids[j] for j in in_src[in_off[i]:in_off[i + 1]]
-            )
-            out_ids.append(outs)
-            in_ids.append(ins)
-            # Undirected N[v]: in-neighbors first, then out, first-seen
-            # dedup — the exact order finalize() produced pre-CSR.
-            merged = dict.fromkeys(ins)
-            merged.update(dict.fromkeys(outs))
-            nbrs = tuple(merged)
-            nbr_ids.append(nbrs)
-            nbr_sets.append(frozenset(nbrs))
-            adj_edges.append(
-                tuple([(u, v) for u in ins] + [(v, w) for w in outs])
-            )
-        views.out_ids = tuple(out_ids)
-        views.in_ids = tuple(in_ids)
-        views.nbr_ids = tuple(nbr_ids)
-        views.nbr_sets = tuple(nbr_sets)
-        views.adj_edges = tuple(adj_edges)
-        views.nbr_offsets, views.nbr_targets = _csr_arrays(
-            nbr_ids, index_of
+
+        views.out_ids = id_lists(self.out_offsets, self.out_targets)
+        views.in_ids = id_lists(self.in_offsets, self.in_sources)
+        views.nbr_ids = id_lists(*undirected_plan(self))
+        views.nbr_sets = tuple(frozenset(nbrs) for nbrs in views.nbr_ids)
+        views.adj_edges = tuple(
+            tuple([(u, v) for u in ins] + [(v, w) for w in outs])
+            for v, ins, outs in zip(vertex_ids, views.in_ids, views.out_ids)
         )
         views.built = True
         return views
@@ -325,13 +348,14 @@ class CSRGraph:
     def adj_edges(self) -> Tuple[Tuple[EdgeKey, ...], ...]:
         return self._view().adj_edges
 
+    # The undirected CSR is canonical-derived: reading it builds no view.
     @property
     def nbr_offsets(self) -> np.ndarray:
-        return self._view().nbr_offsets
+        return undirected_plan(self)[0]
 
     @property
     def nbr_targets(self) -> np.ndarray:
-        return self._view().nbr_targets
+        return undirected_plan(self)[1]
 
     # ------------------------------------------------------------------
     # Pickling: canonical structure + data ship; views and memo caches

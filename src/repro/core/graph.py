@@ -35,6 +35,11 @@ VertexId = Hashable
 EdgeKey = Tuple[Hashable, Hashable]
 
 
+def _span(offsets: Any, index: int) -> int:
+    """Length of CSR row ``index``."""
+    return int(offsets[index + 1] - offsets[index])
+
+
 class DataGraph:
     """Directed graph with mutable per-vertex and per-edge data.
 
@@ -280,22 +285,26 @@ class DataGraph:
             return csr.nbr_sets[csr.index_of[vid]]
         return frozenset(self.neighbors(vid))
 
+    # Compiled degrees are CSR offset differences: no view is built.
     def degree(self, vid: VertexId) -> int:
         """Undirected degree ``|N[v]|``."""
+        csr = self._csr
+        if csr is not None:
+            return _span(csr.nbr_offsets, csr.index_of[vid])
         return len(self.neighbors(vid))
 
     def out_degree(self, vid: VertexId) -> int:
         """Number of out-edges of ``vid``."""
         csr = self._csr
         if csr is not None:
-            return len(csr.out_ids[csr.index_of[vid]])
+            return _span(csr.out_offsets, csr.index_of[vid])
         return len(self._out[vid])
 
     def in_degree(self, vid: VertexId) -> int:
         """Number of in-edges of ``vid``."""
         csr = self._csr
         if csr is not None:
-            return len(csr.in_ids[csr.index_of[vid]])
+            return _span(csr.in_offsets, csr.index_of[vid])
         return len(self._in[vid])
 
     def adjacent_edges(self, vid: VertexId) -> Tuple[EdgeKey, ...]:

@@ -42,6 +42,7 @@ from typing import Any, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.core.csr import undirected_plan
 from repro.errors import EngineError, SchedulerError
 
 _EMPTY_INDEX = np.empty(0, dtype=np.int64)
@@ -246,53 +247,6 @@ def out_gather(csr: Any, index: int) -> Tuple[Tuple[Any, int, int], ...]:
         csr, "out_gather", index, csr.out_offsets, csr.out_targets,
         out_edge_plan,
     )
-
-
-def undirected_plan(csr: Any) -> Tuple[np.ndarray, np.ndarray]:
-    """The undirected neighborhood in CSR form, from canonical arrays.
-
-    ``(offsets, targets)`` reproducing the interpreter's ``N[v]``
-    ordering (in-neighbors first, then out, first-seen dedup) without
-    materializing the Python-level views — the batch twin of
-    ``csr.nbr_offsets``/``csr.nbr_targets``, shared via the plan cache.
-    """
-    plan = csr.plan_cache.get("nbr_csr")
-    if plan is None:
-        num_vertices = len(csr.vertex_ids)
-        num_edges = len(csr.edge_keys)
-        src, dst = csr.edge_src_index, csr.edge_dst_index
-        if num_edges == 0:
-            plan = (
-                np.zeros(num_vertices + 1, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-            csr.plan_cache["nbr_csr"] = plan
-            return plan
-        # Candidate (vertex, neighbor) pairs: the in-block (vertex =
-        # edge destination) before the out-block (vertex = source),
-        # each in edge-insertion order — then a stable first-seen
-        # dedup, reproducing the interpreter's N[v] ordering exactly.
-        vert = np.concatenate((dst, src))
-        nbrs = np.concatenate((src, dst))
-        block = np.concatenate(
-            (np.zeros(num_edges, np.int64), np.ones(num_edges, np.int64))
-        )
-        slot = np.concatenate((np.arange(num_edges),) * 2)
-        order = np.lexsort((slot, block, vert))
-        sorted_vert, sorted_nbrs = vert[order], nbrs[order]
-        _codes, first = np.unique(
-            sorted_vert * num_vertices + sorted_nbrs, return_index=True
-        )
-        keep = np.sort(first)
-        pair_vert, pair_nbr = sorted_vert[keep], sorted_nbrs[keep]
-        offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(pair_vert, minlength=num_vertices),
-            out=offsets[1:],
-        )
-        plan = (offsets, pair_nbr)
-        csr.plan_cache["nbr_csr"] = plan
-    return plan
 
 
 def _directed_slot_lookup(

@@ -9,6 +9,12 @@ number of cross-atom graph edges — which is what the master partitions
 over the physical machines at load time. Two-phase partitioning means
 the expensive graph cut is computed once and reused for any cluster
 size.
+
+Placement needs only the index, so :func:`atom_index` computes it
+straight from the compiled CSR arrays (one bincount, one ``np.unique``
+over the cut edges) without writing a journal; :func:`atom_journals`
+writes the journals, which only ingress (:func:`repro.distributed
+.deploy.deploy`) reads. :func:`build_atoms` returns both.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ import pickle
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Tuple
+
+import numpy as np
 
 from repro.core.graph import DataGraph, VertexId
 from repro.distributed.models import DataSizeModel
@@ -105,13 +113,13 @@ class AtomIndex:
     """The meta-graph over atoms (the *atom index file*).
 
     ``connectivity[(a, b)]`` (with ``a < b``) counts graph edges crossing
-    between atoms ``a`` and ``b``; ``vertex_counts[a]`` and
-    ``sizes[a]`` describe atom weight for balanced placement.
+    between atoms ``a`` and ``b``; ``vertex_counts[a]`` is the atom's
+    weight for balanced placement. Built by :func:`atom_index` from the
+    compiled arrays — no journal is needed to place atoms.
     """
 
     num_atoms: int
     vertex_counts: Dict[int, int]
-    sizes: Dict[int, float]
     connectivity: Dict[Tuple[int, int], int]
 
     def place(self, num_machines: int) -> Dict[int, int]:
@@ -160,18 +168,17 @@ class AtomIndex:
         return placement
 
 
-def build_atoms(
-    graph: DataGraph,
-    assignment: Mapping[VertexId, int],
-    num_atoms: int,
-    sizes: DataSizeModel = DataSizeModel(),
-) -> Tuple[List[Atom], AtomIndex]:
-    """Split a finalized graph into atom journals plus the atom index.
+def atom_index(
+    graph: DataGraph, assignment: Mapping[VertexId, int], num_atoms: int
+) -> Tuple[np.ndarray, AtomIndex]:
+    """``(atom_of, index)``: each vertex's atom in dense order, and the
+    atom index — from the compiled arrays, building no journal.
 
     ``assignment`` maps every vertex to an atom in ``[0, num_atoms)``
-    (produced by :mod:`repro.distributed.partition`). Each directed edge
-    is journaled in the atom of its *source*; ghost vertex commands are
-    appended for boundary vertices so playback can instantiate caches.
+    (produced by :mod:`repro.distributed.partition`); anything else
+    raises :class:`PartitionError`. ``vertex_counts`` is one bincount
+    and ``connectivity`` one ``np.unique`` over the ``(min, max)`` atom
+    pairs of the cut edges.
     """
     graph.require_finalized()
     missing = [v for v in graph.vertices() if v not in assignment]
@@ -185,28 +192,60 @@ def build_atoms(
         raise PartitionError(
             f"atom id {bad[0]} outside [0, {num_atoms})"
         )
+    csr = graph.compiled
+    atom_of = csr.dense_map(assignment)
+    counts = np.bincount(atom_of, minlength=num_atoms)
+    src_atom = atom_of[csr.edge_src_index]
+    dst_atom = atom_of[csr.edge_dst_index]
+    cut = src_atom != dst_atom
+    low = np.minimum(src_atom[cut], dst_atom[cut])
+    high = np.maximum(src_atom[cut], dst_atom[cut])
+    pairs, weights = np.unique(low * num_atoms + high, return_counts=True)
+    index = AtomIndex(
+        num_atoms=num_atoms,
+        vertex_counts=dict(enumerate(counts.tolist())),
+        connectivity={
+            (int(pair // num_atoms), int(pair % num_atoms)): weight
+            for pair, weight in zip(pairs.tolist(), weights.tolist())
+        },
+    )
+    return atom_of, index
 
-    owned: List[List[VertexId]] = [[] for _ in range(num_atoms)]
-    for v in graph.vertices():
-        owned[assignment[v]].append(v)
+
+def atom_journals(
+    graph: DataGraph,
+    atom_of: np.ndarray,
+    num_atoms: int,
+    sizes: DataSizeModel = DataSizeModel(),
+) -> List[Atom]:
+    """The atom journals of a checked assignment (see :func:`atom_index`).
+
+    Each directed edge is journaled in the atom of its *source*; ghost
+    vertex commands are appended for boundary vertices so playback can
+    instantiate caches. Only ingress reads journals.
+    """
+    csr = graph.compiled
+    vertex_ids = csr.vertex_ids
+    atom_list = atom_of.tolist()
+    owned: List[List[int]] = [[] for _ in range(num_atoms)]
+    for i, atom in enumerate(atom_list):
+        owned[atom].append(i)
 
     ghosts: List[set] = [set() for _ in range(num_atoms)]
-    cross: Dict[Tuple[int, int], int] = {}
-    for (u, w) in graph.edges():
-        au, aw = assignment[u], assignment[w]
-        if au != aw:
-            ghosts[au].add(w)
-            ghosts[aw].add(u)
-            key = (min(au, aw), max(au, aw))
-            cross[key] = cross.get(key, 0) + 1
+    for s, d in zip(csr.edge_src_index.tolist(), csr.edge_dst_index.tolist()):
+        a_s, a_d = atom_list[s], atom_list[d]
+        if a_s != a_d:
+            ghosts[a_s].add(vertex_ids[d])
+            ghosts[a_d].add(vertex_ids[s])
 
+    out_offsets = csr.out_offsets.tolist()
+    out_targets = csr.out_targets.tolist()
     atoms: List[Atom] = []
-    vertex_counts: Dict[int, int] = {}
-    atom_sizes: Dict[int, float] = {}
     for atom_id in range(num_atoms):
         commands: List[AtomCommand] = []
         size = 0.0
-        for v in owned[atom_id]:
+        for i in owned[atom_id]:
+            v = vertex_ids[i]
             commands.append(
                 AtomCommand(ADD_VERTEX, (v,), graph.vertex_data(v))
             )
@@ -216,8 +255,10 @@ def build_atoms(
             # cache is filled during ingress synchronization).
             commands.append(AtomCommand(ADD_VERTEX, (v,), None))
             size += COMMAND_OVERHEAD_BYTES
-        for v in owned[atom_id]:
-            for w in graph.out_neighbors(v):
+        for i in owned[atom_id]:
+            v = vertex_ids[i]
+            for j in out_targets[out_offsets[i]:out_offsets[i + 1]]:
+                w = vertex_ids[j]
                 commands.append(
                     AtomCommand(ADD_EDGE, (v, w), graph.edge_data(v, w))
                 )
@@ -226,18 +267,21 @@ def build_atoms(
             Atom(
                 atom_id=atom_id,
                 commands=commands,
-                owned_vertices=frozenset(owned[atom_id]),
+                owned_vertices=frozenset(vertex_ids[i] for i in owned[atom_id]),
                 ghost_vertices=frozenset(ghosts[atom_id]),
                 size_bytes=size,
             )
         )
-        vertex_counts[atom_id] = len(owned[atom_id])
-        atom_sizes[atom_id] = size
+    return atoms
 
-    index = AtomIndex(
-        num_atoms=num_atoms,
-        vertex_counts=vertex_counts,
-        sizes=atom_sizes,
-        connectivity=cross,
-    )
-    return atoms, index
+
+def build_atoms(
+    graph: DataGraph,
+    assignment: Mapping[VertexId, int],
+    num_atoms: int,
+    sizes: DataSizeModel = DataSizeModel(),
+) -> Tuple[List[Atom], AtomIndex]:
+    """Split a finalized graph into atom journals plus the atom index
+    (:func:`atom_journals` over :func:`atom_index`)."""
+    atom_of, index = atom_index(graph, assignment, num_atoms)
+    return atom_journals(graph, atom_of, num_atoms, sizes), index

@@ -14,14 +14,9 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 from repro.core.graph import DataGraph, VertexId
-from repro.distributed.atom import Atom, AtomIndex, build_atoms
+from repro.distributed.atom import Atom, AtomIndex, atom_index, atom_journals
 from repro.distributed.dfs import DistributedFileSystem
-from repro.distributed.ingress import (
-    IngressReport,
-    distributed_load,
-    ownership_from_placement,
-    store_atoms,
-)
+from repro.distributed.ingress import IngressReport, distributed_load, store_atoms
 from repro.distributed.models import DataSizeModel
 from repro.distributed.partition import (
     Assignment,
@@ -59,7 +54,7 @@ class Deployment:
 
 
 class OwnershipPlan:
-    """Atoms, placement, and vertex ownership — no cluster attached.
+    """Atom index, placement, and vertex ownership — no cluster attached.
 
     The simulator-free half of :func:`deploy`: everything the two-phase
     partitioning pipeline (Sec. 4.1) produces before any machine exists.
@@ -68,17 +63,33 @@ class OwnershipPlan:
     path — ``random_hash_assignment`` and :meth:`AtomIndex.place` are
     deterministic, making vertex ownership reproducible across backends.
 
-    ``placement`` and ``owner`` are computed lazily: :func:`deploy`'s
-    ingress path derives ownership from journal playback itself and
-    only needs the atoms + index.
+    Placement reads only the atom index (per-atom vertex counts and
+    cross-atom edge counts), which :func:`~repro.distributed.atom
+    .atom_index` computes from the compiled arrays; ``owner`` is the
+    placement looked up per vertex. The atom *journals* matter only to
+    ingress, so :attr:`atoms` is built on first access — by
+    :func:`deploy`'s simulated DFS load, never by the runtime.
     """
 
     def __init__(
-        self, atoms: List[Atom], index: AtomIndex, num_machines: int
+        self,
+        graph: DataGraph,
+        assignment: Assignment,
+        num_atoms: int,
+        num_machines: int,
+        sizes: DataSizeModel = DataSizeModel(),
     ) -> None:
-        self.atoms = atoms
-        self.index = index
+        self._graph = graph
+        self._sizes = sizes
+        self._atom_of, self.index = atom_index(graph, assignment, num_atoms)
         self.num_machines = num_machines
+
+    @cached_property
+    def atoms(self) -> List[Atom]:
+        """The atom journals (built on demand, for ingress)."""
+        return atom_journals(
+            self._graph, self._atom_of, self.index.num_atoms, self._sizes
+        )
 
     @cached_property
     def placement(self) -> Dict[int, int]:
@@ -88,7 +99,13 @@ class OwnershipPlan:
     @cached_property
     def owner(self) -> Dict[VertexId, int]:
         """Vertex -> machine ownership induced by :attr:`placement`."""
-        return ownership_from_placement(self.atoms, self.placement)
+        placement = self.placement
+        return {
+            v: placement[atom]
+            for v, atom in zip(
+                self._graph.compiled.vertex_ids, self._atom_of.tolist()
+            )
+        }
 
 
 def plan_ownership(
@@ -103,9 +120,10 @@ def plan_ownership(
 
     Runs the graph-cut + atom-index placement phase of Fig. 5a without
     touching the simulator: choose (or accept) an assignment into
-    ``atoms_per_machine * num_machines`` atoms, build the atom journals
-    and index, and place atoms greedily (on demand). :func:`deploy`
-    layers the simulated DFS/ingress on top of this plan.
+    ``atoms_per_machine * num_machines`` atoms, build the atom index,
+    and place atoms greedily (on demand). :func:`deploy` layers the
+    simulated DFS/ingress — and with it the atom journals — on top of
+    this plan.
     """
     graph.require_finalized()
     num_atoms = max(1, atoms_per_machine) * num_machines
@@ -121,8 +139,7 @@ def plan_ownership(
                     f"{sorted(_PARTITIONERS)}"
                 ) from None
         assignment = partitioner(graph, num_atoms)
-    atoms, index = build_atoms(graph, assignment, num_atoms, sizes=sizes)
-    return OwnershipPlan(atoms=atoms, index=index, num_machines=num_machines)
+    return OwnershipPlan(graph, assignment, num_atoms, num_machines, sizes)
 
 
 def deploy(

@@ -25,6 +25,7 @@ import zlib
 from collections import deque
 from typing import Callable, Dict, Iterable, Optional
 
+from repro.core.csr import undirected_plan
 from repro.core.graph import DataGraph, VertexId
 from repro.errors import PartitionError
 
@@ -54,29 +55,36 @@ def bfs_assignment(graph: DataGraph, k: int) -> Assignment:
 
     A light-weight stand-in for Metis: repeatedly BFS from the first
     unassigned vertex, capping each part at ``ceil(|V| / k)``. On meshes
-    and other local graphs this yields compact, low-cut parts.
+    and other local graphs this yields compact, low-cut parts. Floods
+    the compiled undirected CSR (:func:`~repro.core.csr.undirected_plan`)
+    in dense indices, so the graph must be finalized.
     """
     _check_k(k)
-    target = max(1, -(-graph.num_vertices // k))
+    graph.require_finalized()
+    csr = graph.compiled
+    vertex_ids = csr.vertex_ids
+    offsets, targets = (a.tolist() for a in undirected_plan(csr))
+    target = max(1, -(-len(vertex_ids) // k))
+    part_of = [-1] * len(vertex_ids)
     assignment: Assignment = {}
     part = 0
     filled = 0
-    for root in graph.vertices():
-        if root in assignment:
+    for root in range(len(vertex_ids)):
+        if part_of[root] >= 0:
             continue
         queue = deque([root])
         while queue:
-            v = queue.popleft()
-            if v in assignment:
+            i = queue.popleft()
+            if part_of[i] >= 0:
                 continue
             if filled >= target and part < k - 1:
                 part += 1
                 filled = 0
-            assignment[v] = part
+            part_of[i] = assignment[vertex_ids[i]] = part
             filled += 1
-            for u in graph.neighbors(v):
-                if u not in assignment:
-                    queue.append(u)
+            for j in targets[offsets[i]:offsets[i + 1]]:
+                if part_of[j] < 0:
+                    queue.append(j)
     return assignment
 
 
