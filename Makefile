@@ -2,7 +2,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test perf bench bench-smoke bench-compare
+.PHONY: test perf bench bench-smoke bench-compare ab
 
 # Tier-1 verify: unit + figure-reproduction suites (perf guards skipped).
 test:
@@ -28,3 +28,12 @@ bench-compare:
 	mkdir -p bench/out
 	python3 -m bench --all --out bench/out/fresh.json
 	python3 -m bench compare bench/baseline.json bench/out/fresh.json
+
+# Paired A/B of one workload: REF's committed tree (a scratch git
+# worktree) against this tree, N alternating pairs; prints medians,
+# q1-q3, pair wins, the exact counts and each pair's two-process ratio.
+REF ?= HEAD
+W ?= pagerank_chromatic
+N ?= 10
+ab:
+	python3 tools/bench_ab.py $(REF) --workload $(W) --pairs $(N)

@@ -435,14 +435,6 @@ class CSRGraph:
     def num_edges(self) -> int:
         return len(self.edge_keys)
 
-    def degree_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(out_degree, in_degree, undirected_degree)`` numpy vectors."""
-        return (
-            np.diff(self.out_offsets),
-            np.diff(self.in_offsets),
-            np.diff(self.nbr_offsets),
-        )
-
     def dense_map(self, mapping: Any, dtype: Any = np.int64) -> np.ndarray:
         """Per-vertex values of an id-keyed mapping, in dense index order.
 

@@ -57,10 +57,6 @@ class SimulationError(GraphLabError):
     """The discrete-event simulator was driven into an illegal state."""
 
 
-class DeadlockError(SimulationError):
-    """The simulator ran out of events while processes were still blocked."""
-
-
 class RPCError(SimulationError):
     """A simulated remote procedure call failed (machine down, bad target)."""
 

@@ -224,7 +224,6 @@ class RuntimeCore:
         max_updates: Optional[int],
         reply_timeout: Optional[float],
         use_plane: bool,
-        plane_ring_cap: Optional[int],
         snapshot_every: Optional[Union[int, str]],
         snapshot_dir: Optional[str],
         max_recoveries: int,
@@ -254,7 +253,6 @@ class RuntimeCore:
         self._initial_globals = dict(initial_globals or {})
         self.max_updates = max_updates
         self.use_plane = use_plane
-        self._plane_ring_cap = plane_ring_cap
         self.updates_per_worker: Dict[int, int] = {
             w: 0 for w in range(num_workers)
         }
@@ -601,7 +599,6 @@ class RuntimeCore:
             max_routable_v=len(csr.vertex_ids) * max(num_workers - 1, 1),
             max_routable_e=2 * len(csr.edge_keys),
             kind=kind,
-            ring_cap=self._plane_ring_cap,
         )
         if spec is not None:
             self._plane = self.transport.provision_plane(spec)

@@ -115,9 +115,6 @@ class RuntimeChromaticEngine(RuntimeCore):
         When true (the default) typed-column graphs get the
         shared-memory data plane (or its in-process emulation);
         ``False`` — like ``REPRO_NO_SHM=1`` — pins the pickled wire.
-    plane_ring_cap:
-        Override for the dirty-ring capacity (entries per column per
-        half); small values exercise the overflow-to-pipe contract.
     snapshot_every / snapshot_dir:
         Fault tolerance (Sec. 4.3). ``snapshot_every=N`` journals a
         consistent snapshot every N sweeps (``"auto"``: wall-clock
@@ -152,7 +149,6 @@ class RuntimeChromaticEngine(RuntimeCore):
         reply_timeout: Optional[float] = None,
         use_kernel: bool = True,
         use_plane: bool = True,
-        plane_ring_cap: Optional[int] = None,
         snapshot_every: Optional[Union[int, str]] = None,
         snapshot_dir: Optional[str] = None,
         max_recoveries: int = 2,
@@ -172,7 +168,6 @@ class RuntimeChromaticEngine(RuntimeCore):
             max_updates=max_updates,
             reply_timeout=reply_timeout,
             use_plane=use_plane,
-            plane_ring_cap=plane_ring_cap,
             snapshot_every=snapshot_every,
             snapshot_dir=snapshot_dir,
             max_recoveries=max_recoveries,

@@ -143,7 +143,7 @@ class RuntimeLockingEngine(RuntimeCore):
     max_updates / max_rounds:
         Stop conditions checked at round boundaries; ``max_updates`` may
         overshoot by up to one round of work per worker.
-    reply_timeout / use_plane / plane_ring_cap:
+    reply_timeout / use_plane:
         As for the chromatic engine.
     trace:
         Record every executed scope as ``(worker, round, vertex, reads,
@@ -181,7 +181,6 @@ class RuntimeLockingEngine(RuntimeCore):
         max_rounds: Optional[int] = None,
         reply_timeout: Optional[float] = None,
         use_plane: bool = True,
-        plane_ring_cap: Optional[int] = None,
         trace: bool = False,
         snapshot_every: Optional[Union[int, str]] = None,
         snapshot_dir: Optional[str] = None,
@@ -217,7 +216,6 @@ class RuntimeLockingEngine(RuntimeCore):
             max_updates=max_updates,
             reply_timeout=reply_timeout,
             use_plane=use_plane,
-            plane_ring_cap=plane_ring_cap,
             snapshot_every=snapshot_every,
             snapshot_dir=snapshot_dir,
             max_recoveries=max_recoveries,

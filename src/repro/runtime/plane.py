@@ -14,15 +14,18 @@ equivalent for graphs with **typed data columns**:
   ``int64`` version counters (``vversion`` / ``eversion``, one per
   vertex and edge slot) and its full vertex/edge data columns — the
   authoritative copy for its *owned* slots — plus a fixed-capacity,
-  **double-buffered dirty-entry ring** (slot index, version, value
-  triplets in parallel arrays).
-* After a color-step the worker publishes dirty entries by *writing ring
-  slots directly* (:class:`RingWriter`), grouped per destination; its
-  pipe reply shrinks to control data — per-destination ``(start,
-  count)`` descriptors, scheduling indices, update counts.
+  **double-buffered dirty-entry ring**: the fields of
+  :class:`~repro.runtime.shard.FlatEntries` (slot index, version,
+  value) in parallel arrays.
+* After a color-step the worker routes its dirty entries into the very
+  per-destination batches the pickled wire would ship, and
+  :meth:`RingWriter.append` *copies them into ring slots*; its pipe
+  reply shrinks to control data — per-destination ``(start, count)``
+  descriptors, scheduling indices, update counts.
 * The coordinator routes descriptors, not data: a destination worker
-  applies a batch by slicing the *source worker's* ring arrays and
-  running the same vectorized version filter as the pickled wire
+  applies a run as a :class:`~repro.runtime.shard.FlatEntries` view of
+  the *source worker's* ring half (:meth:`RingHalf.entries`) through the
+  same filter as the pickled wire
   (:meth:`~repro.runtime.shard.CSRShardStore.apply_flat`).
 * At collect time the coordinator reads owned slots straight out of
   each segment — no pickled data dictionaries.
@@ -42,11 +45,12 @@ written in round *r + 2* was last read in round *r + 1*, which the
 barrier guarantees is complete. Descriptors carry the half explicitly,
 so readers never infer parity.
 
-**Overflow contract:** a ring half has fixed capacity. A per-destination
-batch that does not fit falls back to the pickled pipe wire for that
-round (the descriptor simply isn't emitted; the ``FlatEntries`` batch
-rides the reply as before). Correctness never depends on capacity —
-only the pipe-byte count does.
+**Overflow contract:** a ring half has fixed capacity
+(:data:`DEFAULT_RING_CAP` entries per column at most). A per-destination
+column that does not fit falls back to the pickled pipe wire for that
+round (no descriptor covers it; its ``FlatEntries`` fields ride the
+reply). Correctness never depends on capacity — only the pipe-byte
+count does.
 
 :class:`LocalDataPlane` provides the same segments as plain in-process
 numpy arrays, so :class:`~repro.runtime.transport.InprocTransport`
@@ -62,11 +66,12 @@ import dataclasses
 import os
 import secrets
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import EngineError
+from repro.runtime.shard import FlatEntries
 
 try:  # POSIX shared memory; absent on some exotic platforms.
     from multiprocessing import shared_memory as _shm
@@ -77,10 +82,13 @@ except ImportError:  # pragma: no cover - platform-dependent
 #: matrix once with this set so the fallback path stays green).
 NO_SHM_ENV = "REPRO_NO_SHM"
 
-#: Default ceiling on ring capacity (entries per column per half). The
-#: engine sizes rings to the worst-case routable entry count, capped
-#: here; beyond it the overflow contract applies.
+#: Ceiling on ring capacity (entries per column per half). The engine
+#: sizes rings to the worst-case routable entry count, capped here;
+#: beyond it the overflow contract applies (tests lower it to force
+#: overflow).
 DEFAULT_RING_CAP = 1 << 16
+
+_EMPTY_I32 = np.empty(0, dtype=np.int32)
 
 
 def shm_available() -> bool:
@@ -150,15 +158,36 @@ class PlaneSpec:
 
 class RingHalf:
     """One half of a segment's dirty ring: parallel slot/version/value
-    arrays for vertex and edge entries."""
+    arrays for vertex and edge entries, named and typed as the fields of
+    :class:`~repro.runtime.shard.FlatEntries` (int32 slot and version,
+    the column's dtype for values). A column without a ring keeps
+    zero-length arrays."""
 
     __slots__ = (
         "v_index", "v_version", "v_value", "e_slot", "e_version", "e_value"
     )
 
     def __init__(self) -> None:
-        self.v_index = self.v_version = self.v_value = None
-        self.e_slot = self.e_version = self.e_value = None
+        self.v_index = self.v_version = self.v_value = _EMPTY_I32
+        self.e_slot = self.e_version = self.e_value = _EMPTY_I32
+
+    def entries(
+        self, v_start: int, v_count: int, e_start: int, e_count: int
+    ) -> FlatEntries:
+        """One ring run as a :class:`FlatEntries` view (no copy)."""
+        v = slice(v_start, v_start + v_count)
+        e = slice(e_start, e_start + e_count)
+        return FlatEntries(
+            self.v_index[v], self.v_value[v], self.v_version[v],
+            self.e_slot[e], self.e_value[e], self.e_version[e],
+        )
+
+
+#: Each column's fields, as named on ``RingHalf`` and ``FlatEntries``.
+_COLUMNS = (
+    ("v_index", "v_version", "v_value"),
+    ("e_slot", "e_version", "e_value"),
+)
 
 
 class WorkerSegment:
@@ -238,52 +267,66 @@ class RingWriter:
     once per handled command, which is globally synchronous, so the half
     written this round is never the half peers are reading (they read
     last round's descriptors, which point into the other half).
+    ``used`` is the ``[vertex, edge]`` entry count written this round.
     """
 
-    __slots__ = ("segment", "ring_v", "ring_e", "half", "v_used", "e_used")
+    __slots__ = ("segment", "capacity", "half", "used")
 
     def __init__(self, segment: WorkerSegment, spec: PlaneSpec) -> None:
         self.segment = segment
-        self.ring_v = spec.ring_v if spec.has_v else 0
-        self.ring_e = spec.ring_e if spec.has_e else 0
+        self.capacity = (
+            spec.ring_v if spec.has_v else 0,
+            spec.ring_e if spec.has_e else 0,
+        )
         self.half = 1  # first begin_round() flips to 0
-        self.v_used = 0
-        self.e_used = 0
+        self.used = [0, 0]
 
     def begin_round(self) -> None:
         self.half = 1 - self.half
-        self.v_used = 0
-        self.e_used = 0
+        self.used = [0, 0]
 
-    def append_v(
-        self, indices: np.ndarray, versions: np.ndarray, values: np.ndarray
-    ) -> Optional[Tuple[int, int]]:
-        """Write a vertex batch; ``(start, count)`` or ``None`` on
-        overflow (caller falls back to the pipe for this batch)."""
-        count = int(indices.size)
-        start = self.v_used
-        if start + count > self.ring_v:
-            return None
-        half = self.segment.halves[self.half]
-        half.v_index[start:start + count] = indices
-        half.v_version[start:start + count] = versions
-        half.v_value[start:start + count] = values
-        self.v_used = start + count
-        return start, count
+    def append(
+        self, batches: Mapping[int, FlatEntries]
+    ) -> Tuple[Dict[int, List[int]], Dict[int, FlatEntries]]:
+        """Publish per-destination batches: ``(meta, overflow)``.
 
-    def append_e(
-        self, slots: np.ndarray, versions: np.ndarray, values: np.ndarray
-    ) -> Optional[Tuple[int, int]]:
-        count = int(slots.size)
-        start = self.e_used
-        if start + count > self.ring_e:
-            return None
+        Each batch's vertex and edge fields move into the ring when they
+        fit what is left of the half and the values are an array (a
+        typed column); ``meta`` maps ``dst -> [v_start, v_count,
+        e_start, e_count]`` for what moved. The fields that stay behind
+        form ``overflow[dst]``, shipped over the pipe by the caller.
+        """
         half = self.segment.halves[self.half]
-        half.e_slot[start:start + count] = slots
-        half.e_version[start:start + count] = versions
-        half.e_value[start:start + count] = values
-        self.e_used = start + count
-        return start, count
+        meta: Dict[int, List[int]] = {}
+        overflow: Dict[int, FlatEntries] = {}
+        for dst, batch in batches.items():
+            run = [0, 0, 0, 0]
+            rest = None
+            for column, names in enumerate(_COLUMNS):
+                count = len(getattr(batch, names[0]))
+                if not count:
+                    continue
+                fields = [getattr(batch, name) for name in names]
+                start = self.used[column]
+                if start + count <= self.capacity[column] and isinstance(
+                    fields[2], np.ndarray
+                ):
+                    for name, field in zip(names, fields):
+                        getattr(half, name)[start:start + count] = field
+                    self.used[column] = start + count
+                    run[2 * column:2 * column + 2] = start, count
+                else:
+                    if rest is None:  # same field kinds, nothing in them
+                        rest = FlatEntries(
+                            *(field[:0] for field in batch.__getstate__())
+                        )
+                    for name, field in zip(names, fields):
+                        setattr(rest, name, field)
+            if run[1] or run[3]:
+                meta[dst] = run
+            if rest is not None:
+                overflow[dst] = rest
+        return meta, overflow
 
 
 class DataPlane:
@@ -312,8 +355,7 @@ class DataPlane:
         for half in self.segments[worker_id].halves:
             for arr in (half.v_index, half.v_version, half.e_slot,
                         half.e_version):
-                if arr is not None:
-                    arr.fill(0)
+                arr.fill(0)
 
     def close(self) -> None:  # pragma: no cover - trivial
         pass
@@ -478,22 +520,21 @@ def plane_spec_for(
     max_routable_v: int,
     max_routable_e: int,
     kind: str,
-    ring_cap: Optional[int] = None,
 ) -> Optional[PlaneSpec]:
     """Build the plane spec for a finalized graph, or ``None``.
 
     A plane exists only for typed data columns (objects cannot live in
     shared buffers). Ring halves are sized to the worst-case routable
     entry count (every held boundary slot dirty at once), capped at
-    ``ring_cap`` / :data:`DEFAULT_RING_CAP` — past the cap the overflow
-    contract routes the excess over the pipe.
+    :data:`DEFAULT_RING_CAP` — past the cap the overflow contract routes
+    the excess over the pipe.
     """
     csr = graph.compiled
     vcol = csr.vertex_column
     ecol = csr.edge_column
     if vcol is None and ecol is None:
         return None
-    cap = DEFAULT_RING_CAP if ring_cap is None else int(ring_cap)
+    cap = DEFAULT_RING_CAP
     return PlaneSpec(
         kind=kind,
         num_workers=num_workers,

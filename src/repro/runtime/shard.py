@@ -18,12 +18,20 @@ a flat index, not a dict probe, batch kernels
 (:mod:`repro.core.kernels`) execute directly on the columns, and dirty
 collection / remote application run as vectorized mask passes.
 
-One wire drains the dirty state: slot-form :class:`FlatEntries`
-batches (:meth:`CSRShardStore.collect_dirty_flat` /
-:meth:`~CSRShardStore.apply_flat`, or the data plane's ring). The
-runtime routes them between worker processes; the simulator ships the
-same batches over its modeled network, and the lock holders of its
-locking engine answer a lock request with one
+One entry form moves data between copies: the slot-form
+:class:`FlatEntries` batch, built only by :func:`gather_entries` (and
+merged by :func:`concat_entries`), with int32 index and version arrays
+beside a value field gathered from the column. One router drains the
+dirty state into per-destination batches, and
+:meth:`CSRShardStore.collect_dirty_flat` returns them as they are;
+:meth:`~CSRShardStore.collect_dirty_plane` hands them to the data
+plane's ring writer, which moves what fits into shared memory and
+leaves the rest for the pipe. One filter applies every delivery,
+whatever carried it: :meth:`~CSRShardStore.apply_flat` keeps, per slot,
+the highest version, the earliest entry on a tie, and drops unheld
+slots. The runtime routes the batches between worker processes; the
+simulator ships the same batches over its modeled network, and the lock
+holders of its locking engine answer a lock request with one
 :meth:`~CSRShardStore.gather_newer` batch. The store holds no prices:
 the simulator charges each batch's bytes from its own
 :class:`~repro.distributed.models.DataSizeModel`.
@@ -92,59 +100,35 @@ def ghost_write_targets(
     return frozenset(holders)
 
 
-def _concat_field(a: Any, b: Any) -> Any:
-    """Merge two parallel wire fields (lists and/or numpy arrays).
-
-    Typed-column batches carry numpy arrays; the object fallback carries
-    lists. A destination inbox can accumulate several batches per round
-    (and across elided rounds), so merging must handle either side being
-    empty or array-backed.
-    """
-    if len(a) == 0:
-        return b
-    if len(b) == 0:
-        return a
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.concatenate((np.asarray(a), np.asarray(b)))
-    a.extend(b)
-    return a
-
-
 class FlatEntries:
     """A struct-of-arrays batch of slot-form entries.
 
     Parallel fields: ``v_index``/``v_value``/``v_version`` for vertex
-    data, ``e_slot``/``e_value``/``e_version`` for edge data. On graphs
-    with typed data columns every field is a numpy array — the **wire
-    format is then raw array buffers** (one pickled buffer per field, no
-    per-entry Python objects); on the object fallback the values are a
-    parallel list (and the dirty wire ships index/version as lists too).
-    Ghost batches merge with :meth:`extend` (the coordinator routes
-    several workers' output into one destination inbox per round); the
-    same shape carries snapshot journals and the final collect
-    (:func:`gather_entries`), where many small batches merge at once
-    with :func:`concat_entries`.
+    data, ``e_slot``/``e_value``/``e_version`` for edge data. Index and
+    version fields are int32 arrays; a value field is a numpy array off
+    a typed data column — the **wire format is then raw array buffers**
+    (one pickled buffer per field, no per-entry Python objects) — or a
+    parallel list off an object column. Every store-built batch comes
+    from :func:`gather_entries`: ghost pushes, snapshot journals, the
+    final collect and a simulated lock holder's answer alike. Ghost
+    batches merge with :meth:`extend` (the coordinator routes several
+    workers' output into one destination inbox per round); many small
+    batches merge at once with :func:`concat_entries`. The fields are
+    positional in the constructor, so a view of a data-plane ring run
+    (:meth:`~repro.runtime.plane.RingHalf.entries`) is a batch too.
     """
 
     __slots__ = (
         "v_index", "v_value", "v_version", "e_slot", "e_value", "e_version"
     )
 
-    def __init__(self) -> None:
-        self.v_index: Any = []
-        self.v_value: Any = []
-        self.v_version: Any = []
-        self.e_slot: Any = []
-        self.e_value: Any = []
-        self.e_version: Any = []
+    def __init__(self, *fields: Any) -> None:
+        """``FlatEntries(v_index, v_value, v_version, e_slot, e_value,
+        e_version)``; no arguments make the empty batch."""
+        self.__setstate__(fields or ([], [], [], [], [], []))
 
     def extend(self, other: "FlatEntries") -> None:
-        self.v_index = _concat_field(self.v_index, other.v_index)
-        self.v_value = _concat_field(self.v_value, other.v_value)
-        self.v_version = _concat_field(self.v_version, other.v_version)
-        self.e_slot = _concat_field(self.e_slot, other.e_slot)
-        self.e_value = _concat_field(self.e_value, other.e_value)
-        self.e_version = _concat_field(self.e_version, other.e_version)
+        self.__setstate__(concat_entries((self, other)).__getstate__())
 
     def __len__(self) -> int:
         return len(self.v_index) + len(self.e_slot)
@@ -162,11 +146,15 @@ class FlatEntries:
         ) = state
 
 
+#: The empty slot selection of a column with nothing to route.
+_EMPTY_SLOTS = np.empty(0, dtype=np.int64)
+
+
 def _gather(column: Any, index: np.ndarray) -> Any:
     """Copy ``column[index]``: an array off a typed column, a parallel
     list off the object fallback."""
     if isinstance(column, np.ndarray):
-        return column[index]
+        return column.take(index, axis=0)
     return [column[i] for i in index.tolist()]
 
 
@@ -189,34 +177,46 @@ def gather_entries(
 ) -> FlatEntries:
     """The given slots of two data columns as one slot-form batch.
 
-    The one gather behind every snapshot journal and the final collect:
-    index and version fields are int32 arrays (same widths as the dirty
-    wire), values an array off a typed column or a list off an object
-    column. ``None`` versions journal as 0 — the coordinator's launch
-    baseline, which must force survivors' version clocks back to zero
-    along with their values or post-recovery deliveries would be
-    filtered as stale.
+    The one constructor of store entries: dirty ghost batches, snapshot
+    journals, the final collect and :meth:`CSRShardStore.gather_newer`
+    all come from here. Index and version fields are int32 arrays —
+    graphs stay below 2^31 slots and a version bumps once per write, and
+    the narrower dtype halves the non-payload wire bytes per entry —
+    values an array off a typed column or a list off an object column.
+    ``None`` versions journal as 0 — the coordinator's launch baseline,
+    which must force survivors' version clocks back to zero along with
+    their values or post-recovery deliveries would be filtered as stale.
     """
-    batch = FlatEntries()
-    batch.v_index = v_index.astype(np.int32)
-    batch.v_value = _gather(vdata, v_index)
-    batch.v_version = (
-        np.zeros(len(v_index), dtype=np.int32)
-        if vversion is None
-        else vversion[v_index].astype(np.int32)
+    return FlatEntries(
+        *_gather_column(vdata, vversion, v_index),
+        *_gather_column(edata, eversion, e_slot),
     )
-    batch.e_slot = e_slot.astype(np.int32)
-    batch.e_value = _gather(edata, e_slot)
-    batch.e_version = (
-        np.zeros(len(e_slot), dtype=np.int32)
-        if eversion is None
-        else eversion[e_slot].astype(np.int32)
+
+
+def _gather_column(
+    column: Any, versions: Optional[np.ndarray], index: np.ndarray
+) -> Tuple[np.ndarray, Any, np.ndarray]:
+    """One column's ``(index, value, version)`` fields of
+    :func:`gather_entries`."""
+    return (
+        index.astype(np.int32),
+        _gather(column, index),
+        np.zeros(len(index), dtype=np.int32)
+        if versions is None
+        else versions.take(index).astype(np.int32),
     )
-    return batch
 
 
 def _concat_all(parts: List[Any]) -> Any:
-    """One field of several batches of the same store, end to end."""
+    """One field of several batches of the same store, end to end.
+
+    Empty parts are skipped, so a batch merges into an empty one (whose
+    fields are lists) as is; every batch of one store shares its field
+    kinds otherwise.
+    """
+    parts = [part for part in parts if len(part)] or parts[:1]
+    if len(parts) == 1:
+        return parts[0]
     if isinstance(parts[0], np.ndarray):
         return np.concatenate(parts)
     return [value for part in parts for value in part]
@@ -231,6 +231,64 @@ def concat_entries(batches: Sequence[FlatEntries]) -> FlatEntries:
             merged, name, _concat_all([getattr(b, name) for b in batches])
         )
     return merged
+
+
+def _merge_batches(
+    into: Dict[int, FlatEntries], more: Mapping[int, FlatEntries]
+) -> None:
+    """Append each destination's batch of ``more`` to ``into``'s."""
+    for dst, batch in more.items():
+        held = into.get(dst)
+        into[dst] = batch if held is None else concat_entries((held, batch))
+
+
+def _first_newest(index: np.ndarray, versions: np.ndarray) -> np.ndarray:
+    """Positions of the entry that wins each distinct slot: the highest
+    version, the earliest position among equal versions.
+
+    Version counters of different source machines are not comparable
+    across rounds, so positional "newest" is not enough. Sort ascending
+    by version with position descending as tiebreak; the last
+    occurrence per slot in that order is exactly (max version, first
+    position).
+    """
+    size = index.size
+    order = np.lexsort(
+        (np.arange(size - 1, -1, -1, dtype=np.int64), versions)
+    )
+    _uniq, rev_first = np.unique(index[order][::-1], return_index=True)
+    return order[size - 1 - rev_first]
+
+
+def _apply_column(
+    index: Any,
+    values: Any,
+    versions: Any,
+    held: np.ndarray,
+    stored: np.ndarray,
+    column: Any,
+) -> None:
+    """:meth:`CSRShardStore.apply_flat` on one data column."""
+    index = np.asarray(index)
+    versions = np.asarray(versions)
+    # Duplicate slots appear only when an inbox accumulated several
+    # rounds; the common case — one worker's routed batch — is strictly
+    # ascending and needs no dedup pass. (``take`` and ``count_nonzero``
+    # are numpy's cheapest gather and test at ghost-batch sizes.)
+    size = index.size
+    if size > 1 and np.count_nonzero(index[1:] > index[:-1]) < size - 1:
+        keep = _first_newest(index, versions)
+        index, versions = index[keep], versions[keep]
+        values = _gather(values, keep)
+    ok = held.take(index) & (versions > stored.take(index))
+    fresh = np.count_nonzero(ok)
+    if fresh == ok.size:
+        stored[index] = versions
+        _scatter(column, index, values)
+    elif fresh:
+        ok = np.nonzero(ok)[0]
+        stored[index[ok]] = versions[ok]
+        _scatter(column, index[ok], _gather(values, ok))
 
 
 def scatter_entries(batch: FlatEntries, vdata: Any, edata: Any) -> None:
@@ -625,116 +683,25 @@ class CSRShardStore:
     ) -> Tuple[Dict[int, List[int]], Dict[int, "FlatEntries"]]:
         """Drain dirty data into the shared ring; overflow to the pipe.
 
-        The plane twin of :meth:`collect_dirty_flat`: per-destination
-        runs of (slot, version, value) entries are written straight into
-        this worker's ring half (``writer`` —
-        :class:`~repro.runtime.plane.RingWriter`), and the returned
-        ``meta`` maps ``dst -> [v_start, v_count, e_start, e_count]``
-        descriptors for the coordinator to route as control data. A
-        batch that does not fit the ring half — or belongs to an
-        object-typed column, or is a lazily-resolved ghost write — falls
-        back to a pickled :class:`FlatEntries` batch in ``overflow``
-        (the fixed-capacity contract: correctness never depends on ring
-        size, only pipe bytes do).
+        The same batches as :meth:`collect_dirty_flat`, published by
+        ``writer`` (:meth:`~repro.runtime.plane.RingWriter.append`): the
+        returned ``meta`` maps ``dst -> [v_start, v_count, e_start,
+        e_count]`` ring runs for the coordinator to route as control
+        data, and ``overflow`` holds, per destination, the fields that
+        did not fit the ring half or belong to an object column, plus
+        every FULL-consistency ghost write — rare by construction, with
+        lazily resolved holders (the fixed-capacity contract:
+        correctness never depends on ring size, only pipe bytes do).
         """
-        meta: Dict[int, List[int]] = {}
-        overflow: Dict[int, FlatEntries] = {}
-        dirty_v = self._dirty_v
-        if dirty_v.any():
-            vdata = self.vdata_flat
-            typed = isinstance(vdata, np.ndarray) and writer.ring_v > 0
-            for dst, route in self._route_v.items():
-                sel = route[dirty_v[route]]
-                if not sel.size:
-                    continue
-                placed = None
-                if typed:
-                    # Ring columns are int32; assignment casts, so the
-                    # int64 gathers go in without intermediate copies.
-                    placed = writer.append_v(
-                        sel, self._vversion[sel], vdata[sel]
-                    )
-                if placed is not None:
-                    run = meta.setdefault(dst, [0, 0, 0, 0])
-                    run[0], run[1] = placed
-                else:
-                    batch = overflow.setdefault(dst, FlatEntries())
-                    if isinstance(vdata, np.ndarray):
-                        batch.v_index = sel.astype(np.int32)
-                        batch.v_value = vdata[sel]
-                        batch.v_version = self._vversion[sel].astype(np.int32)
-                    else:
-                        indices = sel.tolist()
-                        batch.v_index = indices
-                        batch.v_value = [vdata[i] for i in indices]
-                        batch.v_version = self._vversion[sel].tolist()
-            self._collect_ghost_dirty(overflow)
-            dirty_v[:] = False
-        dirty_e = self._dirty_e
-        if dirty_e.any():
-            edata = self.edata_flat
-            typed = isinstance(edata, np.ndarray) and writer.ring_e > 0
-            for dst, route in self._route_e.items():
-                sel = route[dirty_e[route]]
-                if not sel.size:
-                    continue
-                placed = None
-                if typed:
-                    placed = writer.append_e(
-                        sel, self._eversion[sel], edata[sel]
-                    )
-                if placed is not None:
-                    run = meta.setdefault(dst, [0, 0, 0, 0])
-                    run[2], run[3] = placed
-                else:
-                    batch = overflow.setdefault(dst, FlatEntries())
-                    if isinstance(edata, np.ndarray):
-                        batch.e_slot = sel.astype(np.int32)
-                        batch.e_value = edata[sel]
-                        batch.e_version = self._eversion[sel].astype(np.int32)
-                    else:
-                        slots = sel.tolist()
-                        batch.e_slot = slots
-                        batch.e_value = [edata[s] for s in slots]
-                        batch.e_version = self._eversion[sel].tolist()
-            dirty_e[:] = False
+        routed, ghosts = self._drain_dirty()
+        meta, overflow = writer.append(routed)
+        _merge_batches(overflow, ghosts)
         return meta, overflow
 
-    def apply_slices(
-        self,
-        v_index: Any,
-        v_value: Any,
-        v_version: Any,
-        e_slot: Any,
-        e_value: Any,
-        e_version: Any,
-    ) -> None:
-        """Apply one routed plane run (version-filtered, idempotent).
-
-        The slices come straight out of a *source worker's* ring half;
-        the same vectorized filter as :meth:`apply_flat` drops stale and
-        unheld entries, so plane delivery and pipe delivery are
-        semantically indistinguishable.
-        """
-        # A ring run is one (src, dst) batch gathered off the source's
-        # static route array for this destination — slot-unique, and
-        # every slot is held here by construction (routes are built
-        # from the mirror pairs), so only the stale-version filter
-        # remains of the full apply_flat semantics.
-        if v_index is not None and len(v_index):
-            stored = self._vversion
-            ok = v_version > stored[v_index]
-            sel = v_index[ok]
-            if sel.size:
-                stored[sel] = v_version[ok]
-                self.vdata_flat[sel] = v_value[ok]
-        if e_slot is not None and len(e_slot):
-            stored = self._eversion
-            ok = e_version > stored[e_slot]
-            sel = e_slot[ok]
-            if sel.size:
-                stored[sel] = e_version[ok]
-                self.edata_flat[sel] = e_value[ok]
+    def apply_slices(self, *fields: Any) -> None:
+        """:meth:`apply_flat` on six parallel slices, in
+        :class:`FlatEntries` field order (a ring run, say)."""
+        self.apply_flat(FlatEntries(*fields))
 
     # ------------------------------------------------------------------
     # Scope data-provider protocol (+ the flat fast path Scope uses).
@@ -853,87 +820,75 @@ class CSRShardStore:
         The runtime hot path: indices are canonical across processes
         (every worker shares the compiled numbering), so entries skip
         the id-keyed ``DataKey`` envelope entirely, and each batch is
-        struct-of-arrays. Routing is a few mask/gather passes over the
-        static per-destination routing arrays; on typed data columns the
-        gathered fields are numpy arrays, so a whole batch pickles as
-        six raw buffers — no per-entry Python objects on the wire.
-        Versions ride along, so :meth:`apply_flat` keeps the idempotent
-        stale-drop filter.
+        struct-of-arrays (:func:`gather_entries`). On typed data columns
+        a whole batch pickles as six raw buffers — no per-entry Python
+        objects on the wire. Versions ride along, so :meth:`apply_flat`
+        keeps the idempotent stale-drop filter.
         """
-        out: Dict[int, FlatEntries] = {}
-        dirty_v = self._dirty_v
-        if dirty_v.any():
-            vdata = self.vdata_flat
-            typed = isinstance(vdata, np.ndarray)
-            for dst, route in self._route_v.items():
-                sel = route[dirty_v[route]]
-                if not sel.size:
-                    continue
-                batch = out.get(dst)
-                if batch is None:
-                    batch = out[dst] = FlatEntries()
-                if typed:
-                    # int32 wire fields: entry indices and versions both
-                    # fit comfortably (graphs < 2^31 vertices, one
-                    # version bump per write), and the narrower dtype
-                    # halves the non-payload wire bytes per entry.
-                    batch.v_index = sel.astype(np.int32)
-                    batch.v_value = vdata[sel]
-                    batch.v_version = self._vversion[sel].astype(np.int32)
-                else:
-                    indices = sel.tolist()
-                    batch.v_index = indices
-                    batch.v_value = [vdata[i] for i in indices]
-                    batch.v_version = self._vversion[sel].tolist()
-            self._collect_ghost_dirty(out)
-            dirty_v[:] = False
-        dirty_e = self._dirty_e
-        if dirty_e.any():
-            edata = self.edata_flat
-            typed = isinstance(edata, np.ndarray)
-            for dst, route in self._route_e.items():
-                sel = route[dirty_e[route]]
-                if not sel.size:
-                    continue
-                batch = out.get(dst)
-                if batch is None:
-                    batch = out[dst] = FlatEntries()
-                if typed:
-                    batch.e_slot = sel.astype(np.int32)
-                    batch.e_value = edata[sel]
-                    batch.e_version = self._eversion[sel].astype(np.int32)
-                else:
-                    slots = sel.tolist()
-                    batch.e_slot = slots
-                    batch.e_value = [edata[s] for s in slots]
-                    batch.e_version = self._eversion[sel].tolist()
-            dirty_e[:] = False
-        return out
+        routed, ghosts = self._drain_dirty()
+        _merge_batches(routed, ghosts)
+        return routed
 
-    def _collect_ghost_dirty(self, out: Dict[int, "FlatEntries"]) -> None:
-        """Route dirty non-owned copies: ghost writes (FULL consistency
-        only). Their holder sets are resolved lazily and they ship
-        through the pickled path even under the data plane — they are
-        rare by construction."""
-        ghost_dirty = np.nonzero(self._dirty_v & ~self._owned_mask)[0]
-        vdata = self.vdata_flat
-        for index in ghost_dirty.tolist():
+    def _drain_dirty(
+        self,
+    ) -> Tuple[Dict[int, "FlatEntries"], Dict[int, "FlatEntries"]]:
+        """The one router: dirty slots as per-destination batches.
+
+        Returns ``(routed, ghosts)``. ``routed`` covers owned data, both
+        columns routed in one loop by a few mask/gather passes over the
+        static per-destination routing arrays. ``ghosts`` covers dirty
+        non-owned copies: ghost writes, FULL consistency only, whose
+        holder sets are resolved lazily. Clears the dirty state.
+        """
+        slots: Dict[int, List[np.ndarray]] = {}
+        ghosts: Dict[int, FlatEntries] = {}
+        for column, (dirty, routes) in enumerate(
+            ((self._dirty_v, self._route_v), (self._dirty_e, self._route_e))
+        ):
+            if not dirty.any():
+                continue
+            for dst, route in routes.items():
+                sel = route.compress(dirty.take(route))
+                if sel.size:
+                    slots.setdefault(dst, [_EMPTY_SLOTS, _EMPTY_SLOTS])
+                    slots[dst][column] = sel
+            if column == 0:
+                ghosts = self._dirty_ghosts()
+                # Ghost holders take their place in the destination
+                # order between the vertex and the edge routes: the
+                # simulator sends a machine's batches in this order.
+                for dst in ghosts:
+                    slots.setdefault(dst, [_EMPTY_SLOTS, _EMPTY_SLOTS])
+            dirty[:] = False
+        routed = {
+            dst: gather_entries(
+                self.vdata_flat, self.edata_flat, v_index, e_slot,
+                self._vversion, self._eversion,
+            )
+            for dst, (v_index, e_slot) in slots.items()
+        }
+        return routed, ghosts
+
+    def _dirty_ghosts(self) -> Dict[int, "FlatEntries"]:
+        """Dirty ghost copies as one vertex batch per remote holder."""
+        by_target: Dict[int, List[int]] = {}
+        ghost_dirty = self._dirty_v > self._owned_mask  # dirty, not owned
+        if not ghost_dirty.any():  # the common case: no FULL ghost write
+            return {}
+        for index in np.nonzero(ghost_dirty)[0].tolist():
             targets = self._vtargets.get(index)
             if targets is None:
                 targets = self._ghost_targets_of(index)
             for target in targets:
-                batch = out.get(target)
-                if batch is None:
-                    batch = out[target] = FlatEntries()
-                # A fresh single-entry batch per destination:
-                # extend() adopts an incoming list uncopied when the
-                # field was empty, so sharing one batch across
-                # targets would alias their entry lists.
-                extra = FlatEntries()
-                extra.v_index = [index]
-                extra.v_value = [vdata[index]]
-                extra.v_version = [int(self._vversion[index])]
-                batch.extend(extra)
+                by_target.setdefault(target, []).append(index)
+        return {
+            target: gather_entries(
+                self.vdata_flat, self.edata_flat,
+                np.array(indices, dtype=np.int64), _EMPTY_SLOTS,
+                self._vversion, self._eversion,
+            )
+            for target, indices in by_target.items()
+        }
 
     def _ghost_targets_of(self, index: int) -> Tuple[int, ...]:
         """Remote holders of a dirty ghost (memoized into vtargets),
@@ -951,87 +906,24 @@ class CSRShardStore:
     def apply_flat(self, batch: "FlatEntries") -> None:
         """Apply a routed slot-form batch (version-filtered, idempotent).
 
-        Array-backed batches (typed columns) apply in a few vectorized
-        passes; list-backed batches keep the scalar loop. Either way the
-        semantics match: unheld slots are dropped, stale versions are
-        dropped, and when an inbox accumulated several rounds' entries
-        for one slot (elided color-steps) the chronologically last —
-        highest-version — entry wins.
+        The one filter every delivery goes through — pipe batches, ring
+        runs and simulated pushes alike, array- or list-valued. Unheld
+        slots are dropped, stale versions are dropped, and when a batch
+        carries several entries for one slot (an inbox that accumulated
+        several rounds, elided color-steps) the highest version wins,
+        the earliest entry on a tie: what applying the entries one by
+        one, each only if strictly newer, would leave standing.
         """
-        if isinstance(batch.v_value, np.ndarray):
-            self._apply_flat_typed(
+        if len(batch.v_index):
+            _apply_column(
                 batch.v_index, batch.v_value, batch.v_version,
                 self._held_v_mask, self._vversion, self.vdata_flat,
             )
-        elif len(batch.v_index):
-            held = self._held_v_mask
-            versions = self._vversion
-            vdata = self.vdata_flat
-            for index, value, version in zip(
-                batch.v_index, batch.v_value, batch.v_version
-            ):
-                if held[index] and version > versions[index]:
-                    versions[index] = version
-                    vdata[index] = value
-        if isinstance(batch.e_value, np.ndarray):
-            self._apply_flat_typed(
+        if len(batch.e_slot):
+            _apply_column(
                 batch.e_slot, batch.e_value, batch.e_version,
                 self._held_e_mask, self._eversion, self.edata_flat,
             )
-        elif len(batch.e_slot):
-            held_e = self._held_e_mask
-            eversions = self._eversion
-            edata = self.edata_flat
-            for slot, value, version in zip(
-                batch.e_slot, batch.e_value, batch.e_version
-            ):
-                if held_e[slot] and version > eversions[slot]:
-                    eversions[slot] = version
-                    edata[slot] = value
-
-    @staticmethod
-    def _apply_flat_typed(
-        indices: Any,
-        values: np.ndarray,
-        versions: Any,
-        held_mask: np.ndarray,
-        stored_versions: np.ndarray,
-        column: np.ndarray,
-    ) -> None:
-        indices = np.asarray(indices)
-        versions = np.asarray(versions)
-        # Duplicate slots appear only when an inbox accumulated several
-        # rounds (elided color-steps); the common case — one worker's
-        # routed batch — is strictly ascending and needs no dedup pass.
-        if indices.size > 1 and not (indices[1:] > indices[:-1]).all():
-            indices = indices.astype(np.int64)
-            versions = versions.astype(np.int64)
-            # Keep, per slot, the entry the scalar per-entry filter
-            # would leave standing: the highest version, and the
-            # *earliest* occurrence among version ties (the scalar loop
-            # drops later entries whose version is not strictly newer).
-            # Version counters of different source machines are not
-            # comparable across rounds, so positional "newest" is not
-            # enough. Sort ascending by version with position
-            # descending as tiebreak; the last occurrence per slot in
-            # that order is exactly (max version, first position).
-            size = indices.size
-            order = np.lexsort(
-                (np.arange(size - 1, -1, -1, dtype=np.int64), versions)
-            )
-            indices, versions, values = (
-                indices[order], versions[order], values[order]
-            )
-            _uniq, rev_first = np.unique(indices[::-1], return_index=True)
-            keep = size - 1 - rev_first
-            indices, versions, values = (
-                indices[keep], versions[keep], values[keep]
-            )
-        ok = held_mask[indices] & (versions > stored_versions[indices])
-        if ok.any():
-            sel = indices[ok]
-            stored_versions[sel] = versions[ok]
-            column[sel] = values[ok]
 
     def apply_kernel_result(self, result: Any) -> None:
         """Version/dirty bookkeeping for a batch kernel's writes.

@@ -74,7 +74,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Set,
     Tuple,
 )
 
@@ -103,7 +102,6 @@ from repro.runtime.shard import (
 #: Inbox entry lists, keyed like the wire payloads.
 Inbox = Dict[str, Any]
 
-_EMPTY_I32 = np.empty(0, dtype=np.int32)
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
@@ -284,10 +282,11 @@ class _PlaneClient:
         if rec is not None:
             if ring is not None:
                 rec.count("plane_rounds")
-                if ring.v_used:
-                    rec.count("plane_ring_v", int(ring.v_used))
-                if ring.e_used:
-                    rec.count("plane_ring_e", int(ring.e_used))
+                v_used, e_used = ring.used
+                if v_used:
+                    rec.count("plane_ring_v", v_used)
+                if e_used:
+                    rec.count("plane_ring_e", e_used)
             if (
                 len(rec.events) >= _TEL_FLUSH
                 or rec.dropped
@@ -351,23 +350,16 @@ class _PlaneClient:
     def _apply_entries(self, inbox: Inbox) -> None:
         """Apply routed ghost state (ring descriptors, pickled batches).
 
-        Both delivery paths go through the store's version filter, so
-        stale and duplicate deliveries are dropped — the idempotence the
-        version scheme exists for.
+        Both delivery paths go through the store's one version filter
+        (:meth:`~repro.runtime.shard.CSRShardStore.apply_flat`; a ring
+        run as a view of the source's ring half), so stale and duplicate
+        deliveries are dropped — the idempotence the version scheme
+        exists for.
         """
         plane = self.plane
-        for (src, half, v_start, v_count, e_start, e_count) in inbox.get(
-            "plane", ()
-        ):
+        for (src, half, *run) in inbox.get("plane", ()):
             ring = plane.segments[src].halves[half]
-            self.store.apply_slices(
-                ring.v_index[v_start:v_start + v_count] if v_count else None,
-                ring.v_value[v_start:v_start + v_count] if v_count else None,
-                ring.v_version[v_start:v_start + v_count] if v_count else None,
-                ring.e_slot[e_start:e_start + e_count] if e_count else None,
-                ring.e_value[e_start:e_start + e_count] if e_count else None,
-                ring.e_version[e_start:e_start + e_count] if e_count else None,
-            )
+            self.store.apply_flat(ring.entries(*run))
         data = inbox.get("data")
         if data is not None:
             self.store.apply_flat(data)
@@ -467,14 +459,6 @@ class RuntimeWorker(_PlaneClient):
         csr = init.graph.compiled
         self._vertex_ids = csr.vertex_ids
         self._index_of = csr.index_of
-        #: This worker's share of each color class, in global class order.
-        self.by_color: List[List[VertexId]] = [
-            [v for v in members if init.owner[v] == init.worker_id]
-            for members in init.classes
-        ]
-        #: The local task set T_w. Scalar mode tracks vertex ids; kernel
-        #: mode a boolean mask in dense index space.
-        self.scheduled: Set[VertexId] = set()
         self._obs = SpanRecorder() if init.telemetry else None
         # Data plane (shared columns + dirty ring).
         self._init_plane(init.plane)
@@ -488,16 +472,28 @@ class RuntimeWorker(_PlaneClient):
             store=self.store,
             globals_view=self.globals.view(),
         )
-        # Batch-kernel mode: when the program advertises a compatible
-        # kernel, color-steps execute as numpy passes over the shard's
-        # typed columns and the task set becomes a boolean mask in dense
-        # index space (scheduling and counts all vectorize). The scalar
-        # interpreter above remains the fallback — and the oracle the
-        # kernel is property-tested against.
-        kernel = kernel_of(self.update_fn) if init.use_kernel else None
+        # The local task set T_w is a boolean mask in dense index space,
+        # and this worker's share of each color class (global class
+        # order) an index array, so scheduling and counts vectorize in
+        # both execution modes.
         index_of = self._index_of
         num_vertices = len(csr.vertex_ids)
         self._counts = np.zeros(num_vertices, dtype=np.int64)
+        self._sched_mask = np.zeros(num_vertices, dtype=bool)
+        self._owner_idx = csr.dense_map(init.owner)
+        me = self.worker_id
+        self._by_color_idx = [
+            np.array(
+                [index_of[v] for v in members if init.owner[v] == me],
+                dtype=np.int64,
+            )
+            for members in init.classes
+        ]
+        # Batch-kernel mode: when the program advertises a compatible
+        # kernel, color-steps execute as numpy passes over the shard's
+        # typed columns. The scalar interpreter remains the fallback —
+        # and the oracle the kernel is property-tested against.
+        kernel = kernel_of(self.update_fn) if init.use_kernel else None
         if (
             kernel is not None
             and kernel.compatible(init.graph)
@@ -505,16 +501,6 @@ class RuntimeWorker(_PlaneClient):
         ):
             kernel.bind(init.graph)
             self.kernel = kernel
-            self._sched_mask = np.zeros(num_vertices, dtype=bool)
-            self._owner_idx = csr.dense_map(init.owner)
-            self._by_color_idx = [
-                np.fromiter(
-                    (index_of[v] for v in members),
-                    dtype=np.int64,
-                    count=len(members),
-                )
-                for members in self.by_color
-            ]
         else:
             self.kernel = None
 
@@ -559,30 +545,17 @@ class RuntimeWorker(_PlaneClient):
             return
         self._apply_entries(inbox)
         for indices in inbox.get("sched", ()):
-            if self.kernel is not None:
-                self._schedule_idx(indices)
-            else:
-                vertex_ids = self._vertex_ids
-                for i in np.asarray(indices).tolist():
-                    self._schedule(vertex_ids[i])
+            self._schedule_idx(indices)
         for key, value in inbox.get("globals", ()):
             self.globals.publish(key, value)
 
-    def _schedule(self, vertex: VertexId) -> bool:
-        """Set-semantics scheduling; true when the vertex was fresh."""
-        scheduled = self.scheduled
-        if vertex not in scheduled:
-            scheduled.add(vertex)
-            return True
-        return False
-
     def _schedule_idx(self, indices: np.ndarray) -> np.ndarray:
-        """Kernel-mode scheduling: merge dense indices into the task
-        mask (set semantics); returns the freshly added indices.
+        """Merge dense indices into the task mask (set semantics);
+        returns the freshly added indices.
 
-        No dedup pass: kernels already emit unique schedule sets, and a
-        duplicate "fresh" index is harmless everywhere it flows (mask
-        writes are idempotent)."""
+        No dedup pass: kernels already emit unique schedule sets, the
+        scalar path dedups its requests, and a duplicate "fresh" index
+        is harmless everywhere it flows (mask writes are idempotent)."""
         mask = self._sched_mask
         fresh = indices[~mask[indices]]
         if fresh.size:
@@ -612,93 +585,91 @@ class RuntimeWorker(_PlaneClient):
             part = self._run_color_scalar(color)
         return (self._ring.half if self._ring is not None else 0, part)
 
-    def _run_color_scalar(self, color: int) -> Tuple:
-        scheduled = self.scheduled
-        work = [v for v in self.by_color[color] if v in scheduled]
-        if not work:
-            return (0, None, None, None, None)
+    def _take_work(self, color: int) -> np.ndarray:
+        """This worker's scheduled members of ``color``, in member
+        order, cleared from the task set before they execute (so a
+        self-reschedule survives to the color's next visit)."""
+        members = self._by_color_idx[color]
+        mask = self._sched_mask
+        work = members[mask[members]]
+        mask[work] = False
+        return work
+
+    def _finish_step(
+        self, work: np.ndarray, requested: np.ndarray, span: str, t0: float
+    ) -> Tuple:
+        """The tail both step kinds share: count the executed ``work``,
+        route its scheduling ``requested`` (dense indices) by owner —
+        local ones join the task set and the fresh ones are reported
+        for the coordinator's task mask, remote ones become int32
+        batches per owner — then drain dirty state. Returns the step's
+        reply part."""
+        self._counts[work] += 1
+        sched_out: Dict[int, np.ndarray] = {}
+        local_new = None
+        if requested.size:
+            owners = self._owner_idx[requested]
+            me = self.worker_id
+            local = requested[owners == me]
+            if local.size:
+                fresh = self._schedule_idx(local).astype(np.int32)
+                local_new = fresh if fresh.size else None
+            remote = requested[owners != me]
+            if remote.size:
+                remote_owners = owners[owners != me]
+                for dst in np.unique(remote_owners):
+                    sched_out[int(dst)] = (
+                        remote[remote_owners == dst].astype(np.int32)
+                    )
         rec = self._obs
-        t0 = perf_counter() if rec is not None else 0.0
-        scheduled.difference_update(work)
-        index_of = self._index_of
-        work_idx = np.fromiter(
-            (index_of[v] for v in work), dtype=np.int64, count=len(work)
-        )
-        owner = self.owner
-        me = self.worker_id
-        graph = self.graph
-        update_fn = self.update_fn
-        schedule = self._schedule
-        scope = self._scope
-        rebind = scope.rebind
-        drain = scope.drain_scheduled
-        #: Freshly scheduled local vertices (reported for the
-        #: coordinator's task mask).
-        local_new: List[VertexId] = []
-        #: dst -> deduplicated remote scheduling requests, send order.
-        sched_out: Dict[int, List[VertexId]] = {}
-        sched_seen: Dict[int, Set[VertexId]] = {}
-        for vertex in work:
-            rebind(vertex)
-            returned = update_fn(scope)
-            pairs = drain()
-            if returned is not None:
-                pairs.extend(normalize_schedule(returned, graph=graph))
-            for (u, _prio) in pairs:
-                target = owner[u]
-                if target == me:
-                    if schedule(u):
-                        local_new.append(u)
-                else:
-                    seen = sched_seen.get(target)
-                    if seen is None:
-                        seen = sched_seen[target] = set()
-                        sched_out[target] = []
-                    if u not in seen:
-                        seen.add(u)
-                        sched_out[target].append(u)
-        self._counts[work_idx] += 1
         if rec is not None:
             t1 = perf_counter()
-            rec.span("compute", t0, t1, len(work))
+            rec.span(span, t0, t1, int(work.size))
         meta, overflow = self._collect_dirty_part()
         if rec is not None:
             rec.span("ser", t1, perf_counter())
         return (
-            len(work),
+            int(work.size),
             overflow or None,
             meta or None,
-            np.fromiter(
-                (index_of[v] for v in local_new),
-                dtype=np.int32,
-                count=len(local_new),
-            )
-            if local_new
-            else None,
-            {
-                dst: np.fromiter(
-                    (index_of[v] for v in vertices),
-                    dtype=np.int32,
-                    count=len(vertices),
-                )
-                for dst, vertices in sched_out.items()
-            }
-            or None,
+            local_new,
+            sched_out or None,
+        )
+
+    def _run_color_scalar(self, color: int) -> Tuple:
+        work = self._take_work(color)
+        if not work.size:
+            return (0, None, None, None, None)
+        t0 = perf_counter() if self._obs is not None else 0.0
+        vertex_ids = self._vertex_ids
+        index_of = self._index_of
+        graph = self.graph
+        update_fn = self.update_fn
+        scope = self._scope
+        rebind = scope.rebind
+        drain = scope.drain_scheduled
+        requested: List[int] = []
+        for i in work.tolist():
+            rebind(vertex_ids[i])
+            returned = update_fn(scope)
+            pairs = drain()
+            if returned is not None:
+                pairs.extend(normalize_schedule(returned, graph=graph))
+            requested.extend(index_of[u] for (u, _prio) in pairs)
+        # First request of each vertex, in request order.
+        requested_idx = np.array(requested, dtype=np.int64)
+        _uniq, first = np.unique(requested_idx, return_index=True)
+        return self._finish_step(
+            work, requested_idx[np.sort(first)], "compute", t0
         )
 
     def _run_color_kernel(self, color: int) -> Tuple:
-        members = self._by_color_idx[color]
-        mask = self._sched_mask
-        work = members[mask[members]]
+        work = self._take_work(color)
         if not work.size:
             # This worker holds none of the frontier: no writes, no
             # dirty state, nothing to collect.
             return (0, None, None, None, None)
-        rec = self._obs
-        t0 = perf_counter() if rec is not None else 0.0
-        sched_out: Dict[int, np.ndarray] = {}
-        local_new = _EMPTY_I32
-        mask[work] = False
+        t0 = perf_counter() if self._obs is not None else 0.0
         store = self.store
         result = self.kernel.step(
             self.graph,
@@ -708,34 +679,7 @@ class RuntimeWorker(_PlaneClient):
             self.globals.view(),
         )
         store.apply_kernel_result(result)
-        self._counts[work] += 1
-        requested = result.scheduled
-        if requested.size:
-            owners = self._owner_idx[requested]
-            me = self.worker_id
-            local = requested[owners == me]
-            if local.size:
-                local_new = self._schedule_idx(local).astype(np.int32)
-            remote = requested[owners != me]
-            if remote.size:
-                remote_owners = owners[owners != me]
-                for dst in np.unique(remote_owners):
-                    sched_out[int(dst)] = (
-                        remote[remote_owners == dst].astype(np.int32)
-                    )
-        if rec is not None:
-            t1 = perf_counter()
-            rec.span("kernel", t0, t1, int(work.size))
-        meta, overflow = self._collect_dirty_part()
-        if rec is not None:
-            rec.span("ser", t1, perf_counter())
-        return (
-            int(work.size),
-            overflow or None,
-            meta or None,
-            local_new if local_new.size else None,
-            sched_out or None,
-        )
+        return self._finish_step(work, result.scheduled, "kernel", t0)
 
     # ------------------------------------------------------------------
     def _sync_count(self, inbox: Optional[Inbox]) -> Dict[str, Any]:
@@ -790,13 +734,8 @@ class RuntimeWorker(_PlaneClient):
         rec = self._obs
         t0 = perf_counter() if rec is not None else 0.0
         self._restore_store(payload)
-        sched = np.asarray(payload["sched"], dtype=np.int64)
-        if self.kernel is not None:
-            self._sched_mask[:] = False
-            self._sched_mask[sched] = True
-        else:
-            vertex_ids = self._vertex_ids
-            self.scheduled = {vertex_ids[i] for i in sched.tolist()}
+        self._sched_mask[:] = False
+        self._sched_mask[np.asarray(payload["sched"], dtype=np.int64)] = True
         if rec is not None:
             rec.span("snap", t0, perf_counter())
         return {"worker": self.worker_id}

@@ -175,7 +175,6 @@ class Process(Future):
             )
         self._gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        kernel._alive += 1
         kernel.call_soon(self._step, None)
 
     def _step(self, trigger: Optional[Future]) -> None:
@@ -188,11 +187,9 @@ class Process(Future):
                 send_value = trigger.value if isinstance(trigger, Future) else None
                 yielded = self._gen.send(send_value)
         except StopIteration as stop:
-            self.kernel._alive -= 1
             self.resolve(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - process failure path
-            self.kernel._alive -= 1
             self.fail(exc)
             if not self._observed:
                 self.kernel._note_failure(self, exc)
@@ -206,7 +203,6 @@ class Process(Future):
         if isinstance(yielded, (list, tuple)):
             yielded = AllOf(self.kernel, yielded)
         if not isinstance(yielded, Future):
-            self.kernel._alive -= 1
             exc = SimulationError(
                 f"process {self.name!r} yielded {type(yielded).__name__}; "
                 "expected Future, Timeout, Process, list, or None"
@@ -224,18 +220,12 @@ class SimKernel:
         self._queue: List[Tuple[float, int, Callable, tuple]] = []
         self._seq = itertools.count()
         self._now = 0.0
-        self._alive = 0
         self._failures: List[Tuple[Process, BaseException]] = []
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def alive_processes(self) -> int:
-        """Processes spawned and not yet finished (running or blocked)."""
-        return self._alive
 
     # ------------------------------------------------------------------
     # Scheduling primitives.

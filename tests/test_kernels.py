@@ -719,20 +719,6 @@ class TestArrayWireFormat:
         assert store.vertex_data(ghost) == 6.0
         assert store.version(("v", ghost)) == 2
 
-    def test_mixed_extend_concatenates(self):
-        from repro.runtime.shard import FlatEntries
-
-        a, b = FlatEntries(), FlatEntries()
-        a.v_index = np.array([1], dtype=np.int64)
-        a.v_value = np.array([2.0])
-        a.v_version = np.array([1], dtype=np.int64)
-        b.v_index = [4]
-        b.v_value = [8.0]
-        b.v_version = [2]
-        a.extend(b)
-        assert np.asarray(a.v_index).tolist() == [1, 4]
-        assert np.asarray(a.v_value).tolist() == [2.0, 8.0]
-
     def test_kernel_writes_version_and_dirty_in_bulk(self):
         g = typed_pagerank_graph(n=24, seed=2)
         store, _plan = self._store(g, workers=2)

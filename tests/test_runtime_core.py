@@ -191,7 +191,7 @@ FROZEN = {
         "consistency", "coloring", "partitioner", "assignment",
         "atoms_per_worker", "syncs", "initial_globals", "max_sweeps",
         "max_updates", "reply_timeout", "use_kernel",
-        "use_plane", "plane_ring_cap", "snapshot_every", "snapshot_dir",
+        "use_plane", "snapshot_every", "snapshot_dir",
         "max_recoveries", "recovery_backoff", "telemetry",
     ],
     RuntimeLockingEngine: [
@@ -199,7 +199,7 @@ FROZEN = {
         "consistency", "scheduler", "pipeline_window", "round_budget",
         "partitioner", "assignment", "atoms_per_worker", "initial_globals",
         "max_updates", "max_rounds", "reply_timeout", "use_plane",
-        "plane_ring_cap", "trace", "snapshot_every", "snapshot_dir",
+        "trace", "snapshot_every", "snapshot_dir",
         "snapshot_mode", "max_recoveries", "recovery_backoff", "telemetry",
     ],
     GraphService: [

@@ -34,10 +34,12 @@ from repro.runtime import (
     ColorSweepScheduler,
     MpTransport,
     RuntimeChromaticEngine,
+    RuntimeLockingEngine,
     UpdateProgram,
     WorkerFailure,
     shm_available,
 )
+from repro.runtime import plane
 from repro.runtime.plane import NO_SHM_ENV
 from repro.runtime.worker import empty_inbox
 
@@ -279,18 +281,37 @@ class TestPlaneEquivalence:
             )
             assert graph_values(g3) == graph_values(g2)
 
-    def test_ring_overflow_falls_back_to_pipe(self):
-        """A 1-entry ring forces the overflow contract every round."""
+    def test_ring_overflow_falls_back_to_pipe(self, monkeypatch):
+        """A 1-entry ring forces the overflow contract every round, on
+        both engines."""
         g = typed_random_graph(14, 30, seed=9)
         coloring = greedy_coloring(g)
         g1, g2 = g.copy(), g.copy()
         r1 = run_oracle(g1, flood_max, coloring)
+        wide = {}
+        for engine_cls, kwargs in (
+            (RuntimeChromaticEngine, {"coloring": coloring}),
+            (RuntimeLockingEngine, {}),
+        ):
+            copy = g.copy()
+            wide[engine_cls] = engine_cls(
+                copy, flood_max, num_workers=3, transport="inproc", **kwargs
+            ).run(initial=copy.vertices())
+        monkeypatch.setattr(plane, "DEFAULT_RING_CAP", 1)
         r2 = RuntimeChromaticEngine(
             g2, flood_max, num_workers=3, transport="inproc",
-            coloring=coloring, plane_ring_cap=1,
+            coloring=coloring,
         ).run(initial=g2.vertices())
         assert r1.updates_per_vertex == r2.updates_per_vertex
         assert graph_values(g1) == graph_values(g2)
+        assert r2.bytes_on_pipe > wide[RuntimeChromaticEngine].bytes_on_pipe
+        g3 = g.copy()
+        r3 = RuntimeLockingEngine(
+            g3, flood_max, num_workers=3, transport="inproc"
+        ).run(initial=g3.vertices())
+        assert r3.converged
+        assert graph_values(g3) == graph_values(g1)
+        assert r3.bytes_on_pipe > wide[RuntimeLockingEngine].bytes_on_pipe
 
     def test_plane_off_matches_plane_on(self):
         g = typed_random_graph(15, 32, seed=21)
