@@ -3,12 +3,15 @@
 Stands a :class:`repro.serve.GraphService` on a random web-ish graph —
 the runtime engine launches once and stays parked between requests,
 keeping the finalized graph resident in its workers — then exercises
-the serving loop end to end: a warm-started incremental PageRank
-converges the ranks, clients read them with version tags, a burst of
-writes perturbs a few vertices, and the residual-scheduled delta
-program re-converges the neighborhood in the background while reads
-keep flowing. Finishes with the service's own latency percentiles and
-a check that the drained graph healed back to the exact fixed point.
+the serving loop end to end: the warm start converges the incremental
+PageRank with color sweeps of its batch kernel before the workers
+launch, clients read the ranks with version tags, a burst of writes
+perturbs a few vertices, and the residual-scheduled delta program
+re-converges the neighborhood in the background while reads keep
+flowing. Finishes with the service's own latency percentiles, the
+engine's update count (the write heals alone: the warm start ran
+before launch) and a check that the drained graph healed back to the
+exact fixed point.
 
 Run:  python examples/serve_pagerank.py
 """
@@ -63,7 +66,8 @@ def main(num_vertices: int = 200, num_workers: int = 2, seed: int = 7) -> None:
             f"p99={row['p99_ms']:.2f}ms"
         )
     print(
-        f"drained: {result.num_updates} background updates, "
+        f"drained: {result.num_updates} background updates healing the "
+        "writes, "
         f"healed L1 vs exact = {l1_error(graph, truth):.2e}"
     )
 

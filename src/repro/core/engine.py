@@ -164,7 +164,7 @@ class SequentialEngine(_EngineBase):
         syncs, other schedulers, ``use_kernel=False``) takes the scalar
         loop below, which remains the oracle.
         """
-        kernel = self._batch_kernel()
+        kernel = self.batch_kernel()
         if kernel is not None:
             return self._run_batch(kernel, initial)
         scheduler = self.scheduler
@@ -219,8 +219,9 @@ class SequentialEngine(_EngineBase):
     # ------------------------------------------------------------------
     # Batch-kernel dispatch (the "Batch kernel contract" in ROADMAP.md).
     # ------------------------------------------------------------------
-    def _batch_kernel(self):
-        """The kernel to dispatch to, or ``None`` for the scalar loop."""
+    def batch_kernel(self):
+        """The kernel :meth:`run` dispatches to, or ``None`` for the
+        scalar loop; callers may ask before running."""
         if not self.use_kernel or self._trace is not None or self.syncs:
             # Tracing needs per-update read/write sets; syncs tick on a
             # per-update cadence the batch path cannot reproduce.

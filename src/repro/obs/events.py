@@ -60,8 +60,11 @@ snap      snapshot/recovery work: checkpoint journaling, restore,
 Coordinator span kinds: ``launch`` (transport launch barrier),
 ``round`` (one full transport round; ``a`` = completed-round number),
 ``run`` (whole engine run), ``snap`` (snapshot cost, sync or async),
-``recover`` (respawn + rollback). Both domains share ``SpanRecorder``;
-the coordinator's drains once, at timeline finalization.
+``recover`` (respawn + rollback), ``warm`` (a serving warm start run in
+process as kernel color sweeps before the launch, so it precedes the
+``run`` span; ``a`` = updates, ``b`` = colors). Both domains share
+``SpanRecorder``; the coordinator's drains once, at timeline
+finalization.
 
 Counters (sum-merged, see :mod:`repro.obs.metrics`):
 ``plane_ring_v`` / ``plane_ring_e`` — dirty-ring entries placed per
@@ -92,9 +95,10 @@ WORKER_KINDS = ("compute", "kernel", "lockwait", "ghost", "ser", "idle", "snap")
 #: ``read`` / ``write`` are serving request spans (``repro.serve``,
 #: PR 10): admission to reply for one client read or write (``a`` =
 #: queue depth at admission), recorded on the coordinator track by the
-#: service front end.
+#: service front end. ``warm`` is the service's in-process warm start.
 COORDINATOR_KINDS = (
     "launch", "round", "run", "snap", "recover", "net", "read", "write",
+    "warm",
 )
 #: Every kind a conforming producer may emit.
 SPAN_KINDS = frozenset(WORKER_KINDS) | frozenset(COORDINATOR_KINDS)

@@ -48,8 +48,9 @@ def summarize(telemetry: RunTelemetry) -> Dict[str, Any]:
     mean busy), ``grant_latency`` (count/percentiles/log2 histogram of
     lock-chain latencies, with occupancy stats), ``plane`` (ring
     occupancy + overflow), ``snapshots`` / ``recoveries`` (coordinator
-    span totals), ``coordinator`` (launch/round/run seconds) and
-    ``dropped``.
+    span totals), ``coordinator`` (launch/round/run seconds),
+    ``serving`` (request latencies and queue depth, plus ``warm_ms``
+    when the service warmed in process) and ``dropped``.
     """
     per_worker: Dict[int, Dict[str, float]] = {}
     walls: Dict[int, List[float]] = {}
@@ -190,6 +191,9 @@ def summarize(telemetry: RunTelemetry) -> Dict[str, Any]:
         coord_counters = telemetry.counters.get(COORDINATOR_TRACK, {})
         serving["rejected"] = coord_counters.get("serve_rejected", 0)
         serving["plane_reads"] = coord_counters.get("serve_plane_reads", 0)
+    if "warm" in coord_secs:
+        # The serving warm start, when it ran in process (before launch).
+        serving["warm_ms"] = coord_secs["warm"] * 1e3
 
     report = {
         "meta": dict(telemetry.meta),
@@ -298,7 +302,8 @@ def format_report(report: Dict[str, Any]) -> str:
             f"rejected={serving.get('rejected', 0)} "
             f"plane_reads={serving.get('plane_reads', 0)} "
             f"queue_depth mean={serving.get('queue_depth_mean', 0.0):.2f} "
-            f"max={serving.get('queue_depth_max', 0)}"
+            f"max={serving.get('queue_depth_max', 0)} "
+            f"warm_ms={serving.get('warm_ms', 0.0):.2f}"
         )
         for op in ("read", "write"):
             entry = serving.get(op)

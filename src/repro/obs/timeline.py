@@ -74,10 +74,6 @@ class RunTelemetry:
                 continue
             yield event
 
-    def worker_tracks(self) -> List[int]:
-        """Worker ids that recorded at least one event, ascending."""
-        return sorted({e[0] for e in self.events if e[0] >= 0})
-
     def total_dropped(self) -> int:
         return sum(self.dropped.values())
 

@@ -45,13 +45,17 @@ from collections import deque
 from time import perf_counter
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
+from repro.core.coloring import coloring_for
 from repro.core.consistency import Consistency
+from repro.core.engine import SequentialEngine
 from repro.core.graph import DataGraph, VertexId
+from repro.core.kernels import kernel_of
 from repro.errors import EngineError
 from repro.obs.metrics import percentile
 from repro.runtime.engine import RuntimeChromaticEngine, RuntimeRunResult
 from repro.runtime.locking import RuntimeLockingEngine
-from repro.runtime.program import named_program
+from repro.runtime.oracle import ColorSweepScheduler
+from repro.runtime.program import named_program, resolve_program
 from repro.serve.protocol import (
     REJECT_BAD_REQUEST,
     REJECT_DRAINING,
@@ -120,9 +124,22 @@ class GraphService:
     fallback; background work runs in whole-sweep bursts, so it serves
     only at sweep quiescence). ``program`` defaults to the incremental
     PageRank (:func:`repro.apps.pagerank.make_pagerank_delta_update` via
-    the program registry), and ``warm=True`` schedules every vertex once
-    at start so the resident results are converged before the first
-    client arrives.
+    the program registry), and ``warm=True`` converges the resident
+    results before the launch, so the service opens quiescent and the
+    first client reads the program's fixed point.
+
+    The warm start runs where the paper runs static schedules: as
+    chromatic color sweeps (Sec. 4.2.1). When the program advertises a
+    batch kernel the graph's typed columns fit, :meth:`start` drives it
+    in process — ``SequentialEngine`` over a
+    :class:`~repro.runtime.oracle.ColorSweepScheduler` — on the very
+    columns the engine then ships to its workers, and opens the service
+    with an empty schedule. The coloring is the chromatic engine's own
+    (so the warm ranks are bit-identical to that engine's run), or on
+    the locking engine a proper one for its consistency model. Any
+    other program (no kernel, ``use_kernel=False``, syncs, a coloring
+    whose classes are not independent) schedules every vertex on the
+    launched engine instead, exactly as a run would.
 
     Lifecycle: :meth:`start` (or ``with service:``) launches and parks
     the cluster; :meth:`submit` / :meth:`request` serve traffic from any
@@ -223,16 +240,76 @@ class GraphService:
         if self._started:
             raise EngineError("graph service is single-use; build a new one")
         self._started = True
-        initial: Iterable = self.graph.vertices() if self._warm else ()
+        initial: Iterable = ()
+        if self._warm and not self._warm_in_process():
+            initial = self.graph.vertices()
         self._engine.open_service(initial)
-        # Even without warm-up the first pump is free (no tasks), and
-        # with it the resident program converges before serving begins.
+        # After an in-process warm start (or none) the first pump finds
+        # no work; otherwise it converges the resident program. Either
+        # way the engine's termination detector witnesses quiescence.
         self._quiescent = False
         self._thread = threading.Thread(
             target=self._loop, name="graph-serve", daemon=True
         )
         self._thread.start()
         return self
+
+    def _warm_in_process(self) -> bool:
+        """Converge ``self.graph`` with kernel color sweeps, pre-launch.
+
+        Taken exactly when ``SequentialEngine`` would run the program's
+        batch kernel (its ``batch_kernel()``: the typed columns fit the
+        kernel, no syncs tick, the coloring's classes are independent)
+        and the engine does not pin ``use_kernel`` off. Returns whether
+        it ran; ``False`` leaves the warm start to the launched engine.
+
+        Why the engine may then open with an empty schedule: both
+        drives stop exactly when the task set is empty, and a vertex
+        leaves it only through an update whose residual stayed under the
+        program's threshold with no in-neighbor moving since. The color
+        sweep is one serial schedule — the chromatic engine's own, and
+        one of those the locking engine's sequential consistency admits
+        — so the opened state is a fixed point the engine itself could
+        have reached. The engine ships ``graph.compiled``'s columns at
+        launch, so its workers start from it.
+        """
+        engine = self._engine
+        graph = self.graph
+        update_fn = resolve_program(engine.program)
+        if kernel_of(update_fn) is None or not getattr(
+            engine, "use_kernel", True
+        ):
+            return False
+        began = perf_counter()
+        coloring = getattr(engine, "coloring", None)
+        if coloring is None:
+            # The locking engine has no coloring of its own; any proper
+            # one batches (a constant VERTEX coloring never does).
+            model = (
+                Consistency.FULL
+                if engine.consistency is Consistency.FULL
+                else Consistency.EDGE
+            )
+            coloring = coloring_for(graph, model)
+        warm = SequentialEngine(
+            graph,
+            update_fn,
+            scheduler=ColorSweepScheduler(coloring),
+            syncs=getattr(engine, "syncs", ()),
+            initial_globals=engine.globals.snapshot(),
+        )
+        if warm.batch_kernel() is None:
+            return False
+        result = warm.run(graph.vertices())
+        if self._obs is not None:
+            self._obs.span(
+                "warm",
+                began,
+                perf_counter(),
+                result.num_updates,
+                len(warm.scheduler.color_classes),
+            )
+        return True
 
     def close(self, snapshot: bool = True) -> RuntimeRunResult:
         """Graceful drain: complete accepted work, snapshot, tear down.

@@ -250,10 +250,6 @@ class SimKernel:
         """A plain unresolved future (condition-variable style)."""
         return Future(self)
 
-    def all_of(self, futures: Iterable[Future]) -> AllOf:
-        """Future resolving when all of ``futures`` are done."""
-        return AllOf(self, futures)
-
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a new process from generator ``gen``."""
         return Process(self, gen, name=name)

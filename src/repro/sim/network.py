@@ -185,10 +185,6 @@ class Network:
     # ------------------------------------------------------------------
     # Accounting.
     # ------------------------------------------------------------------
-    def total_bytes_sent(self) -> float:
-        """Sum of egress bytes over all machines."""
-        return sum(s.bytes_sent for s in self.stats.values())
-
     def mean_mbps_per_machine(self, elapsed: float) -> float:
         """Average per-machine egress MB/s over ``elapsed`` seconds.
 

@@ -340,9 +340,9 @@ class TestSequentialDispatch:
         engine = SequentialEngine(
             g, fn, scheduler=ColorSweepScheduler(greedy_coloring(g))
         )
-        assert engine._batch_kernel() is not None
+        assert engine.batch_kernel() is not None
         # fifo scheduler: no independent frontiers -> scalar.
-        assert SequentialEngine(g, fn, scheduler="fifo")._batch_kernel() is None
+        assert SequentialEngine(g, fn, scheduler="fifo").batch_kernel() is None
         # tracing -> scalar.
         assert (
             SequentialEngine(
@@ -350,7 +350,7 @@ class TestSequentialDispatch:
                 fn,
                 scheduler=ColorSweepScheduler(greedy_coloring(untyped)),
                 trace=True,
-            )._batch_kernel()
+            ).batch_kernel()
             is None
         )
 
@@ -368,7 +368,7 @@ class TestSequentialDispatch:
             consistency=Consistency.VERTEX,
             scheduler=ColorSweepScheduler(coloring),
         )
-        assert engine._batch_kernel() is None
+        assert engine.batch_kernel() is None
         g2 = g.copy()
         rt = RuntimeChromaticEngine(
             g2,
@@ -796,6 +796,6 @@ def test_uncovered_vertex_raises_like_scalar_scheduler():
     engine = SequentialEngine(
         g, fn, scheduler=ColorSweepScheduler(partial)
     )
-    assert engine._batch_kernel() is not None
+    assert engine.batch_kernel() is not None
     with pytest.raises(SchedulerError):
         engine.run(initial=g.vertices())

@@ -405,7 +405,7 @@ class TestTraceStructure:
         # floor is deliberately lenient (loaded CI boxes); the perf
         # guard pins the paper-grade >= 0.95 on the ALS workload.
         assert rep["attribution"] >= 0.75
-        assert set(tel.worker_tracks()) == {0, 1}
+        assert {e[0] for e in tel.events if e[0] >= 0} == {0, 1}
         assert rep["dropped"] == 0
         assert tel.meta["engine"] == "chromatic"
         assert tel.meta["backend"] == "mp"

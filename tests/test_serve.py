@@ -22,13 +22,20 @@ import time
 import numpy as np
 import pytest
 
-from repro.apps.pagerank import exact_pagerank, l1_error
-from repro.core import Consistency, SequentialEngine
+from repro.apps.pagerank import (
+    exact_pagerank,
+    l1_error,
+    make_pagerank_delta_update,
+)
+from repro.core import Consistency, SequentialEngine, coloring_for
 from repro.core.graph import DataGraph
 from repro.datasets import synthetic_ner
 from repro.errors import EngineError, TransportError
-from repro.obs.report import summarize
+from repro.obs.export import chrome_trace, validate_chrome_trace
+from repro.obs.report import format_report, summarize
+from repro.runtime.engine import RuntimeChromaticEngine
 from repro.runtime.locking import RuntimeLockingEngine
+from repro.runtime.oracle import ColorSweepScheduler
 from repro.runtime.program import REGISTERED_PROGRAMS, named_program
 from repro.runtime.transport import make_transport
 from repro.serve import (
@@ -80,8 +87,8 @@ class TestTransportSingleUse:
 # Read/write basics through the in-process front end.
 # ----------------------------------------------------------------------
 def wait_quiescent(service, timeout=30.0):
-    """Bounded poll until the warm-start heal has drained (the engine's
-    own termination detector said so) — not a sleep and a hope."""
+    """Bounded poll until the engine's own termination detector has
+    witnessed quiescence — not a sleep and a hope."""
     deadline = time.monotonic() + timeout
     while not service.stats()["quiescent"]:
         assert time.monotonic() < deadline, "service never went quiescent"
@@ -93,8 +100,8 @@ class TestServingBasics:
         graph = build_serving_graph(16, seed=1)
         with GraphService(graph, num_workers=2, telemetry=False) as service:
             client = InprocClient(service)
-            # The warm-start heal may still be updating vertex 3; a
-            # schedule=False write only stays readable once it is done.
+            # A schedule=False write only stays readable once no
+            # background update can still overwrite vertex 3.
             wait_quiescent(service)
             first = client.read(3)
             assert isinstance(first, ReadReply)
@@ -263,6 +270,9 @@ class TestConsistentReads:
                 sock_front.close()
             result = service.close()
         assert result.converged
+        # No kernel: the launched engine ran the warm start, so the
+        # storm raced real background updates.
+        assert result.num_updates >= n
         # Quiesced state: every vertex and every edge carries the limit.
         for v in range(n):
             assert graph.vertex_data(v) == STAMP_LIMIT
@@ -578,6 +588,156 @@ def _graph_with_sources(n, sources, seed):
         for w in sorted(targets):
             graph.add_edge(v, w, data=1.0 / len(targets))
     return graph.finalize(vertex_dtype=float, edge_dtype=float)
+
+
+# ----------------------------------------------------------------------
+# Warm start: a kernel program converges in process before the launch
+# (color sweeps of its batch kernel), so the service opens quiescent;
+# everything else warms on the launched engine.
+# ----------------------------------------------------------------------
+WARM_EPSILON = 1e-6
+
+_scalar_delta = make_pagerank_delta_update(epsilon=WARM_EPSILON)
+
+
+def kernelless_delta(scope):
+    """The delta program's scalar update with no batch kernel attached."""
+    return _scalar_delta(scope)
+
+
+def _ranks(graph):
+    return [graph.vertex_data(v) for v in graph.vertices()]
+
+
+def _color_sweep_ranks(graph, coloring):
+    """The in-process oracle: SequentialEngine over ColorSweepScheduler."""
+    oracle = graph.copy()
+    SequentialEngine(
+        oracle,
+        named_program("pagerank_delta", epsilon=WARM_EPSILON).resolve(),
+        scheduler=ColorSweepScheduler(coloring),
+    ).run(initial=oracle.vertices())
+    return _ranks(oracle)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize(
+        "consistency, coloring_model",
+        [
+            (Consistency.EDGE, Consistency.EDGE),
+            # VERTEX's own coloring is constant, which never batches.
+            (Consistency.VERTEX, Consistency.EDGE),
+            (Consistency.FULL, Consistency.FULL),
+        ],
+    )
+    def test_locking_service_opens_quiescent(self, consistency, coloring_model):
+        n = 60
+        graph = build_serving_graph(n, seed=71)
+        truth = exact_pagerank(graph)
+        expected = _color_sweep_ranks(
+            graph, coloring_for(graph, coloring_model)
+        )
+        service = GraphService(
+            graph,
+            named_program("pagerank_delta", epsilon=WARM_EPSILON),
+            num_workers=2,
+            telemetry=False,
+            consistency=consistency,
+        )
+        service.start()
+        result = service.close()
+        assert result.converged
+        # The launched engine found no work: the warm start ran before it.
+        assert result.num_updates == 0
+        assert [r.hex() for r in _ranks(graph)] == [
+            r.hex() for r in expected
+        ]
+        assert l1_error(graph, truth) < 1e-3
+
+    def test_chromatic_warm_is_the_engine_run_bit_for_bit(self):
+        n = 60
+        graph = build_serving_graph(n, seed=72)
+        reference = graph.copy()
+        program = named_program("pagerank_delta", epsilon=WARM_EPSILON)
+        coloring = coloring_for(graph, Consistency.EDGE)
+        service = GraphService(
+            graph, program, engine="chromatic", num_workers=2,
+            telemetry=False, coloring=coloring,
+        )
+        # The on-engine warm start warm=True used to run: every vertex
+        # scheduled on the launched chromatic engine, same coloring.
+        RuntimeChromaticEngine(
+            reference, program, num_workers=2, transport="inproc",
+            coloring=coloring,
+        ).run(initial=reference.vertices())
+        service.start()
+        assert service.close().num_updates == 0
+        assert [r.hex() for r in _ranks(graph)] == [
+            r.hex() for r in _ranks(reference)
+        ]
+
+    def test_use_kernel_false_warms_on_the_engine(self):
+        n = 60
+        graph = build_serving_graph(n, seed=73)
+        expected = _color_sweep_ranks(
+            graph, coloring_for(graph, Consistency.EDGE)
+        )
+        service = GraphService(
+            graph,
+            named_program("pagerank_delta", epsilon=WARM_EPSILON),
+            engine="chromatic",
+            num_workers=2,
+            telemetry=False,
+            use_kernel=False,
+        )
+        service.start()
+        result = service.close()
+        assert result.num_updates >= n
+        # Same chromatic order, so the same ranks as the kernel warm.
+        assert [r.hex() for r in _ranks(graph)] == [
+            r.hex() for r in expected
+        ]
+
+    def test_program_without_kernel_warms_on_the_engine(self):
+        n = 60
+        graph = build_serving_graph(n, seed=74)
+        truth = exact_pagerank(graph)
+        service = GraphService(
+            graph, kernelless_delta, num_workers=2, telemetry=False
+        )
+        service.start()
+        result = service.close()
+        assert result.converged
+        assert result.num_updates >= n
+        assert l1_error(graph, truth) < 1e-3
+
+    def test_warm_span_reaches_the_report_and_trace(self):
+        n = 40
+        graph = build_serving_graph(n, seed=75)
+        service = GraphService(graph, num_workers=2, telemetry=True)
+        service.start()
+        InprocClient(service).read(0)
+        tel = service.close().telemetry
+        ((_track, _kind, start, end, updates, colors),) = tel.spans("warm")
+        ((_, _, run_start, _, _, _),) = tel.spans("run")
+        # The warm start runs before the launch, so before the run span.
+        assert end <= run_start
+        assert updates >= n and colors >= 2
+        report = summarize(tel)
+        assert report["serving"]["warm_ms"] == pytest.approx(
+            (end - start) * 1e3
+        )
+        assert "warm_ms=" in format_report(report)
+        assert validate_chrome_trace(chrome_trace(tel)) == []
+
+    def test_no_warm_records_no_warm_span(self):
+        graph = build_serving_graph(16, seed=76)
+        before = _ranks(graph)
+        service = GraphService(graph, num_workers=1, warm=False)
+        service.start()
+        tel = service.close().telemetry
+        assert list(tel.spans("warm")) == []
+        assert _ranks(graph) == before
 
 
 # ----------------------------------------------------------------------

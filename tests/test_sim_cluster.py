@@ -128,7 +128,10 @@ class TestNetwork:
         assert net.stats[0].bytes_sent == 1000 + MESSAGE_OVERHEAD_BYTES
         assert net.stats[0].messages_sent == 1
         assert net.stats[1].bytes_received == 1000 + MESSAGE_OVERHEAD_BYTES
-        assert net.total_bytes_sent() == 1000 + MESSAGE_OVERHEAD_BYTES
+        assert (
+            sum(s.bytes_sent for s in net.stats.values())
+            == 1000 + MESSAGE_OVERHEAD_BYTES
+        )
         assert net.mean_mbps_per_machine(1.0) == pytest.approx(
             (1000 + MESSAGE_OVERHEAD_BYTES) / 2 / 1e6
         )

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import (
+    AllOf,
     Barrier,
     Channel,
     CountDownLatch,
@@ -186,7 +187,7 @@ class TestFutures:
 
     def test_all_of_empty(self):
         k = SimKernel()
-        f = k.all_of([])
+        f = AllOf(k, [])
         k.run()
         assert f.value == []
 
