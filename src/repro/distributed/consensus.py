@@ -1,27 +1,27 @@
 """Distributed termination detection (Misra 1983; paper Secs. 4.2.2, 4.4).
 
-The locking engine is fully asynchronous — no barriers — so "are we
-done?" is itself a distributed problem: every machine must be idle *and*
-no scheduling messages may be in flight. The classic marker solution: a
-token circulates the ring 0 → 1 → … → n-1 → 0. A machine holds the
-token until it is locally idle, then forwards it. Machines turn *black*
-when they perform or receive work; the token's counter resets at a
-black machine (clearing it) and increments at a white one. When the
-counter reaches ``n`` the token has witnessed a full quiet round — any
-message sent before the round would have blackened its receiver — so
-the computation has terminated and a stop broadcast goes out.
+The simulated locking engine (:mod:`repro.distributed.locking`) is
+fully asynchronous — no barriers — so "are we done?" is itself a
+distributed problem: every machine must be idle *and* no scheduling
+messages may be in flight. The classic marker solution: a token
+circulates the ring 0 → 1 → … → n-1 → 0. A machine holds the token
+until it is locally idle, then forwards it. Machines turn *black* when
+they perform or receive work; the token's counter resets at a black
+machine (clearing it) and increments at a white one. When the counter
+reaches ``n`` the token has witnessed a full quiet round — any message
+sent before the round would have blackened its receiver — so the
+computation has terminated and a stop broadcast goes out.
 
-The counter arithmetic is one shared function (:func:`misra_visit`)
-with two drivers: :func:`install_termination` runs the token as real
-byte-charged RPC messages on the simulated cluster, and
-:class:`MisraToken` steps the identical protocol from the runtime
-coordinator's barrier loop (:mod:`repro.runtime.locking`), where the
-token "hops" between workers' idle reports instead of between machines.
+:func:`install_termination` runs the token as real byte-charged RPC
+messages on the simulated cluster; :func:`misra_visit` is its counter
+arithmetic. The runtime locking engine (:mod:`repro.runtime.locking`)
+needs no token: its lockstep rounds route every message through one
+coordinator, which sees quiescence directly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.sim.cluster import Cluster
 from repro.sim.kernel import Future
@@ -39,51 +39,6 @@ def misra_visit(count: int, black: bool, num_machines: int) -> Tuple[int, bool]:
     """
     count = 0 if black else count + 1
     return count, count >= num_machines
-
-
-class MisraToken:
-    """Coordinator-steppable marker ring (same rules, no messages).
-
-    The runtime locking engine routes every message itself, so the token
-    does not need to travel: the coordinator *is* the ring. Each barrier
-    it calls :meth:`advance` with the workers' idle reports and a
-    ``take_black`` callback (returns-and-clears the worker's black
-    flag — set when the worker executed updates or was routed any
-    message). The token hops through consecutive idle holders — possibly
-    several per barrier, modeling instant forwarding — and stops at the
-    first busy one; :meth:`advance` returns True once a full white idle
-    circuit completes, i.e. the exact condition the simulated token
-    detects.
-    """
-
-    def __init__(self, num_machines: int) -> None:
-        self.num_machines = num_machines
-        self.at = 0
-        self.count = 0
-        self.hops = 0
-        self.terminated = False
-
-    def advance(
-        self, idle: Sequence[bool], take_black: Callable[[int], bool]
-    ) -> bool:
-        """Hop while the holder is idle; True on a full quiet circuit."""
-        if self.terminated:
-            return True
-        # Bounded: a circuit of all-white idles terminates within n
-        # hops, and every black visit both resets the counter and clears
-        # the flag, so 2n hops suffice when everyone stays idle.
-        for _ in range(2 * self.num_machines):
-            if not idle[self.at]:
-                return False
-            self.count, done = misra_visit(
-                self.count, take_black(self.at), self.num_machines
-            )
-            self.hops += 1
-            self.at = (self.at + 1) % self.num_machines
-            if done:
-                self.terminated = True
-                return True
-        return False
 
 
 def install_termination(

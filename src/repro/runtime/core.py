@@ -88,8 +88,9 @@ class RuntimeRunResult:
     #: when the engine ran with ``telemetry=True``; ``None`` otherwise.
     telemetry: Optional[RunTelemetry] = None
     #: Engine-specific diagnostics (the locking engine parks its
-    #: serializability trace and termination-token hops here, mirroring
-    #: the simulated engines' ``DistributedRunResult.extra``).
+    #: serializability trace, pipeline window and executing-worker
+    #: tally here, mirroring the simulated engines'
+    #: ``DistributedRunResult.extra``).
     extra: Dict[str, Any] = field(default_factory=dict)
 
     @property

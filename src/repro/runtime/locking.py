@@ -33,13 +33,14 @@ serializes conflicting scopes with **distributed readers-writer locks**:
   and data is applied before grants are processed), so a granted scope
   always reads state at least as fresh as the serialization order
   requires.
-* **Termination by distributed consensus.** The Misra marker-ring
-  semantics of :mod:`repro.distributed.consensus` ported onto the
-  barrier loop: workers report idle, the coordinator blackens a worker
-  whenever it executes or is routed any message, and a
-  :class:`~repro.distributed.consensus.MisraToken` hops through idle
-  workers between rounds — the run ends when a full white idle circuit
-  completes (and, belt-and-braces, every routed inbox is empty).
+* **Termination is what the coordinator sees.** The paper's engine has
+  no barrier, so it needs Misra's marker ring to agree that everyone
+  is done (the simulator still runs that token:
+  :mod:`repro.distributed.consensus`). Here every message crosses the
+  coordinator between lockstep rounds, so quiescence is a predicate
+  it can evaluate directly: every worker's last ``lstep`` reply
+  reported idle and no routed inbox holds anything (:meth:`_quiescent
+  <RuntimeLockingEngine._quiescent>`).
 
 Correctness contract: **sequential consistency, not bit-identity**. The
 locks guarantee conflict-serializability — two scopes whose write sets
@@ -64,7 +65,6 @@ import numpy as np
 from repro.core.consistency import Consistency
 from repro.core.graph import DataGraph, VertexId
 from repro.core.update import normalize_schedule
-from repro.distributed.consensus import MisraToken
 from repro.errors import EngineError, SnapshotError
 from repro.obs.events import Stopwatch
 from repro.runtime.core import (
@@ -234,7 +234,7 @@ class RuntimeLockingEngine(RuntimeCore):
 
     # ------------------------------------------------------------------
     # Scheduling policy: per-worker dynamic schedulers behind distributed
-    # locks, terminated by Misra-token consensus.
+    # locks, terminated when every worker is idle and nothing is routed.
     # ------------------------------------------------------------------
     engine_name = "locking"
     _empty_inbox = staticmethod(empty_lock_inbox)
@@ -248,12 +248,10 @@ class RuntimeLockingEngine(RuntimeCore):
         #: first real snapshot restarts the run exactly.
         self._initial_sched = self._route_schedule(initial)
         self._rounds = 0
-        #: Misra black flags, coordinator-maintained: a worker blackens
-        #: when it executes updates or is routed any message, and the
-        #: token clears the flag at visit time.
-        self._black = [True] * self.num_workers
-        self._token = MisraToken(self.num_workers)
-        self._token_hops = 0
+        #: Each worker's ``idle`` field from its last ``lstep`` reply;
+        #: ``False`` until that first reply, and for a serve write's
+        #: owner until the next one (see :meth:`_quiescent`).
+        self._idle = [False] * self.num_workers
         self._trace_entries: List[Tuple] = []
         #: ``lstep`` rounds tallied by how many workers executed at
         #: least one update in them (index = that count). Like the
@@ -261,11 +259,6 @@ class RuntimeLockingEngine(RuntimeCore):
         #: a recovery does not rewind it: rolled-back rounds still cost
         #: their wall time.
         self._executing = [0] * (self.num_workers + 1)
-
-    def _new_token(self) -> None:
-        """Restart the termination detector, keeping the hop tally."""
-        self._token_hops += self._token.hops
-        self._token = MisraToken(self.num_workers)
 
     def _route_schedule(
         self, schedule: Iterable
@@ -299,10 +292,10 @@ class RuntimeLockingEngine(RuntimeCore):
     def _lstep(self, budget: int, **flags: Any) -> List[Dict[str, Any]]:
         """One budgeted ``lstep`` round, the engine's unit of progress.
 
-        Counts every worker's executed updates (executing blackens) and
-        routes its outgoing batches into the next inboxes; returns the
-        reply bodies for the caller's own fields (idle reports, drain
-        in-flight counts, the async snapshot handshake).
+        Counts every worker's executed updates, records its idle report
+        and routes its outgoing batches into the next inboxes; returns
+        the reply bodies for the caller's own fields (drain in-flight
+        counts, the async snapshot handshake).
         """
         replies = self._send_round(
             "lstep", {"round": self._rounds, "budget": budget, **flags}
@@ -316,42 +309,28 @@ class RuntimeLockingEngine(RuntimeCore):
                 executing += 1
                 self._total_updates += executed
                 self.updates_per_worker[w] += executed
-                self._black[w] = True
+            self._idle[w] = body["idle"]
             self._route(w, half, body)
             bodies.append(body)
         self._executing[executing] += 1
         return bodies
 
-    def _advance_token(self, bodies: List[Dict[str, Any]]) -> bool:
-        """Hop the Misra token through idle workers; ``True`` when a
-        full white circuit has witnessed global quiescence.
+    def _quiescent(self) -> bool:
+        """Global quiescence, as the coordinator sees it between rounds.
 
-        The token's idle view must treat an undelivered inbox as
-        "busy": blackening-on-routing alone is not enough, because one
-        advance() call may clear the flag and complete a second, white
-        circuit before the message is ever delivered. A worker is idle
-        for termination purposes only when it reported idle AND nothing
-        is about to be delivered to it.
+        A worker only gains work from a routed message, and every
+        message crosses the coordinator: so when every worker's last
+        ``lstep`` reported idle and no routed inbox holds anything, no
+        worker can ever do more. Ghost data a serve round delivers
+        schedules nothing, so it needs no round of its own. Serve writes
+        are the one outside source of work; they clear their owner's
+        idle flag, so the next pump runs one round to see that owner
+        idle again.
         """
-        black = self._black
-        inboxes = self._inboxes
-        idle = [
-            body["idle"] and all(not value for value in inboxes[w].values())
-            for w, body in enumerate(bodies)
-        ]
-
-        def take_black(w: int) -> bool:
-            was = black[w]
-            black[w] = False
-            return was
-
-        if self._token.advance(idle, take_black):
-            assert _inboxes_quiet(inboxes)
-            return True
-        return False
+        return all(self._idle) and _inboxes_quiet(self._inboxes)
 
     def _run_loop(self) -> None:
-        """Round until the token converges or a stop condition (resumable)."""
+        """Round until quiescence or a stop condition (resumable)."""
         while True:
             if (
                 self.max_updates is not None
@@ -409,10 +388,9 @@ class RuntimeLockingEngine(RuntimeCore):
                     # cut is complete; next round closes the handshake.
                     async_state["ready"] = True
                 # No termination check while a snapshot is in flight:
-                # workers report busy anyway, and the token must not
-                # witness the snapshot's own traffic as a white circuit.
+                # workers report busy until the handshake closes.
                 continue
-            if self._advance_token(bodies):
+            if self._quiescent():
                 self._converged = True
                 break
 
@@ -423,52 +401,47 @@ class RuntimeLockingEngine(RuntimeCore):
         self, replies: List[Any], writes_by: List[List]
     ) -> None:
         """A serve barrier is a round on this engine's clock, and a
-        write is work: it blackens its owner like an executed update."""
+        write is work: its owner counts as busy until its next
+        ``lstep`` reply."""
         self._rounds += 1
         for w, (half, body) in enumerate(replies):
             if writes_by[w]:
-                self._black[w] = True
+                self._idle[w] = False
             self._route(w, half, body)
 
     def service_schedule(self, schedule: Iterable) -> int:
         """Inject dynamic updates (the serving write path's follow-up).
 
         Routes ``(vertex, priority)`` pairs into their owners' inboxes
-        exactly like the initial schedule of a run and blackens the
-        receivers so the termination detector knows new work exists.
-        Returns the number of injected tasks; they execute on subsequent
-        :meth:`service_pump_round` calls.
+        exactly like the initial schedule of a run; the non-empty
+        inboxes are what keeps :meth:`_quiescent` false until they are
+        delivered. Returns the number of injected tasks; they execute on
+        subsequent :meth:`service_pump_round` calls.
         """
         by_worker = self._route_schedule(schedule)
-        for w in by_worker:
-            self._black[w] = True
         return sum(len(indices) for indices, _prios in by_worker.values())
 
     def service_pump_round(self) -> bool:
         """One locking round of background work; ``True`` at quiescence.
 
-        The serving twin of one :meth:`_run_loop` iteration: run a
-        budgeted ``lstep``, route replies, advance the Misra token.
-        Returns ``True`` when a full white circuit has witnessed global
-        quiescence — the cluster is parked and no round need run until
-        new work arrives. Injected work after convergence restarts the
-        detector (fresh token; the black flags are already set by
-        :meth:`service_schedule` / :meth:`service_barrier` routing).
-        Snapshot cadence fires here too, always via the synchronous
-        drain-then-journal path — serving interleaves rounds with
-        barriers, so the paper's async snapshot machinery stays a
-        run-mode feature.
+        The serving twin of one :meth:`_run_loop` iteration. Already
+        :meth:`_quiescent` (nothing written, scheduled or routed since
+        the last round that saw every worker idle): returns ``True``
+        and sends no round. Otherwise runs one budgeted ``lstep`` and
+        returns whether that reached quiescence. Snapshot cadence fires
+        here too, always via the synchronous drain-then-journal path —
+        serving interleaves rounds with barriers, so the paper's async
+        snapshot machinery stays a run-mode feature.
         """
-        if self._token.terminated:
-            if _inboxes_quiet(self._inboxes) and not any(self._black):
-                return True
-            self._new_token()
+        if self._quiescent():
+            return True
         if (
             self._cadence is not None
             and self._cadence.due(self._rounds, time.perf_counter())
         ):
             self._take_snapshot()
-        return self._advance_token(self._lstep(self.round_budget))
+        self._lstep(self.round_budget)
+        return self._quiescent()
 
     # ------------------------------------------------------------------
     # Snapshots and recovery (Sec. 4.3).
@@ -563,8 +536,8 @@ class RuntimeLockingEngine(RuntimeCore):
         self, meta: Dict[str, Any], journals: List[Dict[str, Any]]
     ) -> List[Any]:
         """Counts reset from the journals (their sum is the snapshot's
-        exact update total), the termination detector restarts black
-        with a fresh token, and any half-run async snapshot is
+        exact update total), no worker counts as idle until its next
+        ``lstep`` reply, and any half-run async snapshot is
         abandoned — its COMPLETE marker never existed, so it was never
         a recovery point. Each worker re-seeds its journaled scheduler.
         """
@@ -574,8 +547,7 @@ class RuntimeLockingEngine(RuntimeCore):
             count = int(journal["counts"][1].sum())
             self.updates_per_worker[w] = count
             self._total_updates += count
-        self._black = [True] * self.num_workers
-        self._new_token()
+        self._idle = [False] * self.num_workers
         self._async = None
         return [journal.get("sched") for journal in journals]
 
@@ -583,32 +555,20 @@ class RuntimeLockingEngine(RuntimeCore):
     # Routing.
     # ------------------------------------------------------------------
     def _route(self, src: int, half: int, body: Dict[str, Any]) -> None:
-        """Deliver one worker's outgoing batches into the next inboxes.
-
-        Every routed message blackens its receiver (Misra: receiving
-        work invalidates the token's circuit) — including pure data
-        pushes, which is conservative but always safe.
-        """
+        """Deliver one worker's outgoing batches into the next inboxes."""
         inboxes = self._inboxes
-        black = self._black
         lock = body.get("lock")
         if lock:
             for dst, arr in lock.items():
                 inboxes[dst]["lock"].append((src, arr))
-                black[dst] = True
         for kind in ("grant", "unlock", "sched", "ssched"):
             batches = body.get(kind)
             if batches:
                 for dst, batch in batches.items():
                     inboxes[dst][kind].append(batch)
-                    black[dst] = True
-        plane = body.get("plane")
-        data = body.get("data")
-        route_ghost_entries(inboxes, src, half, plane, data)
-        for batches in (plane, data):
-            if batches:
-                for dst in batches:
-                    black[dst] = True
+        route_ghost_entries(
+            inboxes, src, half, body.get("plane"), body.get("data")
+        )
 
     # ------------------------------------------------------------------
     # Launch / result plumbing.
@@ -642,7 +602,6 @@ class RuntimeLockingEngine(RuntimeCore):
 
     def _result_extra(self) -> Dict[str, Any]:
         extra: Dict[str, Any] = {
-            "token_hops": self._token_hops + self._token.hops,
             "pipeline_window": self.pipeline_window,
             "executing_workers": list(self._executing),
         }

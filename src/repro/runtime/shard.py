@@ -943,11 +943,6 @@ class CSRShardStore:
             self._eversion[wrote_e] += 1
             self._dirty_e[wrote_e] = True
 
-    @property
-    def dirty_count(self) -> int:
-        """Slots changed since the last :meth:`collect_dirty_flat`."""
-        return int(self._dirty_v.sum()) + int(self._dirty_e.sum())
-
     def checkpoint_payload(
         self,
         v_index: Optional[np.ndarray] = None,

@@ -534,8 +534,8 @@ class GraphService:
         if touched:
             self._engine.service_schedule(touched)
         if writes or touched:
-            # Writes blacken their owners / schedules add tasks: the
-            # termination detector must re-witness quiescence.
+            # Writes mark their owners busy / schedules add tasks: the
+            # engine must see every worker idle again before quiescence.
             self._quiescent = False
         now = perf_counter()
         obs = self._obs

@@ -2,8 +2,8 @@
 
 The tool's runs are a black box (git worktree + ``python3 -m bench``);
 what it concludes from their records is pinned here: quartiles, pair
-wins with ties counting for neither side, the metric rows, and the
-exact-count comparison.
+wins with ties counting for neither side, the metric rows with their
+verdicts, and the exact-count comparison.
 """
 
 import importlib.util
@@ -27,9 +27,9 @@ def record(counts=None, **metrics):
 
 
 END_TO_END = [
-    {"name": "exec_s", "unit": "s", "better": "lower"},
-    {"name": "rate", "unit": "1/s", "better": "higher"},
-    {"name": "absent", "unit": "s", "better": "lower"},
+    {"name": "exec_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "absent", "unit": "s", "better": "lower", "bound": 0.25},
 ]
 
 
@@ -62,6 +62,61 @@ def test_summarize_rows():
     lines = bench_ab.format_rows(list(rows.values()))
     assert len(lines) == 3 and lines[1].startswith("exec_s")
     assert lines[1].rstrip().endswith("2:1:0")
+
+
+def _verdict(base, head, name="exec_s"):
+    """The verdict of one metric over aligned pairs of values."""
+    rows = bench_ab.summarize(
+        END_TO_END,
+        [record(**{name: v}) for v in base],
+        [record(**{name: v}) for v in head],
+    )
+    (row,) = rows
+    return row["verdict"]
+
+
+# Ten tight base runs: median 1.0, q1-q3 0.99-1.01.
+TIGHT = [0.97, 0.98, 0.99, 0.99, 1.0, 1.0, 1.01, 1.01, 1.02, 1.03]
+
+
+def test_verdict_worse_beyond_the_bound():
+    assert _verdict(TIGHT, [v * 1.3 for v in TIGHT]) == "worse"
+    assert _verdict(TIGHT, [v * 0.7 for v in TIGHT], "rate") == "worse"
+    # Within the bound is not worse, and never a gain when head loses.
+    assert _verdict(TIGHT, [v * 1.2 for v in TIGHT]) == "ok"
+
+
+def test_verdict_unresolved_when_either_spread_exceeds_the_bound():
+    wide = [0.6, 0.7, 0.8, 0.9, 1.0, 1.0, 1.1, 1.2, 1.3, 1.4]
+    assert _verdict(wide, TIGHT) == "unresolved"
+    assert _verdict(TIGHT, wide) == "unresolved"
+    # A worse median is reported as worse even when the runs are wide.
+    assert _verdict(TIGHT, [v * 1.5 for v in wide]) == "worse"
+
+
+def test_verdict_gain_needs_ten_pairs_nine_wins_and_a_wide_margin():
+    faster = [v * 0.9 for v in TIGHT]
+    assert _verdict(TIGHT, faster) == "gain"
+    assert _verdict(TIGHT, [v * 1.1 for v in TIGHT], "rate") == "gain"
+    # 9 pairs are too few, whatever they read.
+    assert _verdict(TIGHT[:9], faster[:9]) == "ok"
+    # One lost pair in ten still claims; two do not.
+    one_lost = faster[:9] + [TIGHT[9] + 0.01]
+    assert _verdict(TIGHT, one_lost) == "gain"
+    two_lost = faster[:8] + [TIGHT[8] + 0.01, TIGHT[9] + 0.01]
+    assert _verdict(TIGHT, two_lost) == "ok"
+    # Winning every pair by less than the base's q1-q3 is no gain.
+    assert _verdict(TIGHT, [v - 0.015 for v in TIGHT]) == "ok"
+
+
+def test_verdict_is_printed_per_row():
+    base = [record(exec_s=v, rate=10.0) for v in TIGHT]
+    head = [record(exec_s=v * 1.3, rate=10.0) for v in TIGHT]
+    rows = bench_ab.summarize(END_TO_END, base, head)
+    assert [row["verdict"] for row in rows] == ["worse", "ok"]
+    lines = bench_ab.format_rows(rows)
+    assert "verdict" in lines[0]
+    assert "worse" in lines[1] and "ok" in lines[2]
 
 
 def test_counts_mismatch_names_the_differing_counts():

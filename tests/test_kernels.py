@@ -721,16 +721,26 @@ class TestArrayWireFormat:
 
     def test_kernel_writes_version_and_dirty_in_bulk(self):
         g = typed_pagerank_graph(n=24, seed=2)
-        store, _plan = self._store(g, workers=2)
+        store, plan = self._store(g, workers=2)
         from repro.core.kernels import KernelResult
 
+        # Vertices with a neighbour on the other worker, so every dirty
+        # slot has a holder to route to.
+        boundary = [
+            v for v in store.owned_vertices
+            if any(plan.owner[u] != 0 for u in g.neighbors(v))
+        ][:3]
         indices = np.array(
-            [g.compiled.index_of[v] for v in store.owned_vertices[:3]],
-            dtype=np.int64,
+            [g.compiled.index_of[v] for v in boundary], dtype=np.int64
         )
         store.apply_kernel_result(KernelResult(wrote_v=indices))
-        assert store.dirty_count >= 3
-        for v in store.owned_vertices[:3]:
+        routed = {
+            int(i)
+            for batch in store.collect_dirty_flat().values()
+            for i in batch.v_index
+        }
+        assert routed == set(indices.tolist())
+        for v in boundary:
             assert store.version(("v", v)) == 1
 
 

@@ -151,7 +151,7 @@ def test_snapshot_extra_keys_agree_across_engines(backend, tmp_path):
     own = {
         RuntimeChromaticEngine: set(),
         RuntimeLockingEngine: {
-            "token_hops", "pipeline_window", "executing_workers",
+            "pipeline_window", "executing_workers",
         },
     }
     for engine_cls in ENGINES:

@@ -488,7 +488,11 @@ class TestShardStore:
         store.set_vertex_data(v, 42.0)
         assert store.vertex_data(v) == 42.0
         assert store.version(("v", v)) == 1
-        assert store.dirty_count == 1
+        # v's ring neighbour lives on the other worker, so its one dirty
+        # slot routes as a one-entry batch.
+        (batch,) = store.collect_dirty_flat().values()
+        assert list(batch.v_index) == [g.compiled.index_of[v]]
+        assert len(batch.e_slot) == 0
 
     def test_list_backed_apply_flat_is_version_filtered(self):
         """The object-column branch of ``apply_flat`` (list-backed
@@ -616,7 +620,6 @@ class TestShardStore:
                 store.restore_checkpoint(journal)
         assert owner_view() == truth
         for store in stores:
-            assert store.dirty_count == 0
             assert store.collect_dirty_flat() == {}
             for key, (value, version) in truth.items():
                 held = store.version(key)

@@ -46,7 +46,7 @@ from repro.core.graph import DataGraph
 from repro.core.scope import Scope
 from repro.datasets.netflix import synthetic_netflix
 from repro.datasets.webgraph import power_law_web_graph
-from repro.distributed.consensus import MisraToken, misra_visit
+from repro.distributed.consensus import misra_visit
 from repro.distributed.locks import RWQueueCore, build_lock_chain
 from repro.errors import EngineError, SimulationError
 from repro.obs import format_report, summarize, write_jsonl
@@ -349,36 +349,6 @@ class TestMisraToken:
         assert misra_visit(2, black=True, num_machines=4) == (0, False)
         assert misra_visit(2, black=False, num_machines=4) == (3, False)
         assert misra_visit(3, black=False, num_machines=4) == (4, True)
-
-    def test_all_idle_black_terminates_in_two_circuits(self):
-        token = MisraToken(3)
-        black = [True, True, True]
-
-        def take(w):
-            was = black[w]
-            black[w] = False
-            return was
-
-        assert token.advance([True, True, True], take)
-        assert token.terminated
-        assert token.hops == 6  # one clearing circuit + one white circuit
-
-    def test_busy_worker_blocks_the_token(self):
-        token = MisraToken(3)
-        black = [False, False, False]
-
-        def take(w):
-            was = black[w]
-            black[w] = False
-            return was
-
-        assert not token.advance([True, False, True], take)
-        assert token.at == 1  # parked at the busy worker
-        # Work arrived at worker 2 meanwhile: its blackness resets the
-        # count, so one more full circuit is needed.
-        black[2] = True
-        assert token.advance([True, True, True], take)
-        assert token.terminated
 
 
 class TestLockChain:
@@ -821,7 +791,6 @@ class TestPipelineAndAccounting:
             pipeline_window=8,
         ).run(initial=copy.vertices())
         assert result.extra["pipeline_window"] == 8
-        assert result.extra["token_hops"] >= result.num_workers
         assert result.rounds > 0 and result.bytes_on_pipe > 0
         assert sum(result.updates_per_worker.values()) == result.num_updates
         assert sum(result.updates_per_vertex.values()) == result.num_updates
@@ -911,3 +880,315 @@ class TestExecutingWorkers:
         tally = result.extra["executing_workers"]
         assert sum(tally) == result.rounds - 1 - 1
         assert sum(tally) > engine._clock()
+
+
+# ----------------------------------------------------------------------
+# Termination: the coordinator's quiescence predicate.
+# ----------------------------------------------------------------------
+#: Reply fields that route a message into some worker's next inbox.
+ROUTED_KINDS = ("lock", "grant", "unlock", "sched", "ssched", "plane", "data")
+
+
+def _routes_something(body):
+    return any(body.get(kind) for kind in ROUTED_KINDS)
+
+
+class ReferenceMisraToken:
+    """The coordinator-stepped marker ring the runtime locking engine
+    ran before it decided termination with ``_quiescent`` (kept here as
+    the reference the predicate is compared against). It hops through
+    consecutive idle holders, several per round, and stops at the first
+    busy one; ``advance`` is ``True`` once a full white idle circuit
+    completes."""
+
+    def __init__(self, num_machines):
+        self.num_machines = num_machines
+        self.at = 0
+        self.count = 0
+        self.terminated = False
+
+    def advance(self, idle, take_black):
+        if self.terminated:
+            return True
+        for _ in range(2 * self.num_machines):
+            if not idle[self.at]:
+                return False
+            self.count, done = misra_visit(
+                self.count, take_black(self.at), self.num_machines
+            )
+            self.at = (self.at + 1) % self.num_machines
+            if done:
+                self.terminated = True
+                return True
+        return False
+
+
+class ReferenceDetector:
+    """The token plus the engine's old black-flag rules: every worker
+    starts black, and executing, being routed any message, a serve
+    write and an injected schedule blacken a worker; a token visit
+    clears it. A worker counts as idle for the token only when it
+    reported idle and its inbox is empty."""
+
+    def __init__(self, num_workers):
+        self.black = [True] * num_workers
+        self.token = ReferenceMisraToken(num_workers)
+
+    def absorb(self, replies, written=()):
+        for w, (_half, body) in enumerate(replies):
+            if body.get("executed") or w in written:
+                self.black[w] = True
+            for kind in ROUTED_KINDS:
+                for dst in body.get(kind) or ():
+                    self.black[dst] = True
+
+    def inject(self, workers):
+        for w in workers:
+            self.black[w] = True
+
+    def advance(self, bodies, inboxes):
+        black = self.black
+        idle = [
+            body["idle"] and not any(inboxes[w].values())
+            for w, body in enumerate(bodies)
+        ]
+
+        def take_black(w):
+            was = black[w]
+            black[w] = False
+            return was
+
+        return self.token.advance(idle, take_black)
+
+    def parked(self, inboxes):
+        """The old pump's early return: a terminated token with nothing
+        routed and nobody black since. Otherwise a terminated token
+        restarts, and the pump runs a round."""
+        if self.token.terminated:
+            if not any(any(inbox.values()) for inbox in inboxes) and not any(
+                self.black
+            ):
+                return True
+            self.token = ReferenceMisraToken(len(self.black))
+        return False
+
+
+class ScriptedCluster:
+    """A transport whose workers reply with hypothesis-drawn idle
+    reports, executions and outgoing messages, within the rules every
+    real locking worker keeps:
+
+    * an idle worker that is delivered nothing (and was not written)
+      stays idle, executes nothing and sends nothing;
+    * a busy worker that executes nothing and is delivered nothing
+      stays busy (it may still send, like a worker posting lock
+      requests for a scope it popped);
+    * a written worker counts as delivered to at its next ``lstep``;
+      ghost data a serve round delivers gives no worker work.
+    """
+
+    obs = None
+
+    def __init__(self, draw, num_workers):
+        self.draw = draw
+        self.num_workers = num_workers
+        self.busy = [False] * num_workers
+        self.woken = [False] * num_workers
+        #: A serve round delivered routed ghost data since the last
+        #: ``lstep``.
+        self.ghosts_served = False
+        self.rounds = 0
+        self.last = None
+
+    def _sends(self, body):
+        targets = st.integers(0, self.num_workers - 1)
+        for kind, dst in self.draw(
+            st.lists(st.tuples(st.sampled_from(ROUTED_KINDS), targets),
+                     max_size=3)
+        ):
+            if kind == "plane":
+                message = (0, 1, 0, 0)
+            elif kind == "data":
+                message = [kind]
+            else:
+                message = np.zeros(1, dtype=np.int32)
+            body.setdefault(kind, {})[dst] = message
+
+    def round(self, messages):
+        self.rounds += 1
+        replies = []
+        for w, (tag, payload) in enumerate(messages):
+            delivered = bool(payload.get("inbox"))
+            if tag == "serve":
+                body = {"serve": {}}
+                self.ghosts_served = self.ghosts_served or delivered
+                if payload.get("writes"):
+                    self.woken[w] = True
+                    # A write pushes its new value to the ghost holders.
+                    body["data"] = {
+                        dst: ["write"]
+                        for dst in self.draw(st.sets(
+                            st.integers(0, self.num_workers - 1), max_size=2
+                        ))
+                    }
+            else:
+                assert tag == "lstep"
+                self.ghosts_served = False
+                delivered = delivered or self.woken[w]
+                self.woken[w] = False
+                if not (self.busy[w] or delivered):
+                    body = {"executed": 0, "idle": True}
+                else:
+                    executed = self.draw(st.integers(0, 2))
+                    idle = (
+                        self.draw(st.booleans())
+                        if executed or delivered
+                        else False
+                    )
+                    body = {"executed": executed, "idle": idle}
+                    self._sends(body)
+                    self.busy[w] = not idle
+            replies.append((0, body))
+        self.last = replies
+        return replies
+
+
+@given(data=st.data(), workers=st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_quiescence_decides_like_the_misra_token(data, workers):
+    """Random round sequences — run-mode ``lstep`` rounds, then serving
+    pumps, writes, read barriers and injected schedules — driven through
+    the engine's own round, routing and serving code on a scripted
+    cluster. At every decision the predicate and the reference token
+    agree: after each run-mode round, and at each pump (whether it
+    sends a round at all, and what it returns).
+
+    One difference is by design. When a read-only serve round (no data
+    plane) delivers the last routed ghost data, the predicate holds at
+    once, while the token still counts the receivers black and pumps
+    one more round in which every worker is idle and nothing moves.
+    """
+    g = ring_graph(8)
+    engine = RuntimeLockingEngine(
+        g, flood_max, num_workers=workers, transport="inproc",
+        assignment={v: v % workers for v in g.vertices()},
+        atoms_per_worker=1,
+    )
+    cluster = ScriptedCluster(data.draw, workers)
+    engine.transport = cluster
+    ref = ReferenceDetector(workers)
+    vertices = st.lists(st.integers(0, 7), max_size=3)
+    engine._begin(data.draw(vertices))
+
+    def bodies():
+        return [body for _half, body in cluster.last]
+
+    for _ in range(data.draw(st.integers(0, 12))):
+        engine._lstep(engine.round_budget)
+        ref.absorb(cluster.last)
+        done = engine._quiescent()
+        assert done == ref.advance(bodies(), engine._inboxes)
+        if done:
+            break
+    for _ in range(data.draw(st.integers(0, 25))):
+        op = data.draw(st.sampled_from(["pump", "write", "read", "inject"]))
+        if op == "pump":
+            before = cluster.rounds
+            parked = ref.parked(engine._inboxes)
+            done = engine.service_pump_round()
+            if parked:
+                assert done and cluster.rounds == before
+            elif cluster.rounds == before:
+                assert done and cluster.ghosts_served
+                idle_round = [{"idle": True}] * workers
+                assert ref.advance(idle_round, engine._inboxes)
+            else:
+                assert cluster.rounds == before + 1
+                ref.absorb(cluster.last)
+                assert done == ref.advance(bodies(), engine._inboxes)
+        elif op == "write":
+            written = data.draw(
+                st.lists(st.integers(0, 7), min_size=1, max_size=3)
+            )
+            engine.service_barrier(writes=[(v, 9.0) for v in written])
+            ref.absorb(cluster.last, {engine.owner[v] for v in written})
+        elif op == "read":
+            engine.service_barrier(reads=[("r", 0, False)])
+            ref.absorb(cluster.last)
+        else:
+            injected = data.draw(vertices)
+            engine.service_schedule(injected)
+            ref.inject({engine.owner[v] for v in injected})
+
+
+class TestQuiescence:
+    @staticmethod
+    def _flood_grid():
+        g = grid_graph(3, 3)
+        g.set_vertex_data((0, 0), 5.0)
+        return g
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_ends_on_first_idle_round_that_routes_nothing(
+        self, workers
+    ):
+        g = self._flood_grid()
+        engine = RuntimeLockingEngine(
+            g, flood_max, num_workers=workers, transport="inproc",
+            round_budget=2,
+        )
+        rounds = []
+        lstep = engine._lstep
+
+        def recording_lstep(budget, **flags):
+            bodies = lstep(budget, **flags)
+            rounds.append(all(
+                body["idle"] and not _routes_something(body)
+                for body in bodies
+            ))
+            return bodies
+
+        engine._lstep = recording_lstep
+        result = engine.run(initial=g.vertices())
+        assert result.converged
+        assert rounds.index(True) == len(rounds) - 1
+        assert len(rounds) == result.rounds - 1  # + the final collect
+        assert set(graph_values(g)[0].values()) == {5.0}
+
+    @staticmethod
+    def _quiescent_service():
+        g = TestQuiescence._flood_grid()
+        engine = RuntimeLockingEngine(
+            g, flood_max, num_workers=2, transport="inproc"
+        )
+        engine.open_service(g.vertices())
+        for _ in range(100):
+            if engine.service_pump_round():
+                return engine
+        raise AssertionError("service never reached quiescence")
+
+    def test_pump_sends_no_round_when_nothing_changed(self):
+        engine = self._quiescent_service()
+        try:
+            before = engine.transport.rounds_completed
+            for _ in range(3):
+                assert engine.service_pump_round()
+            assert engine.transport.rounds_completed == before
+            engine.service_barrier(reads=[("r", (1, 1), False)])
+            assert engine.service_pump_round()
+        finally:
+            result = engine.close_service()
+        assert result.converged
+
+    def test_unscheduled_write_costs_one_pump_round(self):
+        engine = self._quiescent_service()
+        try:
+            engine.service_barrier(writes=[((1, 1), 7.0)])
+            before = engine.transport.rounds_completed
+            assert engine.service_pump_round()
+            assert engine.transport.rounds_completed == before + 1
+            assert engine.service_pump_round()
+            assert engine.transport.rounds_completed == before + 1
+        finally:
+            result = engine.close_service()
+        assert result.converged

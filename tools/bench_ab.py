@@ -10,16 +10,17 @@ machine's speed during the session hits both alike. The benchmark is a
 black box: only the JSON records are read.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints both sides'
-median and q1–q3, the ratio of the medians, and how many pairs each
-side won (a tie counts for neither). It says whether the exact counts
+median and q1–q3, the ratio of the medians, how many pairs each side
+won (a tie counts for neither) and a verdict against the metric's
+``bound`` (see :func:`verdict`). It says whether the exact counts
 (rounds, updates, recoveries) are equal across every run, and prints
 beside each pair the two-process ratio of a pure-Python and a numpy
 loop — how much of a second core the machine offered at the time (1.0:
 two processes run as fast as one; 2.0: they share one core).
 
-Timings are reported, never gated. The exit status is nonzero only when
-a run fails, a run reports an incorrect result, or the exact counts
-differ. The worktree is removed on every exit path.
+Timings are reported and judged, never gated. The exit status is
+nonzero only when a run fails, a run reports an incorrect result, or
+the exact counts differ. The worktree is removed on every exit path.
 """
 
 from __future__ import annotations
@@ -102,6 +103,35 @@ def pair_wins(
     return head_wins, base_wins, len(base) - head_wins - base_wins
 
 
+def verdict(row: Dict[str, Any], bound: float) -> str:
+    """One row's reading, the first that applies:
+
+    * ``worse`` — the head median is worse than the base median by more
+      than ``bound`` (a fraction of the base median);
+    * ``unresolved`` — either side's q1–q3 spread exceeds ``bound`` of
+      its own median, so the runs cannot tell a change of that size;
+    * ``gain`` — at least 10 pairs, the head won at least 9 in 10 of
+      them, and its median is better by more than the base's q1–q3;
+    * ``ok`` — otherwise.
+    """
+    sign = 1 if row["better"] == "higher" else -1
+    base_q1, base_median, base_q3 = row["base"]
+    head_median = row["head"][1]
+    if sign * (base_median - head_median) > bound * abs(base_median):
+        return "worse"
+    if any(q3 - q1 > bound * abs(median)
+           for q1, median, q3 in (row["base"], row["head"])):
+        return "unresolved"
+    pairs = row["head_wins"] + row["base_wins"] + row["ties"]
+    if (
+        pairs >= 10
+        and 10 * row["head_wins"] >= 9 * pairs
+        and sign * (head_median - base_median) > base_q3 - base_q1
+    ):
+        return "gain"
+    return "ok"
+
+
 def metric_values(records: Sequence[Dict[str, Any]], name: str) -> List[float]:
     """One end-to-end metric's value from each record that has it."""
     return [
@@ -116,7 +146,8 @@ def summarize(
     base: Sequence[Dict[str, Any]],
     head: Sequence[Dict[str, Any]],
 ) -> List[Dict[str, Any]]:
-    """One row per end-to-end metric present on both sides."""
+    """One row per end-to-end metric present on both sides, with its
+    :func:`verdict` against the metric's ``bound``."""
     rows = []
     for spec in end_to_end:
         name = spec["name"]
@@ -125,7 +156,7 @@ def summarize(
             continue
         head_wins, base_wins, ties = pair_wins(b, h, spec["better"])
         b_q, h_q = quartiles(b), quartiles(h)
-        rows.append({
+        row = {
             "name": name,
             "unit": spec["unit"],
             "better": spec["better"],
@@ -135,7 +166,9 @@ def summarize(
             "head_wins": head_wins,
             "base_wins": base_wins,
             "ties": ties,
-        })
+        }
+        row["verdict"] = verdict(row, spec["bound"])
+        rows.append(row)
     return rows
 
 
@@ -157,13 +190,15 @@ def format_rows(rows: Sequence[Dict[str, Any]]) -> List[str]:
     """The report table: one line per :func:`summarize` row."""
     lines = [
         f"{'metric':<20} {'base median [q1-q3]':>30} "
-        f"{'head median [q1-q3]':>30} {'head/base':>9} {'wins h:b:tie':>12}"
+        f"{'head median [q1-q3]':>30} {'head/base':>9} {'verdict':>10} "
+        f"{'wins h:b:tie':>12}"
     ]
     for row in rows:
         wins = f"{row['head_wins']}:{row['base_wins']}:{row['ties']}"
         lines.append(
             f"{row['name']:<20} {_spread(row['base']):>30} "
-            f"{_spread(row['head']):>30} {row['ratio']:>9.3f} {wins:>12}"
+            f"{_spread(row['head']):>30} {row['ratio']:>9.3f} "
+            f"{row['verdict']:>10} {wins:>12}"
         )
     return lines
 
