@@ -2,7 +2,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test perf bench bench-smoke bench-compare ab
+.PHONY: test perf bench bench-smoke bench-compare ab loc
 
 # Tier-1 verify: unit + figure-reproduction suites (perf guards skipped).
 test:
@@ -37,3 +37,10 @@ W ?= pagerank_chromatic
 N ?= 10
 ab:
 	python3 tools/bench_ab.py $(REF) --workload $(W) --pairs $(N)
+
+# Line counts: the totals under src/repro and tests/, then every
+# src/repro module over 700 lines, largest first.
+loc:
+	@printf '%s src/repro\n' "$$(find src/repro -name '*.py' -exec cat {} + | wc -l)"
+	@printf '%s tests\n' "$$(find tests -name '*.py' -exec cat {} + | wc -l)"
+	@find src/repro -name '*.py' -exec wc -l {} + | awk '$$2 != "total" && $$1 > 700' | sort -rn

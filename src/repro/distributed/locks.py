@@ -12,19 +12,22 @@ starvation-free.
 The grant discipline itself lives in :class:`RWQueueCore`, a pure
 token-based state machine with no simulator dependency: the simulated
 :class:`VertexLockTable` wraps it with kernel futures, and the real
-runtime backend's locking worker (:mod:`repro.runtime.worker`) drives
-the *same* core with its own scope tokens — one implementation of the
-FIFO readers-writer rules, two execution substrates. A key's state is
-one int (``-1`` writer, ``n >= 0`` readers) plus a waiter deque that
-exists only while the key is contended. The simulator and the bench
-probe take single keys (``request`` / ``release``); the runtime worker
-takes whole per-owner groups (``request_group`` / ``release_group``),
-which loop over the single-key calls.
+runtime backend's locking worker
+(:mod:`repro.runtime.locking_worker`) drives the *same* core with its
+own scope tokens — one implementation of the FIFO readers-writer
+rules, two execution substrates. A key's state is one int (``-1``
+writer, ``n >= 0`` readers) plus a waiter deque that exists only while
+the key is contended. The simulator and the bench probe take single
+keys (``request`` / ``release``); the runtime worker takes whole
+per-owner groups (``request_group`` / ``release_group``), which loop
+over the single-key calls.
 
 :func:`build_lock_chain` is the other shared half: the per-vertex lock
 plan grouped into per-owner hops in the canonical total order, used
 verbatim by the simulated pipelined chains (Example 4 of the paper) and
-by the runtime engine's owner-routed lock batches.
+— compiled to dense keys and int32 wire groups by
+:func:`compile_chain` — by the runtime engine's owner-routed lock
+batches.
 """
 
 from __future__ import annotations
@@ -233,6 +236,43 @@ def build_lock_chain(
         else:
             chain.append((machine, [(vid, kind)]))
     return chain
+
+
+#: Lock kinds by their int32 wire code (``0`` read, ``1`` write).
+_KINDS = (LockKind.READ, LockKind.WRITE)
+
+#: One compiled chain hop: ``(owner, keys, kinds, request_ints,
+#: unlock_ints)`` — the group's dense vertex indices and lock kinds (the
+#: lock table's group arguments), then the same group as it crosses the
+#: int32 wire: ``[k, key0, code0, …]`` after the scope id of a lock
+#: request, ``[key0, code0, …]`` in an unlock batch.
+Hop = Tuple[
+    int,
+    Tuple[int, ...],
+    Tuple[LockKind, ...],
+    Tuple[int, ...],
+    Tuple[int, ...],
+]
+
+
+def compile_chain(
+    chain: List[Tuple[int, List[Tuple[VertexId, LockKind]]]],
+    index_of: Mapping[VertexId, int],
+) -> List[Hop]:
+    """Compile a :func:`build_lock_chain` result (which stays the one
+    definition of the canonical order) into the runtime locking worker's
+    per-owner hops, once per vertex and model."""
+    hops: List[Hop] = []
+    for owner, group in chain:
+        keys = tuple(index_of[vid] for vid, _kind in group)
+        kinds = tuple(kind for _vid, kind in group)
+        unlock = tuple(
+            x
+            for key, kind in zip(keys, kinds)
+            for x in (key, _KINDS.index(kind))
+        )
+        hops.append((owner, keys, kinds, (len(keys),) + unlock, unlock))
+    return hops
 
 
 class VertexLockTable:

@@ -10,8 +10,13 @@ two engines that are two *scheduling policies* over one lifecycle:
 :class:`RuntimeLockingEngine` (pipelined distributed locks, Sec. 4.2.2)
 both subclass :class:`~repro.runtime.core.RuntimeCore`, which owns
 launch, the round funnel, snapshot/recover/resume, the serving
-lifecycle and result assembly exactly once. Engines run over a
-:class:`Transport`:
+lifecycle and result assembly exactly once. Their workers have the
+same shape: :class:`RuntimeWorker`
+(:mod:`~repro.runtime.chromatic_worker`) and :class:`LockingWorker`
+(:mod:`~repro.runtime.locking_worker`) are two scheduling policies over
+:class:`~repro.runtime.worker_base.WorkerBase`, which owns the store,
+the data plane, inbox application and the collect / checkpoint /
+restore / serve commands once. Engines run over a :class:`Transport`:
 
 * :class:`InprocTransport` — the protocol (including the pickle
   boundary) driven deterministically in one process, for tests;
@@ -44,8 +49,10 @@ from repro.runtime.checkpoint import (
     SnapshotCadence,
     SnapshotDirectory,
 )
+from repro.runtime.chromatic_worker import RuntimeWorker, WorkerInit
 from repro.runtime.engine import RuntimeChromaticEngine, RuntimeRunResult
 from repro.runtime.locking import RuntimeLockingEngine
+from repro.runtime.locking_worker import LockingWorker, LockWorkerInit
 from repro.runtime.oracle import ColorSweepScheduler
 from repro.runtime.plane import (
     DataPlane,
@@ -68,12 +75,6 @@ from repro.runtime.transport import (
     WorkerFailure,
     make_transport,
     parse_fault_plan,
-)
-from repro.runtime.worker import (
-    LockingWorker,
-    LockWorkerInit,
-    RuntimeWorker,
-    WorkerInit,
 )
 
 __all__ = [

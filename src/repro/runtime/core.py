@@ -50,7 +50,7 @@ from repro.runtime.shard import (
     scatter_entries,
 )
 from repro.runtime.transport import Transport, WorkerFailure, make_transport
-from repro.runtime.worker import encode_worker
+from repro.runtime.worker_base import encode_worker
 
 #: Rounds a drain (a locking synchronous snapshot, a service close) may
 #: spend reaching quiescence before giving up. Every drain round

@@ -63,8 +63,9 @@ from repro.runtime.core import (  # noqa: F401 — re-exported names
     baseline_journals,
     route_ghost_entries,
 )
+from repro.runtime.chromatic_worker import WorkerInit
 from repro.runtime.transport import Transport
-from repro.runtime.worker import WorkerInit, empty_inbox
+from repro.runtime.worker_base import empty_inbox
 
 
 class RuntimeChromaticEngine(RuntimeCore):

@@ -72,32 +72,25 @@ from repro.runtime.core import (
     RuntimeCore,
     route_ghost_entries,
 )
+from repro.runtime.locking_worker import LockWorkerInit, encode_sched
 from repro.runtime.transport import Transport
-from repro.runtime.worker import LockWorkerInit
+from repro.runtime.worker_base import empty_inbox
 
 
 def empty_lock_inbox() -> Dict[str, Any]:
     """A fresh routing inbox for one locking-engine round.
 
-    ``data``/``plane``/``globals`` are exactly the chromatic wire
-    (pickled ghost batches, ring descriptors, published globals);
-    ``sched`` carries ``(int32 indices, float64 priorities | None)``
-    pairs — priorities matter here, unlike the chromatic engine;
-    ``lock`` carries ``(src, int32 batch)`` request groups for this
-    worker's lock table, ``grant`` int32 scope ids for its in-flight
-    chains, ``unlock`` int32 ``(vertex, kind)`` pairs to release;
-    ``ssched`` int32 index arrays asking this worker to snapshot its
+    The shared fields (:func:`~repro.runtime.worker_base.empty_inbox`),
+    with ``sched`` carrying ``(int32 indices, float64 priorities |
+    None)`` pairs — priorities matter here, unlike the chromatic engine;
+    plus ``lock``: ``(src, int32 batch)`` request groups for this
+    worker's lock table, ``grant``: int32 scope ids for its in-flight
+    chains, ``unlock``: int32 ``(vertex, kind)`` pairs to release, and
+    ``ssched``: int32 index arrays asking this worker to snapshot its
     vertices (the cross-partition propagation of Alg. 5).
     """
     return {
-        "data": None,
-        "plane": [],
-        "sched": [],
-        "globals": [],
-        "lock": [],
-        "grant": [],
-        "unlock": [],
-        "ssched": [],
+        **empty_inbox(), "lock": [], "grant": [], "unlock": [], "ssched": []
     }
 
 
@@ -276,14 +269,7 @@ class RuntimeLockingEngine(RuntimeCore):
             indices.append(idx)
             priorities.append(prio)
         for w, (indices, priorities) in by_worker.items():
-            prio_arr = (
-                np.asarray(priorities, dtype=np.float64)
-                if any(priorities)
-                else None
-            )
-            self._inboxes[w]["sched"].append(
-                (np.asarray(indices, dtype=np.int32), prio_arr)
-            )
+            self._inboxes[w]["sched"].append(encode_sched(indices, priorities))
         return by_worker
 
     # ------------------------------------------------------------------

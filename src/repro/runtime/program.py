@@ -1,12 +1,13 @@
 """Picklable update-function specifications for the runtime backend.
 
-Worker processes receive their program over a pipe, so everything in the
-:class:`~repro.runtime.worker.WorkerInit` payload must pickle. Plain
-module-level update functions (``tests``' ``flood_max`` style) pickle by
-reference and can be passed to :class:`~repro.runtime.engine.
-RuntimeChromaticEngine` directly — but the apps build their updates with
-*factories* (``make_pagerank_update(epsilon=...)`` returns a closure,
-which cannot cross a process boundary). :class:`UpdateProgram` carries
+Worker processes receive their program over a pipe, so everything in
+the :class:`~repro.runtime.worker_base.WorkerInitBase` payload must
+pickle. Plain module-level update functions (``tests``' ``flood_max``
+style) pickle by reference and can be passed to
+:class:`~repro.runtime.engine.RuntimeChromaticEngine` directly — but
+the apps build their updates with *factories*
+(``make_pagerank_update(epsilon=...)`` returns a closure, which cannot
+cross a process boundary). :class:`UpdateProgram` carries
 the factory reference plus its arguments instead; every worker calls the
 factory once at init, so each process gets its own closure over the same
 configuration. This mirrors the paper's requirement that update

@@ -611,6 +611,10 @@ class TestResumeFromDisk:
         assert ranks(g) == clean
 
     def test_locking_resume_fixed_point(self, tmp_path):
+        """Resume from a mid-run synchronous snapshot: the first one is
+        on disk by transport round 20 (drain rounds included), so the
+        kill at round 25 leaves snapshot 1 — not just the launch
+        baseline — to resume from."""
         g_clean = web()
         RuntimeLockingEngine(
             g_clean, PAGERANK, num_workers=2, transport="inproc",
@@ -622,9 +626,13 @@ class TestResumeFromDisk:
             snapshot_every=3, snapshot_dir=str(tmp_path),
             max_recoveries=0,
         )
-        engine.transport.schedule_kill(1, 6)
+        engine.transport.schedule_kill(1, 25)
         with pytest.raises(WorkerFailure):
             engine.run(initial=g.vertices())
+        newest, _meta, _journals = CheckpointManager(
+            str(tmp_path), 2
+        ).latest_state()
+        assert newest >= 1
         g2 = web()
         result = RuntimeLockingEngine(
             g2, PAGERANK, num_workers=2, transport="inproc",

@@ -9,6 +9,7 @@ down — process supervision lives once, in ``ProcessSupervisor`` — and
 the frozen-signature / one-definition checks at the bottom cover it.
 """
 
+import dataclasses
 import inspect
 import pathlib
 import re
@@ -30,8 +31,11 @@ from repro.runtime import (
     WorkerFailure,
     make_transport,
 )
+from repro.runtime.chromatic_worker import RuntimeWorker, WorkerInit
 from repro.runtime.core import RuntimeCore
+from repro.runtime.locking_worker import LockingWorker, LockWorkerInit
 from repro.runtime.transport import ProcessSupervisor
+from repro.runtime.worker_base import WorkerBase, WorkerInitBase
 from repro.serve import GraphService
 
 from tests.helpers import assert_torn_down, plane_segments
@@ -345,3 +349,52 @@ def test_supervision_is_defined_once_under_runtime():
     assert homes(r"heartbeats_received \+= 1") == ["transport.py"]
     assert homes(r"proc\.terminate\(\)") == ["transport.py"]
     assert homes(r"struct\.Struct\(\"!cI\"\)") == ["frames.py"]
+
+
+def test_worker_skeleton_is_defined_once_under_runtime():
+    """The chromatic and locking workers are two scheduling policies
+    over one base: worker construction, inbox application, command
+    dispatch and the collect / checkpoint / restore / serve commands
+    have one ``def`` (or one construction) each in the whole package,
+    neither kind redefines them, and each init field is declared once."""
+    source = {
+        path.name: path.read_text()
+        for path in pathlib.Path(repro.runtime.__file__).parent.glob("*.py")
+    }
+
+    def homes(pattern):
+        return sorted(
+            name for name, text in source.items()
+            for _ in re.finditer(pattern, text, flags=re.M)
+        )
+
+    for pattern in (
+        r"^    def handle\(",
+        r"^    def _apply_inbox\(",
+        r"^    def _apply_entries\(",
+        r"^    def _collect\(",
+        r"^    def _checkpoint\(",
+        r"^    def _restore\(",
+        r"^    def _serve\(",
+        r"CSRShardStore\(init\.",
+        r"resolve_program\(init\.",
+        r"GlobalValues\(init\.",
+        r"SpanRecorder\(\)",
+        r"= Scope\(",
+    ):
+        assert homes(pattern) == ["worker_base.py"], pattern
+    shared = {
+        "handle", "_handle", "_reply", "attach_plane", "close_plane",
+        "_apply_entries", "_apply_inbox", "_collect_dirty_part",
+        "_collect", "_checkpoint", "_restore", "_serve",
+    }
+    assert shared <= set(vars(WorkerBase))
+    for cls in (RuntimeWorker, LockingWorker):
+        assert issubclass(cls, WorkerBase)
+        assert "handle" not in vars(cls), cls.__name__
+        assert not (shared - {"_handle"}) & set(vars(cls)), cls.__name__
+    base_fields = {f.name for f in dataclasses.fields(WorkerInitBase)}
+    for init_cls in (WorkerInit, LockWorkerInit):
+        assert issubclass(init_cls, WorkerInitBase)
+        own = set(vars(init_cls).get("__annotations__", {}))
+        assert own and not own & base_fields, init_cls.__name__

@@ -47,7 +47,7 @@ from repro.core.scope import Scope
 from repro.datasets.netflix import synthetic_netflix
 from repro.datasets.webgraph import power_law_web_graph
 from repro.distributed.consensus import misra_visit
-from repro.distributed.locks import RWQueueCore, build_lock_chain
+from repro.distributed.locks import RWQueueCore, build_lock_chain, compile_chain
 from repro.errors import EngineError, SimulationError
 from repro.obs import format_report, summarize, write_jsonl
 from repro.obs.__main__ import main as obs_cli
@@ -56,7 +56,7 @@ from repro.runtime import (
     UpdateProgram,
     named_program,
 )
-from repro.runtime.worker import LockingWorker, LockWorkerInit, compile_chain
+from repro.runtime.locking_worker import LockingWorker, LockWorkerInit
 
 from tests.helpers import grid_graph, ring_graph
 

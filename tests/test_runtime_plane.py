@@ -41,7 +41,7 @@ from repro.runtime import (
 )
 from repro.runtime import plane
 from repro.runtime.plane import NO_SHM_ENV
-from repro.runtime.worker import empty_inbox
+from repro.runtime.worker_base import empty_inbox
 
 from tests.helpers import grid_graph, ring_graph
 
