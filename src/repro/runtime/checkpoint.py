@@ -11,19 +11,20 @@ simulator models bytes per key, the runtime journals its shards' own
 slot arrays (:mod:`repro.runtime.shard`), so a snapshot costs a gather
 and a buffer copy instead of a Python object per slot.
 
-Two construction modes share this layout:
-
-* **Synchronous** (both engines): the coordinator stops the world at a
-  barrier (the locking engine drains its pipeline to quiescence first),
-  sends one ``checkpoint`` round, and writes every journal itself.
-* **Asynchronous** (locking engine): the Chandy–Lamport variant of
-  Alg. 5 runs as snapshot scopes *inside* the pipeline — workers write
-  their own journals at finish, and the coordinator only adds the meta
-  record and the COMPLETE marker.
+The synchronous snapshot (both engines, at a barrier) and the
+asynchronous Chandy–Lamport one of Alg. 5 (locking engine, inside the
+pipeline) differ only in *when* the workers save. Either way each
+worker writes its own journal (:meth:`SnapshotDirectory.write_journal`)
+and replies with its manifest record — the paper's "each machine saves
+its own state to distributed storage"; only the launch baseline's
+journals are the coordinator's. :meth:`CheckpointManager.commit` then
+writes meta, MANIFEST and COMPLETE for every snapshot.
 
 A snapshot becomes recoverable only once its ``COMPLETE`` marker
-exists, so a crash mid-snapshot can never be recovered *from* — the
-previous complete snapshot remains the recovery point.
+exists, so a crash mid-snapshot — which may leave the survivors'
+journals on disk — can never be recovered *from*: the previous complete
+snapshot remains the recovery point, and the partial directory's id is
+never handed out again.
 
 On-disk format of one snapshot (``<root>/snapshot/<id>/``)::
 
@@ -66,7 +67,7 @@ from __future__ import annotations
 import os
 import pickle
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.distributed.snapshot import snapshot_file, suggested_interval
 from repro.errors import SnapshotError
@@ -94,11 +95,11 @@ class SnapshotDirectory:
 
     Journals are pickled slot-array records at the simulated DFS's
     per-machine paths rooted at ``root``; ``meta`` (coordinator
-    bookkeeping: engine progress counters, globals, the task-set mask)
-    and the ``COMPLETE`` marker sit next to them. Workers hold only ``root`` — an async
-    snapshot ships ``(snapshot_id, root)`` to every worker and each
-    writes its own journal, mirroring the paper's "each machine saves
-    to distributed storage".
+    bookkeeping: engine progress counters, globals, the task-set mask),
+    the ``MANIFEST`` and the ``COMPLETE`` marker sit next to them.
+    Workers hold only ``root``: every command that finishes a snapshot
+    carries the ``journal`` marker ``(snapshot_id, root)``, and each
+    worker writes its own journal through :meth:`write_journal`.
     """
 
     def __init__(self, root: Any) -> None:
@@ -110,8 +111,9 @@ class SnapshotDirectory:
     def journal_path(self, snapshot_id: int, worker_id: int) -> str:
         return os.path.join(self.root, snapshot_file(snapshot_id, worker_id))
 
-    def _write(self, path: str, payload: Any) -> Tuple[int, int]:
-        """Atomically persist ``payload``; returns ``(bytes, crc32)``.
+    def _write(self, path: str, payload: Any) -> Dict[str, int]:
+        """Atomically persist ``payload``; returns its manifest record
+        ``{"bytes": n, "crc32": c}``.
 
         Writes ``<path>.tmp`` then ``os.replace``s it into place, so a
         crash mid-write can never leave a truncated file under the
@@ -124,7 +126,7 @@ class SnapshotDirectory:
         with open(tmp, "wb") as fh:
             fh.write(blob)
         os.replace(tmp, path)
-        return len(blob), _crc(blob)
+        return {"bytes": len(blob), "crc32": _crc(blob)}
 
     def _read(self, path: str) -> Any:
         try:
@@ -138,8 +140,8 @@ class SnapshotDirectory:
 
     def write_journal(
         self, snapshot_id: int, worker_id: int, payload: Dict[str, Any]
-    ) -> Tuple[int, int]:
-        """Persist one worker's journal; returns ``(bytes, crc32)``."""
+    ) -> Dict[str, int]:
+        """Persist one worker's journal; returns its manifest record."""
         return self._write(self.journal_path(snapshot_id, worker_id), payload)
 
     def read_journal(self, snapshot_id: int, worker_id: int) -> Dict[str, Any]:
@@ -159,7 +161,7 @@ class SnapshotDirectory:
 
     def write_meta(
         self, snapshot_id: int, meta: Dict[str, Any]
-    ) -> Tuple[int, int]:
+    ) -> Dict[str, int]:
         return self._write(
             os.path.join(self.snapshot_dir(snapshot_id), META_NAME), meta
         )
@@ -176,11 +178,10 @@ class SnapshotDirectory:
         returns bytes written. ``entries`` maps basenames to
         ``{"bytes": n, "crc32": c}`` and must cover every journal and
         the meta file — :meth:`verify` checks exactly that."""
-        nbytes, _ = self._write(
+        return self._write(
             os.path.join(self.snapshot_dir(snapshot_id), MANIFEST_NAME),
             entries,
-        )
-        return nbytes
+        )["bytes"]
 
     def read_manifest(self, snapshot_id: int) -> Dict[str, Dict[str, int]]:
         return self._read(
@@ -347,17 +348,6 @@ class CheckpointManager:
             and 0 <= w < num_workers
         }
 
-    def schedule_corruption(self, worker_id: int, snapshot_id: int) -> None:
-        """Arrange for ``worker_id``'s journal of snapshot
-        ``snapshot_id`` to be garbled right after that snapshot
-        completes (test/chaos hook, same effect as the env knob)."""
-        if not 0 <= worker_id < self.num_workers:
-            raise SnapshotError(
-                f"worker id must be in [0, {self.num_workers}), got "
-                f"{worker_id}"
-            )
-        self._corruption_plan[worker_id] = snapshot_id
-
     def _maybe_corrupt(self, snapshot_id: int) -> None:
         for worker_id, target in list(self._corruption_plan.items()):
             if target == snapshot_id:
@@ -371,28 +361,35 @@ class CheckpointManager:
         self._next_id += 1
         return snapshot_id
 
-    def write(
+    def commit(
         self,
         snapshot_id: int,
-        journals: List[Dict[str, Any]],
+        records: Sequence[Optional[Dict[str, int]]],
         meta: Dict[str, Any],
     ) -> int:
-        """Synchronous snapshot: persist every journal + meta + the
-        manifest, mark complete. Returns bytes written."""
-        total = 0
-        entries: Dict[str, Dict[str, int]] = {}
-        for worker_id, journal in enumerate(journals):
-            nbytes, crc = self.dir.write_journal(
-                snapshot_id, worker_id, journal
+        """Make one snapshot recoverable; returns its bytes on disk.
+
+        ``records[w]`` is the ``{"bytes", "crc32"}`` manifest record of
+        worker ``w``'s journal, already on disk. Writes ``meta``, then
+        the manifest covering every journal and ``meta``, then the
+        ``COMPLETE`` marker — the only code that writes either — and
+        counts the snapshot. A missing record means a journal never got
+        written: :class:`SnapshotError`, and the snapshot stays partial.
+        """
+        if len(records) != self.num_workers or None in records:
+            raise SnapshotError(
+                f"snapshot {snapshot_id}: {len(records)} journal records "
+                f"for {self.num_workers} workers, or one is missing"
             )
-            name = os.path.basename(
-                self.dir.journal_path(snapshot_id, worker_id)
-            )
-            entries[name] = {"bytes": nbytes, "crc32": crc}
-            total += nbytes
-        nbytes, crc = self.dir.write_meta(snapshot_id, meta)
-        entries[META_NAME] = {"bytes": nbytes, "crc32": crc}
-        total += nbytes
+        # Rebuilt so the manifest pickle memoizes the key strings.
+        entries: Dict[str, Dict[str, int]] = {
+            os.path.basename(self.dir.journal_path(snapshot_id, w)): {
+                "bytes": record["bytes"], "crc32": record["crc32"]
+            }
+            for w, record in enumerate(records)
+        }
+        entries[META_NAME] = self.dir.write_meta(snapshot_id, meta)
+        total = sum(record["bytes"] for record in entries.values())
         total += self.dir.write_manifest(snapshot_id, entries)
         self.dir.mark_complete(snapshot_id)
         self._maybe_corrupt(snapshot_id)
@@ -400,41 +397,17 @@ class CheckpointManager:
         self.bytes_written += total
         return total
 
-    def finalize_async(
+    def write(
         self,
         snapshot_id: int,
+        journals: List[Dict[str, Any]],
         meta: Dict[str, Any],
-        crcs: Optional[Dict[int, int]] = None,
     ) -> int:
-        """Async snapshot epilogue: workers already wrote their own
-        journals; verify they all exist, add meta + manifest, mark
-        complete. ``crcs`` maps worker id to the CRC32 each worker
-        reported for its own journal; missing entries are computed by
-        re-reading the file (same answer, one extra read)."""
-        crcs = crcs or {}
-        entries: Dict[str, Dict[str, int]] = {}
-        for worker_id in range(self.num_workers):
-            path = self.dir.journal_path(snapshot_id, worker_id)
-            if not os.path.exists(path):
-                raise SnapshotError(
-                    f"async snapshot {snapshot_id} is missing worker "
-                    f"{worker_id}'s journal"
-                )
-            record = {"bytes": os.path.getsize(path)}
-            if worker_id in crcs:
-                record["crc32"] = crcs[worker_id]
-            else:
-                with open(path, "rb") as fh:
-                    record["crc32"] = _crc(fh.read())
-            entries[os.path.basename(path)] = record
-        total, crc = self.dir.write_meta(snapshot_id, meta)
-        entries[META_NAME] = {"bytes": total, "crc32": crc}
-        total += self.dir.write_manifest(snapshot_id, entries)
-        self.dir.mark_complete(snapshot_id)
-        self._maybe_corrupt(snapshot_id)
-        self.snapshots_taken += 1
-        self.bytes_written += total
-        return total
+        """Write coordinator-held journals, then :meth:`commit` them.
+        Returns bytes written."""
+        write = self.dir.write_journal
+        records = [write(snapshot_id, w, j) for w, j in enumerate(journals)]
+        return self.commit(snapshot_id, records, meta)
 
     def latest_state(
         self,

@@ -20,7 +20,8 @@ what an empty inbox looks like, how a schedule seeds inboxes and resets
 progress state, which worker-init record ships, what the cadence clock
 counts, what a snapshot's meta record and per-worker restore ``sched``
 are, what serve replies mean to the scheduler, what one unit of
-progress is, and which extra keys the result carries.
+progress is, and which extra keys the result carries. Every snapshot
+commits through one step, :meth:`RuntimeCore._commit_snapshot`.
 """
 
 from __future__ import annotations
@@ -194,8 +195,6 @@ class RuntimeCore:
     ``service_schedule(schedule)`` / ``service_pump_round()``
         inject dynamic updates while serving (returns how many) / one
         unit of background progress (``True`` at quiescence);
-    ``_take_snapshot()``
-        the engine's own synchronous snapshot step;
     ``_snapshot_meta(mode="sync")``
         coordinator progress record stored beside the journals;
     ``_restore_progress(meta, journals)``
@@ -339,11 +338,17 @@ class RuntimeCore:
         try:
             self._launch(resume_from)
             failure: Optional[WorkerFailure] = None
+            # Update total when the oldest unrecovered failure surfaced.
+            surfaced: Optional[int] = None
             while True:
                 try:
                     if failure is not None:
                         exc, failure = failure, None
                         self._recover_from(exc)
+                        self._recovery_causes[-1]["lost_updates"] = (
+                            surfaced - self._total_updates
+                        )
+                        surfaced = None
                     self._run_loop()
                     counts = self._collect_and_write_back()
                     break
@@ -353,12 +358,15 @@ class RuntimeCore:
                     self._recoveries += 1
                     if self._recoveries > self.max_recoveries:
                         raise
+                    if surfaced is None:
+                        surfaced = self._total_updates
                     self._recovery_causes.append(
                         {
                             "worker": exc.worker_id,
                             "detail": exc.detail,
                             "phase": exc.phase,
                             "last_command": exc.last_command,
+                            "lost_updates": 0,
                         }
                     )
                     failure = exc
@@ -750,12 +758,39 @@ class RuntimeCore:
     # ------------------------------------------------------------------
     def _baseline_snapshot(self) -> None:
         """Journal the initial state, coordinator-side (no rounds)."""
-        with Stopwatch(self._rec, "snap") as sw:
-            self._ckpt.write(
-                self._ckpt.next_id(),
-                self._baseline_journals(),
-                self._snapshot_meta(),
-            )
+        sw = Stopwatch(self._rec, "snap")
+        snapshot_id = self._ckpt.next_id()
+        records = [
+            self._ckpt.dir.write_journal(snapshot_id, w, journal)
+            for w, journal in enumerate(self._baseline_journals())
+        ]
+        self._commit_snapshot(snapshot_id, records, sw)
+
+    def _take_snapshot(self) -> None:
+        """Synchronous snapshot at a barrier (Sec. 4.3): after the
+        policy's :meth:`_quiesce`, one ``checkpoint`` round delivers the
+        residual inboxes and the ``journal`` marker; every worker writes
+        its own journal and replies with its manifest record."""
+        sw = Stopwatch(self._rec, "snap")
+        self._quiesce()
+        snapshot_id = self._ckpt.next_id()
+        records = self._send_round(
+            "checkpoint", {"journal": (snapshot_id, self._ckpt.dir.root)}
+        )
+        self._commit_snapshot(snapshot_id, records, sw)
+
+    def _commit_snapshot(
+        self,
+        snapshot_id: int,
+        records: List[Any],
+        sw: Stopwatch,
+        mode: str = "sync",
+    ) -> None:
+        """Commit every snapshot (baseline, sync, async) over its
+        journal records, then restart the cadence clock with the cost
+        ``sw`` measured since the snapshot began."""
+        self._ckpt.commit(snapshot_id, records, self._snapshot_meta(mode))
+        sw.stop()
         self._cadence.mark(self._clock(), sw.end, cost=sw.seconds)
 
     def _recover_from(self, failure: WorkerFailure) -> None:
@@ -825,6 +860,10 @@ class RuntimeCore:
     # ------------------------------------------------------------------
     def _baseline_journals(self) -> List[Dict[str, Any]]:
         return baseline_journals(self.graph, self.owner, self.num_workers)
+
+    def _quiesce(self) -> None:
+        """Bring the cluster to the halted-and-delivered state a
+        synchronous snapshot journals (default: a barrier already is)."""
 
     def _check_servable(self) -> None:
         """Reject configurations that cannot serve (default: none)."""

@@ -56,7 +56,6 @@ from repro.core.graph import DataGraph, VertexId
 from repro.core.sync import SyncOperation
 from repro.core.update import normalize_schedule
 from repro.errors import EngineError
-from repro.obs.events import Stopwatch
 from repro.runtime.core import (  # noqa: F401 — re-exported names
     RuntimeCore,
     RuntimeRunResult,
@@ -330,7 +329,11 @@ class RuntimeChromaticEngine(RuntimeCore):
     # Snapshots and recovery (Sec. 4.3).
     # ------------------------------------------------------------------
     def _snapshot_meta(self, mode: str = "sync") -> Dict[str, Any]:
-        """Coordinator progress record stored beside the journals."""
+        """Coordinator progress record stored beside the journals.
+
+        Snapshots are taken at sweep barriers; scheduling state is not
+        journaled per worker — the coordinator's global mask is exact
+        and rides here."""
         return {
             "engine": "chromatic",
             "mode": mode,
@@ -340,20 +343,6 @@ class RuntimeChromaticEngine(RuntimeCore):
             "globals": self.globals.snapshot(),
             "mask": np.nonzero(self._mask)[0],
         }
-
-    def _take_snapshot(self) -> None:
-        """Synchronous snapshot at a sweep barrier.
-
-        The checkpoint round delivers each worker's residual inbox and
-        replies with its journal; scheduling state is not journaled per
-        worker — the coordinator's global mask is exact and rides the
-        meta record.
-        """
-        with Stopwatch(self._rec, "snap") as sw:
-            snapshot_id = self._ckpt.next_id()
-            journals = self._send_round("checkpoint", {})
-            self._ckpt.write(snapshot_id, journals, self._snapshot_meta())
-        self._cadence.mark(self._sweeps, sw.end, cost=sw.seconds)
 
     def _restore_progress(
         self, meta: Dict[str, Any], journals: List[Dict[str, Any]]

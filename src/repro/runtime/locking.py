@@ -41,6 +41,10 @@ serializes conflicting scopes with **distributed readers-writer locks**:
   it can evaluate directly: every worker's last ``lstep`` reply
   reported idle and no routed inbox holds anything (:meth:`_quiescent
   <RuntimeLockingEngine._quiescent>`).
+* **Snapshots are the core's, plus a drain** (:meth:`_quiesce
+  <RuntimeLockingEngine._quiesce>`). The async one (Alg. 5) runs inside
+  ``lstep`` rounds; its closing round carries the ``journal`` marker of
+  a ``checkpoint``, so each worker writes its own journal either way.
 
 Correctness contract: **sequential consistency, not bit-identity**. The
 locks guarantee conflict-serializability — two scopes whose write sets
@@ -348,13 +352,13 @@ class RuntimeLockingEngine(RuntimeCore):
                     # Round 1 of the handshake: every worker becomes an
                     # initiator for its owned partition.
                     async_state["begun"] = True
-                    flags["snap"] = {
-                        "id": async_state["id"],
-                        "root": self._ckpt.dir.root,
-                    }
+                    flags["snap"] = True
                 elif async_state["ready"]:
+                    # The closing round: every worker writes its journal.
                     finishing = True
-                    flags["snap_finish"] = True
+                    flags["journal"] = (
+                        async_state["id"], self._ckpt.dir.root
+                    )
                 else:
                     # Keep nudging: a worker whose snapshot work drained
                     # seeds its next unmarked owned vertex (disconnected
@@ -455,36 +459,32 @@ class RuntimeLockingEngine(RuntimeCore):
             )
         return journals
 
-    def _take_snapshot(self) -> None:
-        """Synchronous snapshot: drain to quiescence, then journal.
+    def _quiesce(self) -> None:
+        """Drain to quiescence before a synchronous snapshot.
 
         Drain rounds run the pipeline with a full budget but admit no
         new scopes (``drain=True``), so in-flight chains complete, their
         unlocks/grants/data flush through the routed inboxes, and the
         cluster reaches the halted-and-delivered state the paper's
         synchronous snapshot assumes. Updates executed while draining
-        are real work and count normally.
+        are real work and count normally; so does the ``checkpoint``
+        round that follows, on the round clock.
         """
-        with Stopwatch(self._rec, "snap") as sw:
-            drains = 0
-            while True:
-                bodies = self._lstep(self.round_budget, drain=True)
-                if _inboxes_quiet(self._inboxes) and not any(
-                    body.get("inflight", 0) for body in bodies
-                ):
-                    break
-                drains += 1
-                if drains > MAX_DRAIN_ROUNDS:
-                    raise SnapshotError(
-                        "lock pipeline failed to drain to quiescence for "
-                        f"a synchronous snapshot within {MAX_DRAIN_ROUNDS} "
-                        "rounds"
-                    )
-            snapshot_id = self._ckpt.next_id()
-            journals = self._send_round("checkpoint", {})
-            self._rounds += 1
-            self._ckpt.write(snapshot_id, journals, self._snapshot_meta())
-        self._cadence.mark(self._rounds, sw.end, cost=sw.seconds)
+        drains = 0
+        while True:
+            bodies = self._lstep(self.round_budget, drain=True)
+            if _inboxes_quiet(self._inboxes) and not any(
+                body.get("inflight", 0) for body in bodies
+            ):
+                break
+            drains += 1
+            if drains > MAX_DRAIN_ROUNDS:
+                raise SnapshotError(
+                    "lock pipeline failed to drain to quiescence for "
+                    f"a synchronous snapshot within {MAX_DRAIN_ROUNDS} "
+                    "rounds"
+                )
+        self._rounds += 1
 
     def _async_begin(self) -> None:
         self._async = {
@@ -495,28 +495,16 @@ class RuntimeLockingEngine(RuntimeCore):
         }
 
     def _async_finalize(self, bodies: List[Dict[str, Any]]) -> None:
-        """Close the handshake: workers wrote their own journals this
-        round; verify, add meta + manifest (from the CRCs each worker
-        reported for its own journal), mark complete."""
+        """Close the handshake: every worker wrote its journal this
+        round and replied with its manifest record; commit them."""
         state = self._async
         self._async = None
-        self._ckpt.finalize_async(
+        self._commit_snapshot(
             state["id"],
-            self._snapshot_meta("async"),
-            crcs={
-                w: body["snap_crc"]
-                for w, body in enumerate(bodies)
-                if body.get("snap_crc") is not None
-            },
+            [body.get("journal") for body in bodies],
+            state["watch"],
+            "async",
         )
-        # Worker-side journal bytes aren't visible to finalize_async;
-        # fold the reported sizes into the coordinator's accounting.
-        self._ckpt.bytes_written += sum(
-            body.get("snap_bytes") or 0 for body in bodies
-        )
-        sw = state["watch"]
-        sw.stop()
-        self._cadence.mark(self._rounds, sw.end, cost=sw.seconds)
 
     def _restore_progress(
         self, meta: Dict[str, Any], journals: List[Dict[str, Any]]

@@ -15,8 +15,9 @@ is a fully locked scope. It adds one command to the shared ones:
   the coordinator-routed rounds as int32 batches — exactly the path
   ghost entries take. The same command carries the quiescence drive
   before a synchronous snapshot (``drain``) and the asynchronous
-  Chandy–Lamport snapshot of Alg. 5 (``snap`` / ``snap_seed`` /
-  ``snap_finish``).
+  Chandy–Lamport snapshot of Alg. 5 (``snap`` / ``snap_seed``, and the
+  closing round's ``journal`` marker: like a ``checkpoint``, the worker
+  writes its own journal and replies with its manifest record).
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from repro.distributed.locks import (
     compile_chain,
 )
 from repro.errors import EngineError, SnapshotError
-from repro.runtime.checkpoint import SnapshotDirectory
-from repro.runtime.shard import concat_entries, make_journal
+from repro.runtime.shard import concat_entries
 from repro.runtime.worker_base import (
     _EMPTY_I64,
     Inbox,
@@ -392,28 +392,22 @@ class LockingWorker(WorkerBase):
         Fault-tolerance extras on the same phase: ``drain`` completes
         in-flight scopes without starting new ones (the coordinator's
         quiescence drive before a synchronous snapshot); ``snap`` /
-        ``snap_seed`` / ``snap_finish`` run the asynchronous
-        Chandy–Lamport snapshot (Alg. 5) — remote snapshot-propagation
-        requests ride the inbox as ``ssched`` index arrays, exactly like
-        scheduling.
+        ``snap_seed`` / ``journal`` run the asynchronous Chandy–Lamport
+        snapshot (Alg. 5) — remote snapshot-propagation requests ride
+        the inbox as ``ssched`` index arrays, exactly like scheduling.
         """
         round_no = payload.get("round", 0)
         budget = payload.get("budget")
         drain = bool(payload.get("drain"))
         self._reset_outbox()
         rec = self._obs
-        snap_info = payload.get("snap")
-        if snap_info is not None:
-            self._snap_begin(snap_info)
+        if payload.get("snap"):
+            self._snap_begin()
         self._apply_inbox(payload.get("inbox"))
         if payload.get("snap_seed"):
             self._snap_seed()
-        snap_written = None
-        if payload.get("snap_finish"):
-            t0 = perf_counter() if rec is not None else 0.0
-            snap_written = self._snap_finish()
-            if rec is not None:
-                rec.span("snap", t0, perf_counter())
+        marker = payload.get("journal")
+        record = self._snap_finish(marker) if marker is not None else None
         t0 = perf_counter() if rec is not None else 0.0
         executed = self._pump(round_no, budget, drain=drain)
         if rec is not None:
@@ -439,8 +433,8 @@ class LockingWorker(WorkerBase):
             "plane": meta or None,
             "data": overflow or None,
         }
-        if snap_written is not None:
-            body["snap_bytes"], body["snap_crc"] = snap_written
+        if record is not None:
+            body["journal"] = record
         snap = self._snap
         if snap is not None:
             body["snap_done"] = (
@@ -547,16 +541,14 @@ class LockingWorker(WorkerBase):
     # ------------------------------------------------------------------
     # Asynchronous Chandy–Lamport snapshot (Alg. 5).
     # ------------------------------------------------------------------
-    def _snap_begin(self, info: Mapping[str, Any]) -> None:
+    def _snap_begin(self) -> None:
         """Initiate a snapshot epoch: every worker is an initiator for
         its owned partition; propagation across partitions travels as
         ``ssched`` requests, so the union of journals is one consistent
         cut. The journal accumulates in memory and is written by this
-        worker at ``snap_finish`` — the paper's "each machine saves its
-        own state to distributed storage"."""
+        worker on the closing round — the paper's "each machine saves
+        its own state to distributed storage"."""
         self._snap = {
-            "id": info["id"],
-            "root": info["root"],
             "marked": set(),
             "queued": set(),
             "queue": deque(),
@@ -657,8 +649,11 @@ class LockingWorker(WorkerBase):
             marked.add(vertex)
         self._release(ps)
 
-    def _snap_finish(self) -> Optional[Tuple[int, int]]:
-        """Persist this worker's journal and end its snapshot epoch.
+    def _snap_finish(
+        self, marker: Tuple[int, str]
+    ) -> Optional[Dict[str, int]]:
+        """Persist this worker's journal and end its snapshot epoch;
+        returns its manifest record.
 
         The per-scope batches pack into one slot-form journal; the task
         set journaled for an async snapshot is *every* owned vertex —
@@ -668,18 +663,12 @@ class LockingWorker(WorkerBase):
         snap = self._snap
         if snap is None:
             return None
+        self._snap = None
         state = concat_entries(snap["batches"])
         owned = np.sort(state.v_index)
-        journal = make_journal(
-            state,
-            self._counts,
-            (owned, np.zeros(len(owned), dtype=np.float64)),
+        return self._write_journal(
+            marker, state, (owned, np.zeros(len(owned), dtype=np.float64))
         )
-        nbytes, crc = SnapshotDirectory(snap["root"]).write_journal(
-            snap["id"], self.worker_id, journal
-        )
-        self._snap = None
-        return nbytes, crc
 
     # ------------------------------------------------------------------
     # Wire encoding.

@@ -268,13 +268,12 @@ def parse_fault_plan(text: Optional[str]) -> Dict[int, FaultSpec]:
 
 def _is_snapshot_command(message: Message) -> bool:
     """Does this command do snapshot work the ``crash_mid_snapshot``
-    mode should interrupt? Either the synchronous ``checkpoint`` round
-    or the finishing round of an async (Chandy–Lamport) snapshot, where
-    workers persist their own journals."""
-    tag, payload = message
-    if tag == "checkpoint":
-        return True
-    return bool(isinstance(payload, dict) and payload.get("snap_finish"))
+    mode should interrupt? Every command that finishes a snapshot — the
+    synchronous ``checkpoint`` round, the closing ``lstep`` of an async
+    (Chandy–Lamport) one — carries the ``journal`` marker telling the
+    worker where to write its journal."""
+    payload = message[1]
+    return isinstance(payload, dict) and payload.get("journal") is not None
 
 
 class WorkerFailure(EngineError):
@@ -364,7 +363,7 @@ class Transport:
         if mode == "corrupt_snapshot":
             raise FaultSpecError(
                 f"bad {FAULT_ENV} entry {fragment!r}: corrupt_snapshot "
-                "is a disk fault; schedule it on the CheckpointManager"
+                f"is a disk fault; schedule it through {FAULT_ENV}"
             )
         self._check_fault_cap(mode, fragment)
         self._fault_plan[worker_id] = FaultSpec(when=when, mode=mode, arg=arg)

@@ -28,9 +28,10 @@ application, and these commands:
   reply with owned data (only the columns the data plane does not
   already expose to the coordinator, as one slot-form batch), update
   counts and, when recording, the access trace;
-* ``("checkpoint", {inbox})`` — after the policy's quiescence check,
-  apply the residual inbox and journal the owned slots, the counts and
-  the policy's task set (:mod:`repro.runtime.checkpoint`);
+* ``("checkpoint", {inbox, journal})`` — after the policy's quiescence
+  check, apply the residual inbox, then write the journal of the owned
+  slots, the counts and the policy's task set
+  (:meth:`WorkerBase._write_journal`);
 * ``("restore", {state, counts, sched, globals})`` — force-apply a
   snapshot's journals, reset the counts and the policy's task set;
 * ``("serve", {inbox, writes, reads})`` — one serving barrier
@@ -64,6 +65,7 @@ from repro.core.scope import Scope
 from repro.core.sync import GlobalValues
 from repro.errors import EngineError
 from repro.obs.events import SpanRecorder
+from repro.runtime.checkpoint import SnapshotDirectory
 from repro.runtime.plane import DataPlane, PlaneSpec, ShmDataPlane
 from repro.runtime.program import resolve_program
 from repro.runtime.shard import (
@@ -265,7 +267,7 @@ class WorkerBase:
         if tag == "collect":
             return self._collect(payload.get("inbox"))
         if tag == "checkpoint":
-            return self._checkpoint(payload.get("inbox"))
+            return self._checkpoint(payload.get("inbox"), payload["journal"])
         if tag == "restore":
             return self._restore(payload)
         if tag == "serve":
@@ -426,7 +428,9 @@ class WorkerBase:
             reply["trace"] = self._trace
         return reply
 
-    def _checkpoint(self, inbox: Optional[Inbox]) -> Dict[str, Any]:
+    def _checkpoint(
+        self, inbox: Optional[Inbox], marker: Tuple[int, str]
+    ) -> Dict[str, int]:
         """Barrier snapshot (Sec. 4.3): this shard's slot-form journal.
 
         Runs at a barrier the coordinator chose — a chromatic sweep
@@ -436,14 +440,28 @@ class WorkerBase:
         """
         self._check_quiescent(inbox)
         self._apply_inbox(inbox)
+        return self._write_journal(
+            marker, self.store.checkpoint_payload(), self._task_journal()
+        )
+
+    def _write_journal(
+        self, marker: Tuple[int, str], state: Any, tasks: Any
+    ) -> Dict[str, int]:
+        """Journal ``state``, the update counts and ``tasks``, and write
+        it where the ``journal`` marker ``(snapshot_id, root)`` of every
+        snapshot-finishing command says. Returns the journal's manifest
+        record ``{"bytes", "crc32"}``: the whole reply a snapshot needs
+        from a worker, so no journal crosses the pipe."""
         rec = self._obs
         t0 = perf_counter() if rec is not None else 0.0
-        journal = make_journal(
-            self.store.checkpoint_payload(), self._counts, self._task_journal()
+        snapshot_id, root = marker
+        journal = make_journal(state, self._counts, tasks)
+        record = SnapshotDirectory(root).write_journal(
+            snapshot_id, self.worker_id, journal
         )
         if rec is not None:
             rec.span("snap", t0, perf_counter())
-        return journal
+        return record
 
     def _restore(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
         """Roll this worker back to a snapshot.

@@ -28,6 +28,7 @@ from repro.datasets.webgraph import power_law_web_graph
 from repro.errors import SnapshotError, EngineError
 from repro.runtime import (
     CheckpointManager,
+    InprocTransport,
     LoopbackTcpTransport,
     RuntimeChromaticEngine,
     RuntimeLockingEngine,
@@ -96,6 +97,15 @@ def old_format_journal(vid, value):
         "versions": {("v", vid): 1},
         "counts": {},
     }
+
+
+def _bytes_on_disk(root):
+    """Total size of every file under a snapshot root."""
+    return sum(
+        os.path.getsize(os.path.join(base, name))
+        for base, _dirs, names in os.walk(root)
+        for name in names
+    )
 
 
 def ranks(graph):
@@ -342,12 +352,16 @@ class TestCheckpointManager:
         with pytest.raises(SnapshotError):
             manager.latest_state()
 
-    def test_finalize_async_requires_all_journals(self, tmp_path):
+    def test_commit_requires_every_worker_record(self, tmp_path):
         manager = CheckpointManager(str(tmp_path), 2)
         sid = manager.next_id()
-        manager.dir.write_journal(sid, 0, {"vdata": {}})
-        with pytest.raises(SnapshotError):
-            manager.finalize_async(sid, {})
+        record = manager.dir.write_journal(sid, 0, slot_journal(0, 1.0))
+        for records in ([record], [record, None]):
+            with pytest.raises(SnapshotError) as info:
+                manager.commit(sid, records, {})
+            assert f"snapshot {sid}" in str(info.value)
+        assert not manager.dir.is_complete(sid)
+        assert manager.snapshots_taken == 0 and manager.bytes_written == 0
 
     def test_ids_never_reuse_partial_directories(self, tmp_path):
         manager = CheckpointManager(str(tmp_path), 1)
@@ -487,18 +501,18 @@ class TestSnapshotIntegrity:
         assert got == good and meta["value"] == 1.0
         assert manager.snapshots_rejected == 1
 
-    def test_finalize_async_builds_manifest_from_reported_crcs(
-        self, tmp_path
-    ):
+    def test_commit_builds_manifest_from_worker_records(self, tmp_path):
         manager = CheckpointManager(str(tmp_path), 2)
         sid = manager.next_id()
-        crcs = {}
-        for w in range(2):
-            _nbytes, crcs[w] = manager.dir.write_journal(
-                sid, w, slot_journal(w, float(w))
-            )
-        manager.finalize_async(sid, {"engine": "test"}, crcs=crcs)
+        records = [
+            manager.dir.write_journal(sid, w, slot_journal(w, float(w)))
+            for w in range(2)
+        ]
+        total = manager.commit(sid, records, {"engine": "test"})
         manager.dir.verify(sid, 2)
+        entries = manager.dir.read_manifest(sid)
+        assert [entries[f"machine-{w}"] for w in range(2)] == records
+        assert total == manager.bytes_written == _bytes_on_disk(tmp_path)
         got_sid, _meta, _journals = manager.latest_state()
         assert got_sid == sid
 
@@ -516,10 +530,6 @@ class TestSnapshotIntegrity:
         assert sid == first
         assert manager.snapshots_rejected == 1
 
-    def test_schedule_corruption_validates_worker(self, tmp_path):
-        manager = CheckpointManager(str(tmp_path), 2)
-        with pytest.raises(SnapshotError):
-            manager.schedule_corruption(5, 0)
 
 
 class TestResumeFromDisk:
@@ -848,3 +858,173 @@ class TestSnapshotCadence:
     def test_rejects_bad_cadence(self, bad):
         with pytest.raises(SnapshotError):
             SnapshotCadence(bad, 2)
+
+
+class _CountingTransport(InprocTransport):
+    """Inproc transport that logs every completed round as ``(command,
+    updates the replies report)`` — an update count independent of the
+    engine's own bookkeeping."""
+
+    def __init__(self, num_workers):
+        super().__init__(num_workers)
+        self.log = []
+
+    def round(self, messages):
+        replies = super().round(messages)
+        updates = 0
+        for reply in replies:
+            if isinstance(reply, tuple):  # step / lstep: (half, body)
+                body = reply[1]
+                updates += (
+                    body[0] if isinstance(body, tuple) else body["executed"]
+                )
+        self.log.append((messages[0][0], updates))
+        return replies
+
+
+def _counting_engine(engine_cls, **kw):
+    g = web()
+    transport = _CountingTransport(2)
+    engine = engine_cls(
+        g, PAGERANK, num_workers=2, transport=transport,
+        snapshot_every=2, recovery_backoff=0.0, **kw,
+    )
+    return g, engine, transport
+
+
+class TestLostUpdates:
+    """Each recovery cause reports the updates the rollback discarded:
+    the coordinator's total when the failure surfaced minus the restored
+    snapshot's total."""
+
+    ENGINES = [
+        (RuntimeChromaticEngine, {"max_sweeps": 100}),
+        (RuntimeLockingEngine, {"round_budget": 16}),
+    ]
+
+    @pytest.mark.parametrize("engine_cls,kw", ENGINES)
+    def test_kill_after_first_snapshot_reports_updates_since_it(
+        self, engine_cls, kw
+    ):
+        g, engine, clean = _counting_engine(engine_cls, **kw)
+        engine.run(initial=g.vertices())
+        tags = [tag for tag, _updates in clean.log]
+        kill = tags.index("checkpoint") + 6
+        # The snapshot restored is the last one committed before the
+        # kill; every update after its checkpoint round is lost.
+        last = kill - 1 - tags[:kill][::-1].index("checkpoint")
+        expected = sum(updates for _tag, updates in clean.log[last + 1:kill])
+        assert expected > 0
+        g, engine, transport = _counting_engine(engine_cls, **kw)
+        transport.schedule_kill(1, kill)
+        result = engine.run(initial=g.vertices())
+        assert result.extra["recoveries"] == 1
+        assert transport.log[:kill] == clean.log[:kill]
+        [cause] = result.extra["recovery_causes"]
+        assert cause["lost_updates"] == expected
+
+    @pytest.mark.parametrize("engine_cls,kw", ENGINES)
+    def test_round_zero_kill_loses_nothing(self, engine_cls, kw):
+        g, engine, transport = _counting_engine(engine_cls, **kw)
+        transport.schedule_kill(0, 0)
+        result = engine.run(initial=g.vertices())
+        [cause] = result.extra["recovery_causes"]
+        assert cause["lost_updates"] == 0
+
+
+class TestWorkersWriteJournals:
+    """Every journal is written by the worker that owns the data; the
+    coordinator commits the records they reply with."""
+
+    def test_sync_crash_mid_snapshot_leaves_partial_directory(
+        self, tmp_path
+    ):
+        clean, _ = clean_chromatic()
+        g = web()
+        engine = RuntimeChromaticEngine(
+            g, PAGERANK, num_workers=2, transport="mp", max_sweeps=100,
+            snapshot_every=1, snapshot_dir=str(tmp_path),
+            recovery_backoff=0.0,
+        )
+        engine.transport.schedule_fault(0, 0, mode="crash_mid_snapshot")
+        result = engine.run(initial=g.vertices())
+        assert ranks(g) == clean
+        [cause] = result.extra["recovery_causes"]
+        assert cause["last_command"] == "checkpoint"
+        directory = SnapshotDirectory(str(tmp_path))
+        # Snapshot 1 was the first checkpoint round: worker 1 wrote its
+        # journal, worker 0 died first, so it never became complete.
+        assert os.path.exists(directory.journal_path(1, 1))
+        assert not os.path.exists(directory.journal_path(1, 0))
+        assert not directory.is_complete(1)
+        # Recovery fell back to the baseline: the updates of the first
+        # sweep are what the rollback discarded.
+        assert cause["lost_updates"] == g.num_vertices
+        ids = directory.snapshot_ids()
+        complete = [s for s in ids if directory.is_complete(s)]
+        assert complete[0] == 0 and complete[1] == 2
+        assert ids == list(range(len(ids)))
+        assert CheckpointManager(str(tmp_path), 2).next_id() == len(ids)
+        assert result.extra["snapshots"] == len(complete)
+
+    @pytest.mark.parametrize(
+        "engine_cls,kw",
+        [
+            (RuntimeChromaticEngine, {"max_sweeps": 100}),
+            (RuntimeLockingEngine, {"snapshot_mode": "sync"}),
+            (RuntimeLockingEngine, {"snapshot_mode": "async"}),
+        ],
+    )
+    def test_snapshot_bytes_are_the_files_on_disk(
+        self, tmp_path, engine_cls, kw
+    ):
+        g = web()
+        result = engine_cls(
+            g, PAGERANK, num_workers=2, transport="inproc",
+            snapshot_every=2, snapshot_dir=str(tmp_path), **kw,
+        ).run(initial=g.vertices())
+        assert result.extra["snapshots"] >= 2
+        assert result.extra["snapshot_bytes"] == _bytes_on_disk(tmp_path)
+
+    @pytest.mark.parametrize(
+        "engine_cls,kw",
+        [
+            (RuntimeChromaticEngine, {"max_sweeps": 2}),
+            (RuntimeLockingEngine, {"max_rounds": 3, "round_budget": 8}),
+        ],
+    )
+    @pytest.mark.parametrize("typed", [False, True])
+    def test_worker_journal_matches_coordinator_write(
+        self, tmp_path, engine_cls, kw, typed
+    ):
+        g = web(typed=typed)
+        engine = engine_cls(
+            g, PAGERANK, num_workers=2, transport="inproc", **kw
+        )
+        engine._begin(g.vertices())
+        try:
+            engine._launch()
+            engine._run_loop()
+            engine._quiesce()
+            records = engine._send_round(
+                "checkpoint", {"journal": (0, str(tmp_path / "worker"))}
+            )
+            by_worker = SnapshotDirectory(str(tmp_path / "worker"))
+            by_coordinator = SnapshotDirectory(str(tmp_path / "coordinator"))
+            for w, worker in enumerate(engine.transport._workers):
+                # What the coordinator used to write: the worker's
+                # journal, after a trip through the pipe's pickle.
+                journal = pickle.loads(pickle.dumps(make_journal(
+                    worker.store.checkpoint_payload(),
+                    worker._counts,
+                    worker._task_journal(),
+                )))
+                assert by_coordinator.write_journal(0, w, journal) == (
+                    records[w]
+                )
+                with open(by_worker.journal_path(0, w), "rb") as fh:
+                    mine = fh.read()
+                with open(by_coordinator.journal_path(0, w), "rb") as fh:
+                    assert fh.read() == mine
+        finally:
+            engine._teardown()

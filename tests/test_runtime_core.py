@@ -19,6 +19,7 @@ import pytest
 from repro.errors import EngineError
 import repro.runtime
 from repro.runtime import (
+    CheckpointManager,
     FAULT_ENV,
     FAULT_MODES,
     InprocTransport,
@@ -356,7 +357,9 @@ def test_worker_skeleton_is_defined_once_under_runtime():
     over one base: worker construction, inbox application, command
     dispatch and the collect / checkpoint / restore / serve commands
     have one ``def`` (or one construction) each in the whole package,
-    neither kind redefines them, and each init field is declared once."""
+    neither kind redefines them, and each init field is declared once.
+    Snapshots likewise: one synchronous snapshot, one journal writer,
+    and one commit — the only code that writes a MANIFEST or COMPLETE."""
     source = {
         path.name: path.read_text()
         for path in pathlib.Path(repro.runtime.__file__).parent.glob("*.py")
@@ -393,6 +396,13 @@ def test_worker_skeleton_is_defined_once_under_runtime():
         assert issubclass(cls, WorkerBase)
         assert "handle" not in vars(cls), cls.__name__
         assert not (shared - {"_handle"}) & set(vars(cls)), cls.__name__
+    assert homes(r"^    def _take_snapshot\(") == ["core.py"]
+    assert homes(r"^    def _write_journal\(") == ["worker_base.py"]
+    assert homes(r"^    def commit\(") == ["checkpoint.py"]
+    assert homes(r"\.write_manifest\(") == ["checkpoint.py"]
+    assert homes(r"\.mark_complete\(") == ["checkpoint.py"]
+    commit = inspect.getsource(CheckpointManager.commit)
+    assert ".write_manifest(" in commit and ".mark_complete(" in commit
     base_fields = {f.name for f in dataclasses.fields(WorkerInitBase)}
     for init_cls in (WorkerInit, LockWorkerInit):
         assert issubclass(init_cls, WorkerInitBase)

@@ -452,6 +452,9 @@ class TestHangKillReleasesResources:
 #: kill: a dead pipe already fails at the write, a dead socket at the
 #: next read — both structured, the one place the link's nature shows.
 _NOOP = ("sync_count", {})
+#: A snapshot command: its ``journal`` marker (snapshot 0) gets the
+#: test's own directory as the root the surviving worker writes to.
+_CHECKPOINT = ("checkpoint", {"journal": (0, None)})
 _SUPERVISED = {
     "kill_at_launch": (
         lambda t: t.schedule_kill(1, "launch"), {}, [],
@@ -477,7 +480,7 @@ _SUPERVISED = {
     ),
     "crash_mid_snapshot": (
         lambda t: t.schedule_fault(1, 0, mode="crash_mid_snapshot"), {},
-        [_NOOP, ("checkpoint", {})],
+        [_NOOP, _CHECKPOINT],
         (1, {"reply"}, "checkpoint", set()),
     ),
     # No heartbeats, so only the adaptive deadline can end the wait:
@@ -505,7 +508,7 @@ class TestSupervisorParity:
     respawn, same clean teardown."""
 
     @pytest.mark.parametrize("case", list(_SUPERVISED))
-    def test_mp_and_tcp_fail_recover_and_stop_alike(self, case):
+    def test_mp_and_tcp_fail_recover_and_stop_alike(self, case, tmp_path):
         schedule, knobs, commands, expected = _SUPERVISED[case]
         before = set(glob.glob("/dev/shm/repro-plane-*"))
         seen = {}
@@ -524,6 +527,10 @@ class TestSupervisorParity:
                 try:
                     transport.launch(iter(inits))
                     for command in commands:
+                        if command is _CHECKPOINT:
+                            command = (
+                                "checkpoint", {"journal": (0, str(tmp_path))}
+                            )
                         transport.round([command] * 2)
                 except WorkerFailure as exc:
                     failure = exc
