@@ -29,8 +29,11 @@ from repro.core.graph import DataGraph, VertexId
 from repro.core.kernels import (
     KernelResult,
     UpdateKernel,
+    flat_rows,
+    nbr_message_index,
     nbr_message_plan,
     ordered_segment_mul,
+    schedule_set,
     segment_positions,
 )
 from repro.core.scope import Scope
@@ -44,30 +47,49 @@ def _normalize(array: np.ndarray) -> np.ndarray:
 
 
 def _row_normalize(array: np.ndarray) -> np.ndarray:
-    """Sum-normalize along the trailing (label) axis.
+    """Sum-normalize a label-major ``(L, N)`` block: every column is one
+    message.
 
-    Shared by the typed scalar update and the batch kernel so both
-    evaluate the identical expression: for a single ``(L,)`` message it
-    computes the same bits as :func:`_normalize` (the trailing-axis sum
-    of a 1-D array *is* ``array.sum()``), and for an ``(N, L)`` batch it
-    normalizes every row.
+    The sum runs down the label axis as an explicit left-to-right loop,
+    so it is the same expression for the typed scalar update (one
+    ``(L,)`` message passed as ``(L, 1)``) and for the batch kernel, for
+    every ``L`` — never numpy's reduction order, which regroups a
+    trailing-axis sum pairwise from eight terms on. Below eight labels
+    the loop computes the bits of ``array.sum()``, so it also equals
+    :func:`_normalize`.
     """
     array = np.maximum(array, _FLOOR)
-    return array / array.sum(axis=-1, keepdims=True)
+    total = array[0].copy()
+    for row in array[1:]:
+        total += row
+    array /= total
+    return array
+
+
+def _label_max(array: np.ndarray) -> np.ndarray:
+    """Per-column maximum of a label-major ``(L, N)`` block, as a row
+    loop (the residual of every message; exact in any order)."""
+    out = array[0].copy()
+    for row in array[1:]:
+        np.maximum(out, row, out=out)
+    return out
 
 
 def _msg_product(cavity: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """``cavity @ psi`` with an explicit label-ordered accumulation.
+    """``psi.T @ cavity`` for a label-major ``(L, N)`` cavity block, with
+    an explicit label-ordered accumulation.
 
-    BLAS ``gemv`` (the 1-D case) and ``gemm`` (the batched case) may
-    order their dot products differently, which would break the
-    kernel/interpreter bit-identity contract — so both paths use this
-    fixed ``k``-ordered loop over the (small) label axis instead.
-    Accepts ``(L,)`` or ``(N, L)`` cavities.
+    Row ``j`` of the result is ``sum_k psi[k, j] * cavity[k]``, folded
+    over ``k`` left to right: BLAS ``gemv`` / ``gemm`` may order their
+    dot products differently, which would break the kernel/interpreter
+    bit-identity contract, so the scalar update (``N = 1``) and the
+    batch kernel both use this loop; every step is a contiguous
+    ``(L, N)`` row operation.
     """
-    out = cavity[..., 0, None] * psi[0]
+    columns = psi[:, :, None]
+    out = columns[0] * cavity[0]
     for k in range(1, psi.shape[0]):
-        out = out + cavity[..., k, None] * psi[k]
+        out += columns[k] * cavity[k]
     return out
 
 
@@ -215,15 +237,23 @@ def init_lbp_data_typed(
 
 class LBPKernel(UpdateKernel):
     """Batch residual BP: one color-step as numpy passes over (2, L)
-    typed columns.
+    typed columns, evaluated label-major.
 
-    Gathers every active vertex's incoming messages through the
-    finalize-time :func:`~repro.core.kernels.nbr_message_plan`, forms
-    cavity products in exact neighbor order
-    (:func:`~repro.core.kernels.ordered_segment_mul`), and writes
-    beliefs plus all outgoing messages in one scatter. Residual-gated
-    rescheduling comes back as a boolean mask over the neighbor
-    positions, turned into a task set by the engine.
+    Both columns are read and written through their
+    :func:`~repro.core.kernels.flat_rows` views: a vertex's unary and
+    belief are rows ``2 * v`` and ``2 * v + 1``, and every incoming and
+    outgoing message is one row of the edge view, addressed by the
+    finalize-time :func:`~repro.core.kernels.nbr_message_index`, so each
+    gather is one ``take`` and each scatter one fancy assignment. A
+    gathered ``(P, L)`` block is transposed once to ``(L, P)``; the
+    cavity product (exact neighbor order,
+    :func:`~repro.core.kernels.ordered_segment_mul` one label row at a
+    time), normalization, the message product and the residual max are
+    then short loops of contiguous row operations — the same helpers the
+    typed scalar update runs on ``(L, 1)`` blocks, so the two are
+    bit-identical by construction for every ``L``. Residual-gated
+    rescheduling becomes a task set through
+    :func:`~repro.core.kernels.schedule_set`.
     """
 
     def __init__(
@@ -250,39 +280,49 @@ class LBPKernel(UpdateKernel):
         )
 
     def bind(self, graph: DataGraph) -> None:
-        nbr_message_plan(graph.compiled)
+        csr = graph.compiled
+        flat_rows(csr.vdata)
+        flat_rows(csr.edata)
+        nbr_message_index(csr)
 
     def step(self, graph, active, vdata, edata, globals_view=None):
         csr = graph.compiled
-        (
-            nbr_offsets, nbr_targets, in_slot, in_dir, out_slot, out_dir,
-        ) = nbr_message_plan(csr)
+        nbr_offsets, nbr_targets = nbr_message_plan(csr)[:2]
+        in_msg, out_msg = nbr_message_index(csr)
+        vertex_rows, messages = flat_rows(vdata), flat_rows(edata)
         pos, counts, ends = segment_positions(nbr_offsets, active)
-        incoming = edata[in_slot[pos], in_dir[pos]]  # (P, L) copies
-        prod = vdata[active, UNARY]  # fancy indexing: already copies
-        ordered_segment_mul(prod, counts, ends, incoming)
-        vdata[active, BELIEF] = _row_normalize(prod)
-        seg = np.repeat(np.arange(active.size), counts)
-        cavity = _row_normalize(prod[seg] / np.maximum(incoming, _FLOOR))
+        incoming = _label_major(messages.take(in_msg[pos], axis=0))
+        rows = 2 * active
+        prod = _label_major(vertex_rows.take(rows + UNARY, axis=0))
+        ordered_segment_mul(prod.T, counts, ends, incoming.T)
+        vertex_rows[rows + BELIEF] = _row_normalize(prod).T
+        np.maximum(incoming, _FLOOR, out=incoming)
+        cavity = _row_normalize(np.repeat(prod, counts, axis=1) / incoming)
         new_message = _row_normalize(_msg_product(cavity, self.psi))
-        write_slot, write_dir = out_slot[pos], out_dir[pos]
-        old = edata[write_slot, write_dir]
+        write = out_msg[pos]
+        old = _label_major(messages.take(write, axis=0))
         if self.damping > 0.0:
             new_message = _row_normalize(
                 self.damping * old + (1.0 - self.damping) * new_message
             )
-        residual = np.abs(new_message - old).max(axis=-1)
-        edata[write_slot, write_dir] = new_message
-        scheduled = np.unique(nbr_targets[pos[residual > self.epsilon]])
-        # write_slot is duplicate-free by construction: the frontier is
-        # an independent set (no two actives share an edge) and the
-        # neighbor plan lists each neighbor once — so the sort pass of
-        # np.unique would be pure overhead on the per-step hot path.
+        residual = _label_max(np.abs(new_message - old))
+        # One fancy assignment suffices: write is duplicate-free, since
+        # the frontier is an independent set (no two actives share an
+        # edge) and the neighbor plan lists each neighbor once.
+        messages[write] = new_message.T
         return KernelResult(
-            scheduled=scheduled,
+            scheduled=schedule_set(
+                nbr_targets[pos[residual > self.epsilon]],
+                len(csr.vertex_ids),
+            ),
             wrote_v=active,
-            wrote_e=write_slot,
+            wrote_e=write >> 1,
         )
+
+
+def _label_major(block: np.ndarray) -> np.ndarray:
+    """A gathered ``(P, L)`` row block as a contiguous ``(L, P)`` one."""
+    return np.ascontiguousarray(block.T)
 
 
 def make_lbp_update_typed(
@@ -292,14 +332,15 @@ def make_lbp_update_typed(
 
     Same semantics as :func:`make_lbp_update` (without the CoSeg
     ``unary_fn`` hook) on ``(2, L)`` array rows instead of dicts/tuples;
-    carries the batch :class:`LBPKernel` for engine dispatch.
+    carries the batch :class:`LBPKernel` for engine dispatch. Every
+    ``(L,)`` row enters the label-major helpers as an ``(L, 1)`` block,
+    so each message is computed by the kernel's expressions.
     """
     psi = np.asarray(psi, dtype=np.float64)
 
     def lbp_update(scope: Scope):
         vertex = scope.vertex
         row = scope.data
-        unary = row[UNARY]
         neighbors = scope.neighbors
         has_edge = scope.graph.has_edge
         edge = scope.edge
@@ -309,30 +350,32 @@ def make_lbp_update_typed(
                 incoming.append(edge(u, vertex)[0])
             else:
                 incoming.append(edge(vertex, u)[1])
-        prod = unary.copy()
+        prod = row[UNARY][:, None].copy()
         for message in incoming:
-            prod *= message
+            prod *= message[:, None]
         new_row = np.empty_like(row)
-        new_row[UNARY] = unary
-        new_row[BELIEF] = _row_normalize(prod)
+        new_row[UNARY] = row[UNARY]
+        new_row[BELIEF] = _row_normalize(prod)[:, 0]
         scope.data = new_row
         scheduled = []
         for u, message in zip(neighbors, incoming):
-            cavity = _row_normalize(prod / np.maximum(message, _FLOOR))
+            cavity = _row_normalize(
+                prod / np.maximum(message[:, None], _FLOOR)
+            )
             new_message = _row_normalize(_msg_product(cavity, psi))
             if has_edge(vertex, u):
                 a, b, direction = vertex, u, 0
             else:
                 a, b, direction = u, vertex, 1
             pair = edge(a, b)
-            old = pair[direction]
+            old = pair[direction][:, None]
             if damping > 0.0:
                 new_message = _row_normalize(
                     damping * old + (1.0 - damping) * new_message
                 )
-            residual = float(np.abs(new_message - old).max())
+            residual = float(_label_max(np.abs(new_message - old))[0])
             new_pair = pair.copy()
-            new_pair[direction] = new_message
+            new_pair[direction] = new_message[:, 0]
             scope.set_edge(a, b, new_pair)
             if residual > epsilon:
                 scheduled.append((u, residual))

@@ -25,6 +25,7 @@ from repro.core.kernels import (
     UpdateKernel,
     in_edge_plan,
     ordered_segment_add,
+    schedule_set,
     segment_positions,
 )
 from repro.core.scope import Scope
@@ -92,7 +93,7 @@ class PageRankKernel(UpdateKernel):
             else:  # "all": the full undirected N[v], canonical-derived
                 offsets, targets = undirected_plan(csr)
             tpos, _tc, _te = segment_positions(offsets, movers)
-            scheduled = np.unique(targets[tpos])
+            scheduled = schedule_set(targets[tpos], len(csr.vertex_ids))
         return KernelResult(scheduled=scheduled, wrote_v=active)
 
 

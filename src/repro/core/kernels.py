@@ -19,8 +19,10 @@ the same neighbor order as the scalar loop (see
 its updates one index at a time in index order; plain
 ``np.add.reduceat`` is **not** order-stable across numpy versions and
 must not be used), elementwise expressions keep the scalar code's
-association order, and reductions
-over small trailing axes match ``array.sum()``. The property tests in
+association order, and reductions over a small label axis are explicit
+left-to-right loops in helpers the scalar update calls too (LBP's
+``_row_normalize``), so they never rest on numpy's reduction order. The
+property tests in
 ``tests/test_kernels.py`` compare kernel and interpreter executions
 exactly, value for value.
 
@@ -37,7 +39,6 @@ bits.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -249,6 +250,42 @@ def out_gather(csr: Any, index: int) -> Tuple[Tuple[Any, int, int], ...]:
     )
 
 
+def schedule_set(targets: np.ndarray, num_vertices: int) -> np.ndarray:
+    """The distinct vertex indices of ``targets``, ascending, as int64 —
+    what ``np.unique(targets)`` returns, from a boolean mask over the
+    vertex count instead of a sort.
+
+    Every kernel's :attr:`KernelResult.scheduled` goes through it: a
+    color-step's rescheduled neighbours repeat (two actives share a
+    neighbour), and a mask pass is linear in the vertex count whatever
+    the repeats. It also keeps ``np.unique``, whose first call imports
+    ``numpy.ma``, off every color-step and launch path.
+    """
+    if targets.size == 0:
+        return _EMPTY_INDEX
+    mask = np.zeros(num_vertices, dtype=bool)
+    mask[targets] = True
+    return np.flatnonzero(mask)
+
+
+def flat_rows(column: np.ndarray) -> np.ndarray:
+    """A ``(count, 2, L)`` data column as its ``(2 * count, L)`` row view:
+    row ``2 * i + d`` is half ``d`` of datum ``i``.
+
+    Kernels gather and scatter whole rows through it with one index
+    (``take`` / one fancy assignment) instead of an index pair. Writes
+    must reach the caller's column, so a column that is not C-contiguous
+    — where a reshape would silently copy — is refused.
+    """
+    if not column.flags.c_contiguous:
+        raise EngineError(
+            "batch kernel needs a C-contiguous data column to write "
+            f"through; got strides {column.strides} for shape "
+            f"{column.shape}"
+        )
+    return column.reshape(-1, column.shape[-1])
+
+
 def _directed_slot_lookup(
     csr: Any, sources: np.ndarray, targets: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -318,6 +355,25 @@ def nbr_message_plan(
     return plan
 
 
+def nbr_message_index(csr: Any) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`nbr_message_plan`'s message resolution as flat row indices.
+
+    Returns ``(in_msg, out_msg)``: for neighbour position ``k``,
+    ``in_msg[k] = in_slot[k] * 2 + in_dir[k]`` is the row of the
+    incoming message ``u -> v`` and ``out_msg[k]`` the row of the
+    outgoing ``v -> u``, both in the :func:`flat_rows` view of a
+    ``(num_edges, 2, L)`` edge column. Memoized beside the plan.
+    """
+    index = csr.plan_cache.get("nbr_message_index")
+    if index is None:
+        _offsets, _targets, in_slot, in_dir, out_slot, out_dir = (
+            nbr_message_plan(csr)
+        )
+        index = (in_slot * 2 + in_dir, out_slot * 2 + out_dir)
+        csr.plan_cache["nbr_message_index"] = index
+    return index
+
+
 # ----------------------------------------------------------------------
 # Segment primitives.
 # ----------------------------------------------------------------------
@@ -362,9 +418,12 @@ def _ordered_segment_reduce(
     index order, with no buffering or pairwise regrouping, so
     segment-major target ids give the scalar loop's association order
     whatever the segment lengths (a power-law hub costs its entries,
-    not a numpy pass per neighbour). Rows ``(n, L)`` scatter flat: each
-    segment id widens to its row's ``L`` cells, which keeps every
-    cell's updates in neighbour order. ``np.ufunc.reduceat`` stays
+    not a numpy pass per neighbour). Rows ``(n, L)`` scatter one cell
+    column at a time with the same segment ids, which keeps every
+    cell's updates in neighbour order; the columns may be strided views
+    (a label-major ``(L, n)`` block passed transposed scatters straight
+    into its contiguous rows), and the scatter lands in ``base`` itself
+    whatever its strides. ``np.ufunc.reduceat`` stays
     banned: its accumulation order is an implementation detail of the
     running numpy (observed non-sequential for ``add`` on numpy 2.4).
     ``tests/test_kernels.py::TestOrderedReduceExactness`` pins the
@@ -372,16 +431,10 @@ def _ordered_segment_reduce(
     """
     if values.shape[0] == 0:
         return base
-    width = math.prod(base.shape[1:])
-    ids = np.repeat(np.arange(counts.size, dtype=np.int64) * width, counts)
-    if width > 1:
-        ids = (ids[:, None] + np.arange(width, dtype=np.int64)).reshape(-1)
-    # reshape(-1) of a non-contiguous base would be a copy, so the
-    # scatter targets a contiguous twin that is copied back.
-    target = np.ascontiguousarray(base)
-    ufunc.at(target.reshape(-1), ids, values.reshape(-1))
-    if target is not base:
-        base[...] = target
+    ids = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    for cell in np.ndindex(base.shape[1:]):
+        at = (slice(None),) + cell
+        ufunc.at(base[at], ids, values[at])
     return base
 
 

@@ -169,7 +169,7 @@ class RuntimeWorker(WorkerBase):
             remote = requested[owners != me]
             if remote.size:
                 remote_owners = owners[owners != me]
-                for dst in np.unique(remote_owners):
+                for dst in np.flatnonzero(np.bincount(remote_owners)):
                     sched_out[int(dst)] = (
                         remote[remote_owners == dst].astype(np.int32)
                     )
@@ -206,9 +206,7 @@ class RuntimeWorker(WorkerBase):
             if returned is not None:
                 pairs.extend(normalize_schedule(returned, graph=graph))
             requested.extend(index_of[u] for (u, _prio) in pairs)
-        requested_idx = np.array(requested, dtype=np.int64)
-        _uniq, first = np.unique(requested_idx, return_index=True)
-        return requested_idx[np.sort(first)]
+        return np.array(list(dict.fromkeys(requested)), dtype=np.int64)
 
     def _run_kernel(self, work: np.ndarray) -> np.ndarray:
         """One numpy pass of the batch kernel over ``work``; returns its

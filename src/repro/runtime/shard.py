@@ -600,17 +600,20 @@ class CSRShardStore:
         # Mirror pairs (owned boundary vertex index, remote holder):
         # every held edge contributes its owned endpoint(s) paired with
         # the other endpoint's owner when remote. Deduped as one int64
-        # key ``index * span + holder`` (the same ascending (index,
-        # holder) order as a 2-D unique, without its void-view sort).
+        # key ``index * span + holder``, sorted and kept where it differs
+        # from its predecessor: the ascending (index, holder) order of a
+        # 2-D unique, without ``np.unique`` (whose first call imports
+        # ``numpy.ma`` into every worker at launch).
         pair_keys: List[np.ndarray] = []
         span = int(owner_idx.max()) + 1 if num_vertices else 1
         he_src, he_dst = src[held_e_mask], dst[held_e_mask]
         for mine, other in ((he_src, he_dst), (he_dst, he_src)):
             remote = owned_mask[mine] & (owner_idx[other] != machine_id)
             pair_keys.append(mine[remote] * span + owner_idx[other][remote])
-        pair_index, pair_holder = np.divmod(
-            np.unique(np.concatenate(pair_keys)), span
-        )
+        keys = np.sort(np.concatenate(pair_keys))
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        pair_index, pair_holder = np.divmod(keys[first], span)
         #: vertex index -> remote machines holding a copy. Seeded from
         #: the mirror pairs for owned boundary vertices; targets for
         #: *ghosts* (writable only under FULL consistency via
@@ -632,7 +635,7 @@ class CSRShardStore:
             for holder, members in route_v.items()
         }
         self._route_e: Dict[int, np.ndarray] = {}
-        for holder in np.unique(owner_idx).tolist():
+        for holder in np.flatnonzero(np.bincount(owner_idx)).tolist():
             if holder == machine_id:
                 continue
             routed = held_e_mask & (

@@ -3,10 +3,14 @@
 The tool's runs are a black box (git worktree + ``python3 -m bench``);
 what it concludes from their records is pinned here: quartiles, pair
 wins with ties counting for neither side, the metric rows with their
-verdicts, and the exact-count comparison.
+verdicts, and the exact-count comparison — and, with a fake bench and
+worktree standing in for the runs, how ``--workload all`` drives every
+workload and sums them up.
 """
 
+import contextlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -135,3 +139,84 @@ def test_problems_flag_failed_and_incorrect_runs():
     assert len(problems) == 2
     assert problems[0].startswith("head run 1")
     assert problems[1].startswith("head run 2")
+
+
+# ----------------------------------------------------------------------
+# Driving: a fake bench and worktree stand in for the runs.
+# ----------------------------------------------------------------------
+WORKLOADS = ["w_fast", "w_same", "w_drift"]
+
+
+@pytest.fixture
+def fake_runs(monkeypatch, tmp_path):
+    """Every workload's runs without a process: the head is faster on
+    ``w_fast``, equal on ``w_same``, and its counts drift on ``w_drift``."""
+    calls = []
+
+    def run_bench(tree, workload, seed, out):
+        side = "base" if tree != bench_ab.ROOT else "head"
+        calls.append((workload, side))
+        pair = sum(1 for w, s in calls if (w, s) == (workload, side)) - 1
+        value = TIGHT[pair % len(TIGHT)]
+        counts = {"rounds": 541}
+        if workload == "w_fast" and side == "head":
+            value *= 0.5
+        if workload == "w_drift" and side == "head":
+            counts = {"rounds": 542}
+        return record(counts, exec_s=value)
+
+    @contextlib.contextmanager
+    def worktree(ref, path):
+        calls.append(("worktree", ref))
+        yield path
+
+    declared = {
+        "workloads": [{"name": name} for name in WORKLOADS],
+        "end_to_end": END_TO_END,
+    }
+    root = tmp_path / "root"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps(declared))
+    monkeypatch.setattr(bench_ab, "ROOT", root)
+    monkeypatch.setattr(bench_ab, "_run_bench", run_bench)
+    monkeypatch.setattr(bench_ab, "worktree", worktree)
+    monkeypatch.setattr(bench_ab, "two_process_ratio", lambda: {"python": 1.0})
+    return calls
+
+
+def test_workload_all_runs_every_workload_in_one_worktree(fake_runs, tmp_path, capsys):
+    status = bench_ab.run_pairs("HEAD~1", "all", 10, 0, tmp_path)
+    out = capsys.readouterr().out
+    assert [c for c in fake_runs if c[0] == "worktree"] == [("worktree", "HEAD~1")]
+    for name in WORKLOADS:
+        assert sum(1 for c in fake_runs if c[0] == name) == 20
+        assert f"\n{name}: HEAD~1 (base) vs tree (head), 10 pairs" in out
+    summary = out[out.index("\nsummary:"):].splitlines()[2:]
+    assert [line.split()[:5] for line in summary] == [
+        ["w_fast", "worst", "gain", "counts", "equal"],
+        ["w_same", "worst", "ok", "counts", "equal"],
+        ["w_drift", "worst", "ok", "counts", "DIFFER"],
+    ]
+    assert status == 1  # the drifting counts fail the run
+
+
+def test_single_workload_prints_no_summary(fake_runs, tmp_path, capsys):
+    assert bench_ab.run_pairs("HEAD", "w_same", 2, 0, tmp_path) == 0
+    out = capsys.readouterr().out
+    assert "summary:" not in out
+    assert {c[0] for c in fake_runs} == {"worktree", "w_same"}
+
+
+def test_worst_verdict_ranks_worse_first():
+    rows = [{"verdict": v} for v in ("gain", "ok", "unresolved")]
+    assert bench_ab.worst_verdict(rows) == "unresolved"
+    assert bench_ab.worst_verdict(rows + [{"verdict": "worse"}]) == "worse"
+    assert bench_ab.worst_verdict([{"verdict": "gain"}]) == "gain"
+    assert bench_ab.worst_verdict([]) == "none"
+
+
+def test_failed_runs_are_named_in_the_summary(fake_runs, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bench_ab, "_run_bench", lambda *a: None)
+    assert bench_ab.run_pairs("HEAD", "all", 1, 0, tmp_path) == 1
+    summary = capsys.readouterr().out.split("\nsummary:")[1]
+    assert summary.count("runs failed") == len(WORKLOADS)

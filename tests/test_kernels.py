@@ -11,9 +11,14 @@ scalar interpreter, which remains the oracle. Every comparison here is
 exact equality, never approx.
 """
 
+import json
 import operator
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,11 +35,22 @@ from repro.core import (
 )
 from repro.core.graph import DataGraph
 from repro.core.kernels import (
+    KernelResult,
+    flat_rows,
+    nbr_message_plan,
     ordered_segment_add,
     ordered_segment_mul,
+    schedule_set,
     segment_positions,
 )
-from repro.apps.lbp import make_lbp_update_typed, potts_potential
+from repro.core.scope import Scope
+from repro.apps.lbp import (
+    LBPKernel,
+    init_lbp_data_typed,
+    lbp_dtypes,
+    make_lbp_update_typed,
+    potts_potential,
+)
 from repro.datasets.mesh import grid_2d_typed
 from repro.apps.pagerank import make_pagerank_update
 from repro.distributed import (
@@ -46,12 +62,18 @@ from repro.distributed import (
 )
 from repro.distributed.deploy import plan_ownership
 from repro.distributed.models import VERSION_BYTES
-from repro.errors import GraphStructureError
+from repro.errors import EngineError, GraphStructureError
 from repro.runtime import (
     ColorSweepScheduler,
     CSRShardStore,
     RuntimeChromaticEngine,
     UpdateProgram,
+)
+from repro.runtime.plane import (
+    LocalDataPlane,
+    ShmDataPlane,
+    plane_spec_for,
+    shm_available,
 )
 
 from tests.helpers import grid_graph
@@ -809,3 +831,338 @@ def test_uncovered_vertex_raises_like_scalar_scheduler():
     assert engine.batch_kernel() is not None
     with pytest.raises(SchedulerError):
         engine.run(initial=g.vertices())
+
+
+# ----------------------------------------------------------------------
+# The label-major LBP kernel against the scalar update and its
+# row-major predecessor.
+# ----------------------------------------------------------------------
+_FLOOR = 1e-12
+
+
+class ReferenceLBPKernel(LBPKernel):
+    """The row-major batch step the label-major kernel replaced, frozen:
+    ``(slot, dir)`` fancy gathers and scatters, trailing-axis numpy sums
+    and maxima, a widened-id ``ufunc.at`` cavity product and an
+    ``np.unique`` schedule set. Below eight labels numpy folds a
+    trailing-axis sum left to right, so this computes the kernel's bits
+    there; from eight on its pairwise sums differ in the last place."""
+
+    def bind(self, graph):
+        nbr_message_plan(graph.compiled)
+
+    @staticmethod
+    def _row_normalize(array):
+        array = np.maximum(array, _FLOOR)
+        return array / array.sum(axis=-1, keepdims=True)
+
+    @staticmethod
+    def _msg_product(cavity, psi):
+        out = cavity[..., 0, None] * psi[0]
+        for k in range(1, psi.shape[0]):
+            out = out + cavity[..., k, None] * psi[k]
+        return out
+
+    def step(self, graph, active, vdata, edata, globals_view=None):
+        norm = self._row_normalize
+        csr = graph.compiled
+        (
+            nbr_offsets, nbr_targets, in_slot, in_dir, out_slot, out_dir,
+        ) = nbr_message_plan(csr)
+        pos, counts, ends = segment_positions(nbr_offsets, active)
+        incoming = edata[in_slot[pos], in_dir[pos]]
+        prod = vdata[active, 0]
+        if pos.size:
+            width = prod.shape[1]
+            ids = np.repeat(np.arange(active.size) * width, counts)
+            ids = (ids[:, None] + np.arange(width)).reshape(-1)
+            np.multiply.at(prod.reshape(-1), ids, incoming.reshape(-1))
+        vdata[active, 1] = norm(prod)
+        seg = np.repeat(np.arange(active.size), counts)
+        cavity = norm(prod[seg] / np.maximum(incoming, _FLOOR))
+        new_message = norm(self._msg_product(cavity, self.psi))
+        write_slot, write_dir = out_slot[pos], out_dir[pos]
+        old = edata[write_slot, write_dir]
+        if self.damping > 0.0:
+            new_message = norm(
+                self.damping * old + (1.0 - self.damping) * new_message
+            )
+        residual = np.abs(new_message - old).max(axis=-1)
+        edata[write_slot, write_dir] = new_message
+        scheduled = np.unique(nbr_targets[pos[residual > self.epsilon]])
+        return KernelResult(
+            scheduled=scheduled, wrote_v=active, wrote_e=write_slot
+        )
+
+
+def _power_law_lbp_graph(rng, num_labels):
+    """Preferential attachment with a few reciprocal edges: most
+    vertices have degree 1-3, the early ones become hubs."""
+    n = int(rng.integers(30, 90))
+    g = DataGraph()
+    for i in range(n):
+        g.add_vertex(i, data=None)
+    edges, ends = set(), [0]
+    for i in range(1, n):
+        for _ in range(int(rng.integers(1, 4))):
+            j = int(ends[rng.integers(len(ends))])
+            if j != i and (j, i) not in edges:
+                edges.add((j, i))
+                ends.extend((i, j))
+    for (a, b) in sorted(edges):
+        g.add_edge(a, b, data=None)
+    for (a, b) in sorted(edges)[:: int(rng.integers(4, 9))]:
+        g.add_edge(b, a, data=None)
+    g.finalize(**lbp_dtypes(num_labels))
+    init_lbp_data_typed(
+        g, {v: rng.random(num_labels) + 0.1 for v in g.vertices()}
+    )
+    return g
+
+
+def _lbp_case(kind, num_labels, seed):
+    """A typed LBP graph with random beliefs and messages (some below
+    the normalization floor)."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        g, _psi = grid_2d_typed(
+            int(rng.integers(2, 9)), int(rng.integers(2, 9)), num_labels,
+            seed=seed,
+        )
+    else:
+        g = _power_law_lbp_graph(rng, num_labels)
+    csr = g.compiled
+    for column in (csr.vdata, csr.edata):
+        column[...] = rng.random(column.shape) * 2.0
+        column[rng.random(column.shape) < 0.05] = 1e-14
+    psi = rng.random((num_labels, num_labels)) + 0.5
+    return g, psi + psi.T, rng
+
+
+def _random_frontier(csr, rng):
+    """A random independent set, in random order."""
+    offsets, targets = nbr_message_plan(csr)[:2]
+    blocked = np.zeros(len(csr.vertex_ids), dtype=bool)
+    chosen = []
+    for v in rng.permutation(len(csr.vertex_ids)).tolist():
+        if not blocked[v] and rng.random() < 0.7:
+            chosen.append(v)
+            blocked[v] = True
+            blocked[targets[offsets[v]:offsets[v + 1]]] = True
+    return np.array(chosen, dtype=np.int64)
+
+
+def _scalar_step(graph, update, active):
+    """The typed scalar update over ``active`` as one KernelResult."""
+    csr = graph.compiled
+    scope = Scope(graph, None)
+    scheduled, wrote_e = set(), []
+    for i in active.tolist():
+        v = csr.vertex_ids[i]
+        for u, _residual in update(scope.rebind(v)):
+            scheduled.add(csr.index_of[u])
+        for u in graph.neighbors(v):
+            key = (v, u) if graph.has_edge(v, u) else (u, v)
+            wrote_e.append(csr.edge_slot[key])
+    return KernelResult(sorted(scheduled), active, sorted(wrote_e))
+
+
+def _assert_same_result(r1, r2, sort_edges=False):
+    for name in ("scheduled", "wrote_v", "wrote_e"):
+        a, b = getattr(r1, name), getattr(r2, name)
+        if name == "wrote_e" and sort_edges:
+            a = np.sort(a)
+        assert a.dtype == b.dtype == np.int64, name
+        assert np.array_equal(a, b), name
+
+
+def _columns_bits(graph):
+    csr = graph.compiled
+    return csr.vdata.tobytes(), csr.edata.tobytes()
+
+
+class TestLabelMajorLBP:
+    @given(
+        seed=st.integers(0, 100_000),
+        kind=st.sampled_from(["grid", "power_law"]),
+        num_labels=st.integers(2, 9),
+        damping=st.sampled_from([0.0, 0.3]),
+        epsilon=st.sampled_from([-1.0, 1e-3, 0.1]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_equals_scalar_and_reference(
+        self, seed, kind, num_labels, damping, epsilon
+    ):
+        g, psi, rng = _lbp_case(kind, num_labels, seed)
+        update = make_lbp_update_typed(psi, epsilon=epsilon, damping=damping)
+        kernel = update.kernel
+        reference = ReferenceLBPKernel(psi, epsilon=epsilon, damping=damping)
+        g_kernel, g_scalar, g_ref = g.copy(), g.copy(), g.copy()
+        kernel.bind(g_kernel)
+        frozen = num_labels < 8
+        for _ in range(3):
+            active = _random_frontier(g.compiled, rng)
+            csr = g_kernel.compiled
+            got = kernel.step(g_kernel, active, csr.vdata, csr.edata)
+            want = _scalar_step(g_scalar, update, active)
+            _assert_same_result(got, want, sort_edges=True)
+            assert _columns_bits(g_kernel) == _columns_bits(g_scalar)
+            if frozen:
+                ref_csr = g_ref.compiled
+                old = reference.step(
+                    g_ref, active, ref_csr.vdata, ref_csr.edata
+                )
+                _assert_same_result(got, old)
+                assert _columns_bits(g_kernel) == _columns_bits(g_ref)
+
+    @given(
+        num_vertices=st.integers(1, 300),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_schedule_set_is_unique(self, num_vertices, data):
+        targets = np.array(
+            data.draw(st.lists(st.integers(0, num_vertices - 1), max_size=400)),
+            dtype=np.int64,
+        )
+        got, want = schedule_set(targets, num_vertices), np.unique(targets)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_step_and_shard_init_never_call_unique(self, monkeypatch):
+        lbp = typed_lbp_grid(rows=5, cols=6, labels=4, seed=2)
+        web = typed_pagerank_graph(n=40, seed=5)
+        steps = [
+            (lbp, make_lbp_update_typed(potts_potential(4), epsilon=-1.0)),
+            (web, make_pagerank_update(schedule="out", epsilon=-1.0)),
+            (web, make_pagerank_update(schedule="all", epsilon=-1.0)),
+        ]
+        for graph, update in steps:
+            update.kernel.bind(graph)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("np.unique on a step or launch path")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        for graph, update in steps:
+            csr = graph.compiled
+            classes = {}
+            for v, c in greedy_coloring(graph).items():
+                classes.setdefault(c, []).append(csr.index_of[v])
+            for members in classes.values():
+                active = np.array(members, dtype=np.int64)
+                result = update.kernel.step(graph, active, csr.vdata, csr.edata)
+                assert result.scheduled.size
+            owner = {v: i % 3 for i, v in enumerate(graph.vertices())}
+            CSRShardStore(1, graph, owner)
+
+    def test_serve_host_never_imports_numpy_ma(self):
+        """A serving host after warm start and launch (mp workers fork
+        from it) and one with in-process workers leave ``numpy.ma``
+        unimported: no ``np.unique`` ran on the way."""
+        script = (
+            "import json, sys, time\n"
+            "from repro.runtime import MpTransport, named_program\n"
+            "from repro.serve import GraphService, build_serving_graph\n"
+            "out = {}\n"
+            "for name in ('mp', 'inproc'):\n"
+            "    transport = MpTransport(2) if name == 'mp' else name\n"
+            "    service = GraphService(\n"
+            "        build_serving_graph(300, seed=4),\n"
+            "        named_program('pagerank_delta', epsilon=1e-6),\n"
+            "        engine='locking', num_workers=2, transport=transport,\n"
+            "        touch='self')\n"
+            "    service.start()\n"
+            "    while not service.stats()['quiescent']:\n"
+            "        time.sleep(0.002)\n"
+            "    out[name] = 'numpy.ma' in sys.modules\n"
+            "    service.close()\n"
+            "print(json.dumps(out))\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=root,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == {
+            "mp": False, "inproc": False,
+        }
+
+
+class TestFlatRowsAliasing:
+    """The kernel writes through a reshaped view of the edge column; a
+    copy would drop every write silently."""
+
+    def test_strided_column_is_refused(self):
+        g = typed_lbp_grid(rows=3, cols=4, labels=3)
+        csr = g.compiled
+        kernel = make_lbp_update_typed(potts_potential(3)).kernel
+        kernel.bind(g)
+        wide = np.ones(csr.edata.shape[:2] + (6,))
+        strided = wide[:, :, :3]
+        assert not strided.flags.c_contiguous
+        active = np.array([0], dtype=np.int64)
+        with pytest.raises(EngineError, match="C-contiguous"):
+            kernel.step(g, active, csr.vdata, strided)
+        with pytest.raises(EngineError, match="C-contiguous"):
+            flat_rows(csr.vdata[:, ::-1])
+        assert np.all(wide == 1.0)
+        csr.edata = strided
+        with pytest.raises(EngineError, match="C-contiguous"):
+            kernel.bind(g)
+
+    @pytest.mark.parametrize("kind", ["tcp", "local", "shm"])
+    def test_view_aliases_the_store_column(self, kind):
+        if kind == "shm" and not shm_available():
+            pytest.skip("POSIX shared memory is unavailable")
+        g = typed_lbp_grid(rows=4, cols=4, labels=3, seed=9)
+        owner = {v: (v[0] + v[1]) % 2 for v in g.vertices()}
+        store = CSRShardStore(0, g, owner)
+        plane = None
+        if kind != "tcp":
+            csr = g.compiled
+            spec = plane_spec_for(
+                g, 2, len(csr.vertex_ids), len(csr.edge_keys), kind=kind
+            )
+            plane = (
+                LocalDataPlane(spec) if kind == "local"
+                else ShmDataPlane.create(spec)
+            )
+            segment = plane.segments[0]
+            store.adopt_buffers(
+                segment.vdata, segment.edata,
+                segment.vversion, segment.eversion,
+            )
+            assert store.edata_flat is segment.edata
+        try:
+            self._check_aliasing(g, store)
+        finally:
+            if plane is not None:
+                # Every view into the segments goes before they close.
+                store.vdata_flat = store.edata_flat = None
+                store._vversion = store._eversion = None
+                segment = None
+                plane.unlink()
+
+    @staticmethod
+    def _check_aliasing(g, store):
+        for column in (store.vdata_flat, store.edata_flat):
+            rows = flat_rows(column)
+            assert np.shares_memory(rows, column)
+            rows[3] = 7.0
+            assert np.all(column.reshape(-1, 3)[3] == 7.0)
+        oracle = g.copy()
+        kernel = make_lbp_update_typed(potts_potential(3)).kernel
+        active = np.array([0, 2, 5], dtype=np.int64)
+        ocsr = oracle.compiled
+        ocsr.vdata[...] = store.vdata_flat
+        ocsr.edata[...] = store.edata_flat
+        kernel.step(oracle, active, ocsr.vdata, ocsr.edata)
+        kernel.step(g, active, store.vdata_flat, store.edata_flat)
+        assert np.array_equal(store.vdata_flat, ocsr.vdata)
+        assert np.array_equal(store.edata_flat, ocsr.edata)

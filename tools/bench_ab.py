@@ -1,13 +1,16 @@
 """Paired A/B runs of one benchmark workload: a git ref against the tree.
 
-    python3 tools/bench_ab.py <ref> [--workload W] [--pairs N] [--seed S]
+    python3 tools/bench_ab.py <ref> [--workload W|all] [--pairs N] [--seed S]
 
 (``make ab REF=<ref> W=<workload> N=<pairs>``.) The tool checks ``<ref>``
 out into a scratch ``git worktree`` and runs ``python3 -m bench
 --workload W --seed S --out <record>`` there and in this tree, ``N``
 times each. The two sides alternate which runs first, so a drift of the
 machine's speed during the session hits both alike. The benchmark is a
-black box: only the JSON records are read.
+black box: only the JSON records are read. ``--workload all`` runs every
+workload of ``BENCHMARK.json`` in turn in the one worktree, prints each
+one's report, then one summary line per workload: its worst verdict and
+whether its exact counts are equal.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints both sides'
 median and q1–q3, the ratio of the medians, how many pairs each side
@@ -26,6 +29,7 @@ the exact counts differ. The worktree is removed on every exit path.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
@@ -36,7 +40,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -234,45 +238,67 @@ def _problems(side: str, records: Sequence[Optional[Dict]]) -> List[str]:
     return out
 
 
-def run_pairs(
-    ref: str, workload: str, pairs: int, seed: int, scratch: Path
-) -> int:
-    """Alternating pairs in a worktree of ``ref`` and this tree; prints
-    the report and returns the exit status."""
-    base_tree = scratch / "base"
+#: Verdicts from worst to best: a workload's summary names the first
+#: one any of its rows reads.
+VERDICT_ORDER = ("worse", "unresolved", "ok", "gain")
+
+
+def worst_verdict(rows: Sequence[Dict[str, Any]]) -> str:
+    """The worst verdict over a workload's rows (``"none"`` if no row)."""
+    found = {row["verdict"] for row in rows}
+    return next((v for v in VERDICT_ORDER if v in found), "none")
+
+
+@contextlib.contextmanager
+def worktree(ref: str, path: Path) -> Iterator[Path]:
+    """``ref`` checked out at ``path`` for the block, removed on exit."""
     subprocess.run(
-        ["git", "worktree", "add", "--detach", "--quiet", str(base_tree), ref],
+        ["git", "worktree", "add", "--detach", "--quiet", str(path), ref],
         cwd=ROOT,
         check=True,
     )
     try:
-        base: List[Optional[Dict]] = []
-        head: List[Optional[Dict]] = []
-        for i in range(pairs):
-            order = [("base", base_tree, base), ("head", ROOT, head)]
-            if i % 2:
-                order.reverse()
-            for side, tree, records in order:
-                records.append(
-                    _run_bench(tree, workload, seed, scratch / f"{side}-{i}.json")
-                )
-            ratio = two_process_ratio()
-            first = order[0][0]
-            print(
-                f"pair {i}: {first} first; two-process ratio "
-                + ", ".join(f"{k} {v:.2f}" for k, v in ratio.items()),
-                flush=True,
-            )
+        yield path
     finally:
         subprocess.run(
-            ["git", "worktree", "remove", "--force", str(base_tree)],
-            cwd=ROOT,
+            ["git", "worktree", "remove", "--force", str(path)], cwd=ROOT
         )
         subprocess.run(["git", "worktree", "prune"], cwd=ROOT)
+
+
+def workload_pairs(
+    base_tree: Path,
+    ref: str,
+    workload: str,
+    pairs: int,
+    seed: int,
+    scratch: Path,
+    end_to_end: Sequence[Dict[str, Any]],
+) -> Dict[str, Any]:
+    """Alternating pairs of one workload in ``base_tree`` and this tree;
+    prints its report and returns its rows, the exact counts that
+    differ (``"mismatch"``) and whether a run failed (``"failed"``)."""
+    base: List[Optional[Dict]] = []
+    head: List[Optional[Dict]] = []
+    for i in range(pairs):
+        order = [("base", base_tree, base), ("head", ROOT, head)]
+        if i % 2:
+            order.reverse()
+        for side, tree, records in order:
+            records.append(
+                _run_bench(
+                    tree, workload, seed, scratch / f"{workload}-{side}-{i}.json"
+                )
+            )
+        ratio = two_process_ratio()
+        first = order[0][0]
+        print(
+            f"pair {i}: {first} first; two-process ratio "
+            + ", ".join(f"{k} {v:.2f}" for k, v in ratio.items()),
+            flush=True,
+        )
     problems = _problems("base", base) + _problems("head", head)
     good = [r for r in base + head if r is not None]
-    with open(ROOT / "BENCHMARK.json") as fh:
-        end_to_end = json.load(fh)["end_to_end"]
     paired = [
         (b, h) for b, h in zip(base, head) if b is not None and h is not None
     ]
@@ -295,17 +321,61 @@ def run_pairs(
                         print(f"  {side}: {json.dumps(record.get('counts'))}")
     for line in problems:
         print(line)
-    return 1 if problems or mismatch or not paired else 0
+    return {
+        "rows": rows,
+        "mismatch": mismatch,
+        "failed": bool(problems) or not paired,
+    }
+
+
+def summary_line(workload: str, report: Dict[str, Any]) -> str:
+    """One workload's line of the ``--workload all`` summary."""
+    counts = "DIFFER" if report["mismatch"] else "equal"
+    failed = "  runs failed" if report["failed"] else ""
+    return (
+        f"{workload:<28} worst {worst_verdict(report['rows']):<10} "
+        f"counts {counts}{failed}"
+    )
+
+
+def run_pairs(
+    ref: str, workload: str, pairs: int, seed: int, scratch: Path
+) -> int:
+    """Alternating pairs in a worktree of ``ref`` and this tree, for one
+    workload or (``"all"``) each of ``BENCHMARK.json``'s in turn; prints
+    the reports and returns the exit status."""
+    with open(ROOT / "BENCHMARK.json") as fh:
+        declared = json.load(fh)
+    names = (
+        [w["name"] for w in declared["workloads"]]
+        if workload == "all" else [workload]
+    )
+    reports: Dict[str, Dict[str, Any]] = {}
+    with worktree(ref, scratch / "base") as base_tree:
+        for name in names:
+            reports[name] = workload_pairs(
+                base_tree, ref, name, pairs, seed, scratch,
+                declared["end_to_end"],
+            )
+    if workload == "all":
+        print(f"\nsummary: {ref} (base) vs tree (head), {pairs} pairs each")
+        for name in names:
+            print(summary_line(name, reports[name]))
+    bad = any(r["failed"] or r["mismatch"] for r in reports.values())
+    return 1 if bad else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="tools/bench_ab.py",
-        description="Alternating pairs of one benchmark workload: a git "
-        "ref (base) against this tree (head).",
+        description="Alternating pairs of a benchmark workload (or all "
+        "of them): a git ref (base) against this tree (head).",
     )
     parser.add_argument("ref", help="git ref of the base side, e.g. HEAD~1")
-    parser.add_argument("--workload", default="pagerank_chromatic")
+    parser.add_argument(
+        "--workload", default="pagerank_chromatic",
+        help='one BENCHMARK.json workload, or "all" for each in turn',
+    )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
